@@ -194,11 +194,7 @@ func BenchmarkSimulatorSpeedLive(b *testing.B) { bench.SimulatorSpeedLive(b) }
 // BenchmarkSNUG16Core tracks replayed 16-core scale-out throughput — the
 // shape where the CC occupancy index collapses the per-miss broadcast from
 // O(cores × ways) set scans to a counter check per peer.
-// BenchmarkSNUG16CoreParallel is the same simulation on the intra-run
-// epoch engine (one goroutine per simulated core, byte-identical results);
-// the rate gap between the two is the engine's speedup on this host.
-func BenchmarkSNUG16Core(b *testing.B)         { bench.SNUG16Core(b) }
-func BenchmarkSNUG16CoreParallel(b *testing.B) { bench.SNUG16CoreParallel(b) }
+func BenchmarkSNUG16Core(b *testing.B) { bench.SNUG16Core(b) }
 
 // The layout microbenchmarks pin the packed cache array and the bus
 // calendar directly (bodies in internal/bench, gated by cmd/bench -check).

@@ -3,21 +3,19 @@
 // CacheOps/BusContention layout microbenchmarks, SchemeSNUG,
 // Figure9Throughput) outside `go test`, writing a machine-readable
 // baseline so the perf trajectory across PRs lives in version control —
-// BENCH_PR4.json is the first point, BENCH_PR5.json the current gate —
+// BENCH_PR4.json is the first point, BENCH_PR9.json the current gate —
 // and checking the current machine against a committed baseline as a CI
 // regression gate over the rate metrics (sim-cycles/s, ops/s).
 //
 // Usage:
 //
-//	bench -out BENCH_PR7.json                      # write a new baseline (all benchmarks)
+//	bench -out BENCH_PR<n>.json                    # write a new baseline (all benchmarks)
 //	bench -out quick.json -bench SimulatorSpeed    # subset
-//	bench -check BENCH_PR7.json -tolerance 0.30    # fail if a rate metric regressed >30%
+//	bench -check BENCH_PR9.json -tolerance 0.30    # fail if a rate metric regressed >30%
 //
-// Baselines record the recording host's GOMAXPROCS. Shape-sensitive
-// benchmarks (internal/bench marks them; today SNUG16CoreParallel) scale
-// with host parallelism, so when the checking host's GOMAXPROCS differs
-// from the baseline's they are reported but not gated — a loud warning
-// says so — and -strict-shape upgrades the mismatch to a hard refusal.
+// Baselines record the recording host's GOMAXPROCS for reference. Every
+// rate-gated benchmark runs on one goroutine, so -check compares them
+// across host shapes.
 package main
 
 import (
@@ -28,8 +26,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -45,110 +41,28 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"` // ReportMetric extras, e.g. sim-cycles/s
 }
 
-// Baseline is the file schema. Benchmarks is the primary section, keyed by
-// internal/bench name and recorded at GOMAXPROCS; Shapes holds additional
-// per-GOMAXPROCS sections, serialized as "benchmarks@gomaxprocs=<n>" keys,
-// so one committed file carries the perf trajectory at several host shapes
-// and shape-sensitive benchmarks are *checked* on a matching host instead
-// of warn-and-skipped. -out merges: re-recording at a new shape updates
-// that shape's section and preserves the others. JSON map keys marshal
-// sorted, so output is stable for version control.
+// Baseline is the file schema. Benchmarks is keyed by internal/bench name;
+// json.Marshal sorts map keys, so output is stable for version control.
+// Keys the schema does not name (BENCH_PR9.json's
+// "benchmarks@gomaxprocs=4" section) are ignored on decode.
 type Baseline struct {
-	GoVersion  string
-	GOARCH     string
-	GOMAXPROCS int // host shape of the primary Benchmarks section
-	Benchmarks map[string]Result
-	Shapes     map[int]map[string]Result // extra sections; never keyed by GOMAXPROCS
+	GoVersion  string            `json:"go_version"`
+	GOARCH     string            `json:"goarch"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// shapePrefix introduces a per-GOMAXPROCS section key in the file schema.
-const shapePrefix = "benchmarks@gomaxprocs="
-
-// MarshalJSON flattens the shape sections into "benchmarks@gomaxprocs=<n>"
-// siblings of the primary section.
-func (b Baseline) MarshalJSON() ([]byte, error) {
-	m := map[string]any{
-		"go_version": b.GoVersion,
-		"goarch":     b.GOARCH,
-		"gomaxprocs": b.GOMAXPROCS,
-		"benchmarks": b.Benchmarks,
+// readBaseline decodes the baseline file at path, as -check reads it.
+func readBaseline(path string) (Baseline, error) {
+	var b Baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return b, err
 	}
-	for g, sec := range b.Shapes {
-		m[shapePrefix+strconv.Itoa(g)] = sec
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, fmt.Errorf("parse %s: %w", path, err)
 	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON accepts both the flat pre-shape schema and the sectioned
-// one.
-func (b *Baseline) UnmarshalJSON(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	fields := map[string]any{
-		"go_version": &b.GoVersion,
-		"goarch":     &b.GOARCH,
-		"gomaxprocs": &b.GOMAXPROCS,
-		"benchmarks": &b.Benchmarks,
-	}
-	for key, dst := range fields {
-		if msg, ok := raw[key]; ok {
-			if err := json.Unmarshal(msg, dst); err != nil {
-				return fmt.Errorf("field %s: %w", key, err)
-			}
-		}
-	}
-	for key, msg := range raw {
-		rest, ok := strings.CutPrefix(key, shapePrefix)
-		if !ok {
-			continue
-		}
-		g, err := strconv.Atoi(rest)
-		if err != nil || g < 1 {
-			return fmt.Errorf("malformed section key %q", key)
-		}
-		var sec map[string]Result
-		if err := json.Unmarshal(msg, &sec); err != nil {
-			return fmt.Errorf("section %s: %w", key, err)
-		}
-		if b.Shapes == nil {
-			b.Shapes = make(map[int]map[string]Result)
-		}
-		b.Shapes[g] = sec
-	}
-	return nil
-}
-
-// section returns the benchmark section recorded at the given host shape
-// and whether one exists: the primary section when the shape matches it,
-// else the matching "benchmarks@gomaxprocs=" section.
-func (b *Baseline) section(gomaxprocs int) (map[string]Result, bool) {
-	if gomaxprocs == b.GOMAXPROCS {
-		return b.Benchmarks, true
-	}
-	sec, ok := b.Shapes[gomaxprocs]
-	return sec, ok
-}
-
-// setSection merges results into the section for the given host shape,
-// creating it if needed and preserving entries the run did not re-measure.
-func (b *Baseline) setSection(gomaxprocs int, results map[string]Result) {
-	sec, ok := b.section(gomaxprocs)
-	if !ok || sec == nil {
-		sec = make(map[string]Result, len(results))
-		if gomaxprocs == b.GOMAXPROCS {
-			b.Benchmarks = sec
-		} else {
-			if b.Shapes == nil {
-				b.Shapes = make(map[int]map[string]Result)
-			}
-			b.Shapes[gomaxprocs] = sec
-		}
-	}
-	for name, r := range results {
-		sec[name] = r
-	}
+	return b, nil
 }
 
 // simCyclesMetric is the headline regression-gated metric; opsMetric gates
@@ -182,9 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	check := fs.String("check", "", "baseline JSON file to check the current machine against")
 	names := fs.String("bench", "", "comma-separated benchmark subset (default: all for -out, SimulatorSpeed for -check)")
 	tolerance := fs.Float64("tolerance", 0.30, "allowed fractional sim-cycles/s regression in -check mode (runner noise)")
-	strictShape := fs.Bool("strict-shape", false, "in -check mode, refuse to run when no baseline section matches the host GOMAXPROCS instead of skipping shape-sensitive benchmarks")
-	requireFaster := fs.String("require-faster", "",
-		"comma-separated A:B benchmark pairs; after running, fail unless A's gated rate is at least B's (e.g. SNUG16CoreParallel:SNUG16Core)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -194,67 +105,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *out != "" && *check != "" {
 		return fmt.Errorf("at most one of -out or -check is allowed")
 	}
-	if *out == "" && *check == "" && *requireFaster == "" {
-		return fmt.Errorf("one of -out, -check or -require-faster is required")
+	if *out == "" && *check == "" {
+		return fmt.Errorf("one of -out or -check is required")
 	}
-	pairs, err := parsePairs(*requireFaster)
-	if err != nil {
-		return err
-	}
-
-	host := runtime.GOMAXPROCS(0)
 
 	// In check mode, load the baseline before spending benchmark time, so
 	// a missing or corrupt file fails immediately.
 	var base Baseline
-	var baseSection map[string]Result
-	shapeMismatch := false
 	if *check != "" {
-		data, err := os.ReadFile(*check)
-		if err != nil {
+		var err error
+		if base, err = readBaseline(*check); err != nil {
 			return err
-		}
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("parse %s: %w", *check, err)
-		}
-		// A parallel (shape-sensitive) benchmark's rate scales with host
-		// threads, so its baseline comparison needs a section recorded at
-		// the host's GOMAXPROCS — comparing across shapes measures the
-		// runner, not the code.
-		var ok bool
-		if baseSection, ok = base.section(host); !ok {
-			if *strictShape {
-				return fmt.Errorf("baseline %s has no section for host GOMAXPROCS %d (primary is %d; -strict-shape)", *check, host, base.GOMAXPROCS)
-			}
-			shapeMismatch = true
-			baseSection = base.Benchmarks
-			fmt.Fprintf(stderr, "bench: WARNING: baseline %s has no benchmarks@gomaxprocs=%d section; checking against the GOMAXPROCS=%d primary, shape-sensitive benchmarks will run but NOT be gated (record this shape with -out, or pass -strict-shape to refuse)\n",
-				*check, host, base.GOMAXPROCS)
-		} else if base.GOMAXPROCS != host {
-			fmt.Fprintf(stdout, "checking against the benchmarks@gomaxprocs=%d section of %s\n", host, *check)
 		}
 	}
 
-	selected := strings.Split(*names, ",")
-	if *names == "" {
-		switch {
-		case *check != "":
-			selected = []string{"SimulatorSpeed"}
-		case *out != "":
-			selected = nil
-			for _, e := range bench.ByName {
-				selected = append(selected, e.Name)
-			}
-		default:
-			selected = nil // -require-faster alone: just the pair members below
-		}
-	}
-	// Every -require-faster pair member must actually run.
-	for _, p := range pairs {
-		for _, name := range []string{p.fast, p.slow} {
-			if !slices.Contains(selected, name) {
-				selected = append(selected, name)
-			}
+	var selected []string
+	switch {
+	case *names != "":
+		selected = strings.Split(*names, ",")
+	case *check != "":
+		selected = []string{"SimulatorSpeed"}
+	default:
+		for _, e := range bench.ByName {
+			selected = append(selected, e.Name)
 		}
 	}
 
@@ -282,25 +155,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %s\n", format(res))
 	}
 
-	if err := checkPairs(stdout, pairs, results); err != nil {
-		return err
-	}
-
 	if *out != "" {
 		b := Baseline{
 			GoVersion:  runtime.Version(),
 			GOARCH:     runtime.GOARCH,
-			GOMAXPROCS: host,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Benchmarks: results,
 		}
-		if data, err := os.ReadFile(*out); err == nil {
-			// Re-recording merges: the host's section is updated, sections
-			// recorded at other shapes are preserved.
-			if err := json.Unmarshal(data, &b); err != nil {
-				return fmt.Errorf("merge into %s: %w", *out, err)
-			}
-			b.GoVersion = runtime.Version()
-		}
-		b.setSection(host, results)
 		data, err := json.MarshalIndent(b, "", "  ")
 		if err != nil {
 			return err
@@ -311,76 +172,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "wrote", *out)
 		return nil
 	}
-	if *check == "" {
-		return nil // -require-faster alone: the pair check above was the gate
-	}
 
-	return checkBaseline(stdout, *check, baseSection, results, *tolerance, shapeMismatch)
-}
-
-// pair is one -require-faster constraint: fast's rate must be >= slow's.
-type pair struct{ fast, slow string }
-
-// parsePairs parses the -require-faster grammar ("A:B[,C:D...]").
-func parsePairs(s string) ([]pair, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var pairs []pair
-	for _, field := range strings.Split(s, ",") {
-		fast, slow, ok := strings.Cut(field, ":")
-		if !ok || fast == "" || slow == "" {
-			return nil, fmt.Errorf("malformed -require-faster pair %q (want A:B)", field)
-		}
-		if _, err := lookup(fast); err != nil {
-			return nil, err
-		}
-		if _, err := lookup(slow); err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, pair{fast: fast, slow: slow})
-	}
-	return pairs, nil
-}
-
-// checkPairs enforces the -require-faster constraints on the measured
-// results: each pair's first benchmark must achieve at least the second's
-// rate on a shared gated metric. This is the CI smoke that proves the
-// intra-run engine actually beats the serial engine on a multi-core host.
-func checkPairs(stdout io.Writer, pairs []pair, results map[string]Result) error {
-	for _, p := range pairs {
-		fast, slow := results[p.fast], results[p.slow]
-		compared := false
-		for _, metric := range gateMetrics {
-			fr, ok := fast.Metrics[metric]
-			sr, ok2 := slow.Metrics[metric]
-			if !ok || !ok2 {
-				continue
-			}
-			compared = true
-			fmt.Fprintf(stdout, "require-faster %s: %.0f %s vs %s: %.0f (%.2fx)\n",
-				p.fast, fr, metric, p.slow, sr, fr/sr)
-			if fr < sr {
-				return fmt.Errorf("%s (%.0f %s) is slower than %s (%.0f) at GOMAXPROCS=%d",
-					p.fast, fr, metric, p.slow, sr, runtime.GOMAXPROCS(0))
-			}
-		}
-		if !compared {
-			return fmt.Errorf("require-faster %s:%s share no gated rate metric", p.fast, p.slow)
-		}
-	}
-	return nil
-}
-
-// shapeSensitive reports whether the named benchmark's rate scales with
-// host parallelism (the internal/bench registry's ShapeSensitive mark).
-func shapeSensitive(name string) bool {
-	for _, e := range bench.ByName {
-		if e.Name == name {
-			return e.ShapeSensitive
-		}
-	}
-	return false
+	return checkBaseline(stdout, *check, base.Benchmarks, results, *tolerance)
 }
 
 // gateAllocs reports whether the named benchmark's allocs/op is regression-
@@ -409,23 +202,18 @@ func lookup(name string) (func(*testing.B), error) {
 }
 
 // checkBaseline compares the measured rate metrics (sim-cycles/s, ops/s)
-// against the host-matching baseline section, failing on a regression
-// beyond the tolerance; registry-marked benchmarks additionally gate
-// allocs/op (lower is better), catching allocation regressions that rate
-// noise would hide. Benchmarks without any gated metric (or absent from
-// the baseline) are reported but not gated, and when no section matches
-// the host shape neither are the shape-sensitive ones.
-func checkBaseline(stdout io.Writer, path string, baseSection map[string]Result, results map[string]Result, tolerance float64, shapeMismatch bool) error {
+// against the baseline's benchmarks, failing on a regression beyond the
+// tolerance; registry-marked benchmarks additionally gate allocs/op (lower
+// is better), catching allocation regressions that rate noise would hide.
+// Benchmarks without any gated metric (or absent from the baseline) are
+// reported but not gated.
+func checkBaseline(stdout io.Writer, path string, baseline map[string]Result, results map[string]Result, tolerance float64) error {
 	var failures []string
 	compared := 0
 	for name, res := range results {
-		want, ok := baseSection[name]
+		want, ok := baseline[name]
 		if !ok {
 			fmt.Fprintf(stdout, "%s: not in baseline %s; skipping\n", name, path)
-			continue
-		}
-		if shapeMismatch && shapeSensitive(name) {
-			fmt.Fprintf(stdout, "%s: shape-sensitive and host GOMAXPROCS differs from baseline; NOT gated\n", name)
 			continue
 		}
 		matched := false

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -129,156 +128,48 @@ func TestCheckRefusesEmptyComparison(t *testing.T) {
 	}
 }
 
-// TestCheckShapeMismatchSkipsParallel: under a GOMAXPROCS mismatch a
-// shape-sensitive benchmark must not be gated — even against a baseline it
-// could never beat — and with nothing else selected the empty-comparison
-// guard turns the check into a refusal rather than a silent pass.
-func TestCheckShapeMismatchSkipsParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real benchmark; skipped in -short")
+// TestCommittedBaselinesDecode decodes every committed BENCH_PR*.json the
+// way -check does, so a schema change that breaks an old baseline fails
+// here rather than in CI's regression gate at run time. For the current
+// gate it also pins the benchmarks and metrics the gate compares.
+func TestCommittedBaselinesDecode(t *testing.T) {
+	// gated lists, per baseline, the rate metric -check must find for each
+	// benchmark of CI's regression-gate -bench list.
+	cases := []struct {
+		file  string
+		gated map[string]string
+	}{
+		{file: "BENCH_PR4.json"},
+		{file: "BENCH_PR5.json"},
+		{file: "BENCH_PR7.json"},
+		{file: "BENCH_PR9.json", gated: map[string]string{
+			"SimulatorSpeed": simCyclesMetric,
+			"SNUG16Core":     simCyclesMetric,
+			"CacheOps":       opsMetric,
+			"BusContention":  opsMetric,
+		}},
 	}
-	path := filepath.Join(t.TempDir(), "shape.json")
-	base := Baseline{
-		GOMAXPROCS: runtime.GOMAXPROCS(0) + 1,
-		Benchmarks: map[string]Result{
-			"SNUG16CoreParallel": {Iterations: 1, NsPerOp: 1, Metrics: map[string]float64{"sim-cycles/s": 1e15}},
-		},
-	}
-	raw, err := json.Marshal(base)
+	onDisk, err := filepath.Glob(filepath.Join("..", "..", "BENCH_PR*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	if len(onDisk) != len(cases) {
+		t.Errorf("found %d committed baselines %v, the table covers %d; add the new file to the table", len(onDisk), onDisk, len(cases))
 	}
-	var out, errOut bytes.Buffer
-	err = run([]string{"-check", path, "-bench", "SNUG16CoreParallel"}, &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), "checked nothing") {
-		t.Fatalf("err = %v, want the empty-comparison refusal", err)
-	}
-	if !strings.Contains(errOut.String(), "WARNING") {
-		t.Errorf("stderr missing the GOMAXPROCS warning:\n%s", errOut.String())
-	}
-	if !strings.Contains(out.String(), "NOT gated") {
-		t.Errorf("stdout does not say the benchmark was skipped:\n%s", out.String())
-	}
-}
-
-// TestCheckStrictShapeRefuses: -strict-shape turns a GOMAXPROCS mismatch
-// into an immediate error, before any benchmark time is spent.
-func TestCheckStrictShapeRefuses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "strict.json")
-	base := Baseline{
-		GOMAXPROCS: runtime.GOMAXPROCS(0) + 1,
-		Benchmarks: map[string]Result{
-			"SimulatorSpeed": {Iterations: 1, NsPerOp: 1, Metrics: map[string]float64{"sim-cycles/s": 1}},
-		},
-	}
-	raw, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-check", path, "-strict-shape"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
-		t.Fatalf("err = %v, want a GOMAXPROCS mismatch refusal", err)
-	}
-}
-
-// TestBaselineSectionRoundTrip pins the sectioned file schema: extra
-// shapes marshal as "benchmarks@gomaxprocs=<n>" siblings of the primary
-// section, survive a JSON round trip, and setSection merges rather than
-// replaces.
-func TestBaselineSectionRoundTrip(t *testing.T) {
-	b := Baseline{
-		GoVersion:  "go0.0",
-		GOARCH:     "amd64",
-		GOMAXPROCS: 1,
-		Benchmarks: map[string]Result{"SimulatorSpeed": {Iterations: 1, NsPerOp: 2}},
-		Shapes: map[int]map[string]Result{
-			4: {"SNUG16CoreParallel": {Iterations: 3, NsPerOp: 4}},
-		},
-	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"benchmarks@gomaxprocs=4"`) {
-		t.Fatalf("marshal lacks the section key: %s", raw)
-	}
-	var back Baseline
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if sec, ok := back.section(4); !ok || sec["SNUG16CoreParallel"].Iterations != 3 {
-		t.Fatalf("section(4) = %v, %v", sec, ok)
-	}
-	if sec, ok := back.section(1); !ok || sec["SimulatorSpeed"].NsPerOp != 2 {
-		t.Fatalf("section(1) = %v, %v", sec, ok)
-	}
-	if _, ok := back.section(2); ok {
-		t.Fatal("section(2) exists for an unrecorded shape")
-	}
-
-	back.setSection(4, map[string]Result{"SNUG16Core": {Iterations: 9}})
-	sec, _ := back.section(4)
-	if sec["SNUG16Core"].Iterations != 9 || sec["SNUG16CoreParallel"].Iterations != 3 {
-		t.Fatalf("setSection did not merge: %v", sec)
-	}
-
-	if err := json.Unmarshal([]byte(`{"benchmarks@gomaxprocs=zero":{}}`), &back); err == nil {
-		t.Fatal("malformed section key unmarshaled successfully")
-	}
-}
-
-// TestParsePairs covers the -require-faster grammar.
-func TestParsePairs(t *testing.T) {
-	got, err := parsePairs("SNUG16CoreParallel:SNUG16Core,CacheOps:BusContention")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []pair{
-		{fast: "SNUG16CoreParallel", slow: "SNUG16Core"},
-		{fast: "CacheOps", slow: "BusContention"},
-	}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("parsePairs = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"OnlyOne", "A:", ":B", "NoSuchBench:SNUG16Core", "SNUG16Core:NoSuchBench"} {
-		if _, err := parsePairs(bad); err == nil {
-			t.Errorf("parsePairs(%q) succeeded", bad)
+	for _, tc := range cases {
+		b, err := readBaseline(filepath.Join("..", "..", tc.file))
+		if err != nil {
+			t.Errorf("%s: %v", tc.file, err)
+			continue
 		}
-	}
-}
-
-// TestCheckPairs drives the require-faster comparison on fabricated
-// results: a slower "fast" side must fail, a tie or win must pass, and a
-// pair sharing no gated metric must refuse rather than silently pass.
-func TestCheckPairs(t *testing.T) {
-	ps := []pair{{fast: "SNUG16CoreParallel", slow: "SNUG16Core"}}
-	mk := func(fast, slow float64) map[string]Result {
-		return map[string]Result{
-			"SNUG16CoreParallel": {Metrics: map[string]float64{"sim-cycles/s": fast}},
-			"SNUG16Core":         {Metrics: map[string]float64{"sim-cycles/s": slow}},
+		if len(b.Benchmarks) == 0 || b.GoVersion == "" || b.GOMAXPROCS < 1 {
+			t.Errorf("%s: decoded an empty or headerless baseline: %+v", tc.file, b)
 		}
-	}
-	if err := checkPairs(io.Discard, ps, mk(200, 100)); err != nil {
-		t.Errorf("faster pair failed: %v", err)
-	}
-	if err := checkPairs(io.Discard, ps, mk(100, 100)); err != nil {
-		t.Errorf("tied pair failed: %v", err)
-	}
-	err := checkPairs(io.Discard, ps, mk(99, 100))
-	if err == nil || !strings.Contains(err.Error(), "slower than") {
-		t.Errorf("slower pair: err = %v, want a slower-than failure", err)
-	}
-	err = checkPairs(io.Discard, ps, map[string]Result{
-		"SNUG16CoreParallel": {}, "SNUG16Core": {},
-	})
-	if err == nil || !strings.Contains(err.Error(), "share no gated rate metric") {
-		t.Errorf("metric-free pair: err = %v, want the no-shared-metric refusal", err)
+		for name, metric := range tc.gated {
+			if v := b.Benchmarks[name].Metrics[metric]; v <= 0 {
+				t.Errorf("%s: %s has no positive %s (got %v)", tc.file, name, metric, v)
+			}
+		}
 	}
 }
 
@@ -294,10 +185,10 @@ func TestCheckBaselineGatesAllocs(t *testing.T) {
 			"Figure9Throughput": {AllocsPerOp: allocs, Metrics: map[string]float64{"sim-cycles/s": 100}},
 		}
 	}
-	if err := checkBaseline(io.Discard, "base.json", base, measure(500), 0.30, false); err != nil {
+	if err := checkBaseline(io.Discard, "base.json", base, measure(500), 0.30); err != nil {
 		t.Errorf("improved allocs failed the gate: %v", err)
 	}
-	err := checkBaseline(io.Discard, "base.json", base, measure(2000), 0.30, false)
+	err := checkBaseline(io.Discard, "base.json", base, measure(2000), 0.30)
 	if err == nil || !strings.Contains(err.Error(), "allocation regression") {
 		t.Errorf("doubled allocs: err = %v, want an allocation regression", err)
 	}
@@ -308,7 +199,7 @@ func TestCheckBaselineGatesAllocs(t *testing.T) {
 	bloated := map[string]Result{
 		"SimulatorSpeed": {AllocsPerOp: 1 << 40, Metrics: map[string]float64{"sim-cycles/s": 100}},
 	}
-	if err := checkBaseline(io.Discard, "base.json", unmarked, bloated, 0.30, false); err != nil {
+	if err := checkBaseline(io.Discard, "base.json", unmarked, bloated, 0.30); err != nil {
 		t.Errorf("unmarked benchmark's allocs were gated: %v", err)
 	}
 }

@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cycles := fs.Int64("cycles", 2_000_000, "cycles per simulation")
-	par := fs.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	par := fs.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
 	reps := fs.Int("reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")
 	classes := fs.String("classes", "", "comma-separated class subset (C1..C6); empty = all")
 	schemes := fs.String("schemes", "", "comma-separated scheme subset (L2S,CC,DSR,SNUG); empty = all; L2P always runs")
@@ -92,9 +92,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
 	replay := fs.Bool("replay", true, "record each cell's instruction streams once and replay them to every scheme (bit-identical results); false regenerates streams live per run")
 	ablation := fs.Bool("ablation", false, "run the SNUG ablation sweep instead of the figures")
-	intra := fs.Bool("intra", false, "run each simulation on the intra-run epoch engine: one goroutine per simulated core, bit-identical results (see DESIGN.md)")
-	epoch := fs.Int64("epoch", 0, "epoch-engine run-ahead window in cycles (0 = adaptive, negative = fixed default); affects scheduling only, never results")
-	budget := fs.Int("cpubudget", 0, "cap on concurrent simulation goroutines shared by -par workers and the -intra engine (0 = GOMAXPROCS); affects scheduling only, never results")
 	fullScale := fs.Bool("fullscale", false, "Table 4 full-size system (slow; default is the scaled test system)")
 	failpolicy := fs.String("failpolicy", "fast", "response to failed runs: \"fast\" stops at the first failure, \"continue\" runs every cell and aggregates failures (exit code 3)")
 	retries := fs.Int("retries", 0, "re-run a failed run up to this many times with the same seed (transient faults only; deterministic failures repeat)")
@@ -158,8 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
-		return runAblation(ctx, stdout, cfg, *cycles, *par, *budget, *replay,
-			cmp.Engine{Intra: *intra, EpochCycles: *epoch})
+		return runAblation(ctx, stdout, cfg, *cycles, *par, *replay)
 	}
 
 	if *resume && *out == "" {
@@ -192,8 +188,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			Parallelism: *par, Classes: cls, Schemes: sch,
 			Checkpoint: *out, Progress: progress, Replicates: *reps,
 			NoReplay:      !*replay,
-			Engine:        cmp.Engine{Intra: *intra, EpochCycles: *epoch},
-			CPUBudget:     *budget,
 			FailurePolicy: policy, Retry: retry,
 			Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
 		}, *csvDir)
@@ -212,8 +206,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		Cfg: cfg, RunCycles: *cycles, Parallelism: *par, Classes: cls,
 		Schemes: sch, Checkpoint: *out, Progress: progress, Replicates: *reps,
 		NoReplay:      !*replay,
-		Engine:        cmp.Engine{Intra: *intra, EpochCycles: *epoch},
-		CPUBudget:     *budget,
 		FailurePolicy: policy, Retry: retry,
 		Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
 	})
@@ -298,7 +290,7 @@ func writeCSV(path string, write func(io.Writer) error) error {
 
 // runAblation compares SNUG variants on the C1 stress tests plus one mixed
 // combo per class — the design choices DESIGN.md calls out.
-func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par, budget int, replay bool, eng cmp.Engine) error {
+func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par int, replay bool) error {
 	// The quad-core A+A+D+D mix, replicated to the configured width the
 	// same way workloads.ScaleOut widens Table 8.
 	var bench []string
@@ -344,16 +336,16 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 			cfg.Seed = seed
 			mut(&cfg)
 			if recordings != nil {
-				return cmp.RunStreamsEngine(cfg, scheme, trace.Replays(recordings), cycles, eng)
+				return cmp.RunStreams(cfg, scheme, trace.Replays(recordings), cycles)
 			}
-			return cmp.RunWorkloadEngine(cfg, scheme, bench, cycles, eng)
+			return cmp.RunWorkload(cfg, scheme, bench, cycles)
 		}}
 	}
 	jobs := []sweep.Job{job("L2P", "L2P", func(*config.System) {})}
 	for _, v := range variants {
 		jobs = append(jobs, job(v.name, "SNUG", v.mut))
 	}
-	results, err := sweep.Run(ctx, sweep.Options{Parallelism: par, CPUBudget: budget, BaseSeed: base.Seed}, jobs)
+	results, err := sweep.Run(ctx, sweep.Options{Parallelism: par, BaseSeed: base.Seed}, jobs)
 	if err != nil {
 		return err
 	}

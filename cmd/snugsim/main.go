@@ -83,13 +83,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		"comma-separated benchmark per core, a Table 8 combo name, or Nx<bench>")
 	cycles := fs.Int64("cycles", 5_000_000, "cycles to simulate")
 	ccpct := fs.Int("ccpct", 100, "spill probability for bare \"CC\" specs, in percent (0,25,50,75,100)")
-	par := fs.Int("par", 0, "concurrent simulations when comparing schemes (0 = GOMAXPROCS)")
+	par := fs.Int("par", 0, "concurrent simulations when comparing schemes (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
 	reps := fs.Int("reps", 1, "independently-seeded replicates per scheme; >1 reports mean ±95% CI")
 	scale := fs.Bool("testscale", true, "use the scaled test system (64-set slices); false = full Table 4 system")
 	replay := fs.Bool("replay", true, "record the workload's instruction streams once and replay them to every compared scheme (bit-identical results); false regenerates streams live per run")
-	intra := fs.Bool("intra", false, "run each simulation on the intra-run epoch engine: one goroutine per simulated core, bit-identical results (see DESIGN.md)")
-	epoch := fs.Int64("epoch", 0, "epoch-engine run-ahead window in cycles (0 = adaptive, negative = fixed default); affects scheduling only, never results")
-	budget := fs.Int("cpubudget", 0, "cap on concurrent simulation goroutines shared by -par workers and the -intra engine (0 = GOMAXPROCS); affects scheduling only, never results")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
 	out := fs.String("out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
 	resume := fs.Bool("resume", false, "resume from -out, skipping runs already checkpointed")
@@ -209,11 +206,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			Run: func(jobSeed uint64) (cmp.RunResult, error) {
 				c := cfg
 				c.Seed = jobSeed
-				eng := cmp.Engine{Intra: *intra, EpochCycles: *epoch}
 				if recs, ok := recordings[jobSeed]; ok {
-					return cmp.RunStreamsEngine(c, s, trace.Replays(recs), *cycles, eng)
+					return cmp.RunStreams(c, s, trace.Replays(recs), *cycles)
 				}
-				return cmp.RunWorkloadEngine(c, s, bench, *cycles, eng)
+				return cmp.RunWorkload(c, s, bench, *cycles)
 			},
 		})
 	}
@@ -222,7 +218,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
-		Parallelism: *par, CPUBudget: *budget, BaseSeed: cfg.Seed, Replicates: *reps,
+		Parallelism: *par, BaseSeed: cfg.Seed, Replicates: *reps,
 		Checkpoint: *out, Salvage: *salvage, Sync: *syncEvery, Fingerprint: fp,
 		FailurePolicy: policy,
 		Retry:         sweep.RetrySpec{Attempts: *retries, Backoff: *backoff},

@@ -94,20 +94,7 @@ func SchemeSNUG(b *testing.B) { SchemeOnMix(b, "SNUG") }
 // occupancy index now answers non-holding peers in O(1). Tracked in the
 // baseline next to the quad-core SimulatorSpeed so width-dependent
 // regressions are caught separately.
-func SNUG16Core(b *testing.B) { snug16Core(b, cmp.Engine{}) }
-
-// SNUG16CoreParallel is SNUG16Core on the intra-run epoch engine: the same
-// 16-core replayed simulation, stepped by one goroutine per simulated core.
-// Results are byte-identical to SNUG16Core; only the wall-clock rate
-// changes, and it scales with host parallelism — the benchmark is
-// shape-sensitive, so cmd/bench gates it only against a baseline recorded
-// at the same GOMAXPROCS.
-func SNUG16CoreParallel(b *testing.B) { snug16Core(b, cmp.Engine{Intra: true}) }
-
-// snug16Core is the shared body: both variants replay identical recordings
-// through identical systems, so their sim-cycles/s rates are directly
-// comparable — the gap is the epoch engine's speedup.
-func snug16Core(b *testing.B, eng cmp.Engine) {
+func SNUG16Core(b *testing.B) {
 	cfg, err := config.TestScaleN(16)
 	if err != nil {
 		b.Fatal(err)
@@ -123,12 +110,12 @@ func snug16Core(b *testing.B, eng cmp.Engine) {
 		b.Fatal(err)
 	}
 	recs := trace.RecordAll(streams)
-	if _, err := cmp.RunStreamsEngine(cfg, "SNUG", trace.Replays(recs), Cycles, eng); err != nil {
+	if _, err := cmp.RunStreams(cfg, "SNUG", trace.Replays(recs), Cycles); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cmp.RunStreamsEngine(cfg, "SNUG", trace.Replays(recs), Cycles, eng); err != nil {
+		if _, err := cmp.RunStreams(cfg, "SNUG", trace.Replays(recs), Cycles); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,11 +214,7 @@ func FigureMetric(b *testing.B, metric metrics.MetricKind) {
 func Figure9Throughput(b *testing.B) { FigureMetric(b, metrics.MetricThroughput) }
 
 // ByName maps the exported benchmark names to their bodies, in the order
-// cmd/bench runs and reports them. ShapeSensitive marks benchmarks whose
-// rate scales with host parallelism (GOMAXPROCS): cmd/bench -check gates
-// them only when the baseline was recorded at the host's GOMAXPROCS, since
-// comparing a 2-thread run against an 8-thread baseline measures the
-// runner, not the code.
+// cmd/bench runs and reports them.
 //
 // GateAllocs marks benchmarks whose allocs/op cmd/bench -check gates
 // against the baseline (lower is better): allocation counts are stable
@@ -240,15 +223,13 @@ func Figure9Throughput(b *testing.B) { FigureMetric(b, metrics.MetricThroughput)
 // allocation behaviour (trace chunk pooling, stream-cache recycling) is a
 // tracked optimization target.
 var ByName = []struct {
-	Name           string
-	Fn             func(*testing.B)
-	ShapeSensitive bool
-	GateAllocs     bool
+	Name       string
+	Fn         func(*testing.B)
+	GateAllocs bool
 }{
 	{Name: "SimulatorSpeed", Fn: SimulatorSpeed},
 	{Name: "SimulatorSpeedLive", Fn: SimulatorSpeedLive},
 	{Name: "SNUG16Core", Fn: SNUG16Core},
-	{Name: "SNUG16CoreParallel", Fn: SNUG16CoreParallel, ShapeSensitive: true},
 	{Name: "CacheOps", Fn: CacheOps},
 	{Name: "BusContention", Fn: BusContention},
 	{Name: "SchemeSNUG", Fn: SchemeSNUG},

@@ -76,12 +76,8 @@ type calendar struct {
 // path.
 //
 // The Bus is not safe for concurrent use and is deliberately unlocked: it
-// is shared cross-core state owned by the scheme controller, and both
-// execution engines serialize every controller call on one goroutine (the
-// serial driver, or the epoch engine's coordinator — core goroutines never
-// reach the bus). The -race differential tests in internal/cmp dynamically
-// assert this confinement; the snuglint coordinator analyzer checks it
-// statically.
+// is shared cross-core state owned by the scheme controller, and the
+// driver (internal/cmp) makes every controller call on one goroutine.
 type Bus struct {
 	widthBytes int
 	speedRatio int   // core cycles per bus cycle

@@ -143,13 +143,7 @@ type corePath struct {
 	l1Lat int64
 }
 
-// access resolves one data-memory access; it is the serial engine's
-// cpu.MemFunc. It calls straight into the shared controller, so it may
-// only run on the driving goroutine — the epoch engine's core goroutines
-// use epochWorker.access, which parks the same call at the coordinator
-// instead (see epoch.go).
-//
-//snug:coordinator
+// access resolves one data-memory access; it is the core's cpu.MemFunc.
 func (p *corePath) access(now int64, a addr.Addr, write bool) int64 {
 	pa := a | p.base
 	if p.l1.Lookup(pa, write) {
@@ -163,49 +157,9 @@ func (p *corePath) access(now int64, a addr.Addr, write bool) int64 {
 	return done
 }
 
-// Engine selects how a System advances: the serial engine steps every core
-// on the calling goroutine (the default), the intra-run epoch engine runs
-// one goroutine per simulated core with shared-state arbitration confined
-// to a coordinator. Both produce byte-identical results; the choice is
-// purely a wall-clock/runtime trade (see DESIGN.md §"Epoch execution
-// model").
-type Engine struct {
-	// Intra enables the epoch engine. It takes effect only when the system
-	// has more than one core and the scheme controller declares epoch
-	// safety (schemes.EpochSafe); otherwise the serial engine runs —
-	// results are identical either way.
-	Intra bool
-	// EpochCycles bounds how far a core may run ahead of the coordinator,
-	// in cycles; positive values are rounded down to whole quanta with a
-	// floor of one quantum. 0 selects the adaptive window (the coordinator
-	// widens it while the park rate is low and narrows it when parks flood
-	// the rings); negative values pin the fixed default of eight quanta.
-	// The value changes scheduling and memory footprint only, never
-	// results.
-	EpochCycles int64
-}
-
-// RunEngine advances the system by cycles under the selected engine and
-// returns the cumulative result. RunEngine(c, Engine{}) == Run(c).
-func (s *System) RunEngine(cycles int64, eng Engine) RunResult {
-	if eng.Intra && len(s.cores) > 1 && EpochCapable(s.ctrl) {
-		return s.runEpoch(cycles, eng.EpochCycles)
-	}
-	return s.Run(cycles)
-}
-
-// EpochCapable reports whether ctrl declares the coordinator-confinement
-// contract the epoch engine needs (the schemes.EpochSafe capability).
-func EpochCapable(ctrl schemes.Controller) bool {
-	es, ok := ctrl.(schemes.EpochSafe)
-	return ok && es.EpochSafe()
-}
-
-// Run advances the system by cycles on the serial engine and returns the
-// result. It may be called repeatedly; results are cumulative from
-// construction. Each quantum steps the cores in index order and then ticks
-// the controller — the arbitration order the epoch engine reproduces
-// exactly.
+// Run advances the system by cycles and returns the result. It may be
+// called repeatedly; results are cumulative from construction. Each
+// quantum steps the cores in index order and then ticks the controller.
 func (s *System) Run(cycles int64) RunResult {
 	end := s.clock + cycles
 	q := s.cfg.Quantum
@@ -290,33 +244,22 @@ func PhaseRefs(cycles int64) int64 {
 }
 
 // RunStreams assembles the system under scheme over pre-built streams
-// (live generators or trace replays) and runs it for cycles on the serial
-// engine.
+// (live generators or trace replays) and runs it for cycles.
 func RunStreams(cfg config.System, scheme string, streams []isa.Stream, cycles int64) (RunResult, error) {
-	return RunStreamsEngine(cfg, scheme, streams, cycles, Engine{})
-}
-
-// RunStreamsEngine is RunStreams under an explicit engine selection.
-func RunStreamsEngine(cfg config.System, scheme string, streams []isa.Stream, cycles int64, eng Engine) (RunResult, error) {
 	sys, err := NewSystem(cfg, scheme, streams)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return sys.RunEngine(cycles, eng), nil
+	return sys.Run(cycles), nil
 }
 
 // RunWorkload is the one-call convenience used by the CLI tools, examples
 // and benchmarks: build streams, assemble the system under scheme, run for
-// cycles on the serial engine.
+// cycles.
 func RunWorkload(cfg config.System, scheme string, benchmarks []string, cycles int64) (RunResult, error) {
-	return RunWorkloadEngine(cfg, scheme, benchmarks, cycles, Engine{})
-}
-
-// RunWorkloadEngine is RunWorkload under an explicit engine selection.
-func RunWorkloadEngine(cfg config.System, scheme string, benchmarks []string, cycles int64, eng Engine) (RunResult, error) {
 	streams, err := WorkloadStreams(cfg, benchmarks, PhaseRefs(cycles))
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunStreamsEngine(cfg, scheme, streams, cycles, eng)
+	return RunStreams(cfg, scheme, streams, cycles)
 }

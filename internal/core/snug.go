@@ -98,8 +98,6 @@ func (s *SNUG) Monitor(core int) *Monitor { return s.mon[core] }
 func (s *SNUG) Stats() SNUGStats { return s.stats }
 
 // Access implements schemes.Controller.
-//
-//snug:coordinator
 func (s *SNUG) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	h := s.h
 	cfg := &h.Cfg
@@ -231,16 +229,12 @@ func (s *SNUG) spill(core int, now int64, v cache.Block, setIdx uint32) {
 }
 
 // WritebackL1 implements schemes.Controller.
-//
-//snug:coordinator
 func (s *SNUG) WritebackL1(core int, now int64, a addr.Addr) {
 	s.h.MarkDirtyOrBuffer(core, now, a)
 }
 
 // Tick implements schemes.Controller: drains write buffers and advances the
 // two-stage schedule of Figure 5.
-//
-//snug:coordinator
 func (s *SNUG) Tick(now int64) {
 	s.h.DrainWriteBuffers(now)
 	for now >= s.stageStart+s.stageLen() {
@@ -305,8 +299,3 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// EpochSafe implements the schemes.EpochSafe capability: all mutable state
-// is confined to the Controller call surface, so the epoch engine may
-// drive this scheme.
-func (s *SNUG) EpochSafe() bool { return true }

@@ -12,34 +12,7 @@ import (
 // access is issued and returns the cycle its data is available. The cache
 // hierarchy (internal/cmp) provides this function; the core model is
 // hierarchy-agnostic.
-//
-// MemFunc is the core's continuation point for intra-run parallelism: the
-// call may suspend the calling goroutine for arbitrarily long (the epoch
-// engine parks the access at a coordinator and blocks here for the
-// reply), so the core model must keep all of its state reachable from the
-// Core value — no package globals, no state shared between Core instances
-// — and a Core must only ever be advanced by one goroutine at a time.
-// Both properties hold for this package and are relied on by
-// internal/cmp's epoch engine.
 type MemFunc func(now int64, a addr.Addr, write bool) (doneAt int64)
-
-// DeferredDone is the one MemFunc return value that is not a completion
-// time: a store whose data-available cycle is not yet known. A store's
-// completion time feeds nothing but its LSQ entry — commit posts through
-// the store buffer at start+1 regardless — so a hierarchy that resolves
-// stores asynchronously (the epoch engine parks them at a coordinator and
-// runs ahead) may return DeferredDone and supply the real value later,
-// through the DrainFunc, the first time the core actually reads LSQ
-// values. Loads can never be deferred: their completion time feeds the
-// dependence chain and the commit ring immediately.
-const DeferredDone int64 = math.MinInt64
-
-// DrainFunc delivers the completion times of the oldest len(dst)
-// still-deferred stores, in the order their MemFunc calls returned
-// DeferredDone. It may block (the epoch engine waits for the coordinator
-// to publish the replies). Installed with SetDrain; never called unless a
-// MemFunc returned DeferredDone.
-type DrainFunc func(dst []int64)
 
 // Stats aggregates per-core execution statistics.
 type Stats struct {
@@ -94,14 +67,6 @@ type Core struct {
 	commitCnt  int
 
 	lsq []int64 // outstanding memory-op completion times; compacted lazily
-
-	// Deferred-store bookkeeping: lsqPending counts DeferredDone sentinels
-	// currently in lsq, drain resolves them (fillBuf is its reusable
-	// argument buffer, sized once at SetDrain). Zero/nil on the serial
-	// path, which never defers.
-	lsqPending int
-	drain      DrainFunc
-	fillBuf    []int64
 
 	prevComplete int64
 
@@ -160,43 +125,6 @@ func (c *Core) Stats() Stats {
 // Clock returns the core's current cycle.
 func (c *Core) Clock() int64 { return c.clock }
 
-// SetDrain installs the deferred-store resolver. A hierarchy whose MemFunc
-// may return DeferredDone must install one before Run; the serial path
-// never defers and needs none.
-func (c *Core) SetDrain(d DrainFunc) {
-	c.drain = d
-	if c.fillBuf == nil {
-		c.fillBuf = make([]int64, c.lsqSize)
-	}
-}
-
-// ResolveDeferred forces any outstanding DeferredDone LSQ entries to their
-// real completion times. The epoch engine calls it at the end of a run so
-// no sentinel survives into a later run driven without a DrainFunc.
-func (c *Core) ResolveDeferred() {
-	if c.lsqPending > 0 {
-		c.resolveLSQ()
-	}
-}
-
-// resolveLSQ replaces every DeferredDone sentinel in the LSQ with its real
-// completion time. Sentinels sit in lsq in store-program order and the
-// DrainFunc delivers values in that same order, so a single in-order scan
-// rewrites them; compaction preserves relative order, so the invariant
-// survives partial compactions between resolves.
-func (c *Core) resolveLSQ() {
-	buf := c.fillBuf[:c.lsqPending]
-	c.drain(buf)
-	k := 0
-	for i, t := range c.lsq {
-		if t == DeferredDone {
-			c.lsq[i] = buf[k]
-			k++
-		}
-	}
-	c.lsqPending = 0
-}
-
 // Predictor exposes the branch predictor for reporting.
 func (c *Core) Predictor() *Predictor { return c.pred }
 
@@ -210,10 +138,8 @@ const pendBatch = 256
 // returns the number of instructions dispatched during this quantum.
 //
 // Run may be called in successive slices — Run(b1) then Run(b2) steps the
-// exact instruction sequence of Run(b2) — which is how both engines drive
-// it: the serial engine on the driving goroutine, the epoch engine on a
-// dedicated per-core goroutine whose mem parks at a coordinator (see
-// MemFunc). Run itself never touches cross-core state.
+// exact instruction sequence of Run(b2) — which is how internal/cmp drives
+// it, one quantum at a time. Run itself never touches cross-core state.
 //
 // Streams implementing isa.BatchStream (trace replays) are consumed
 // through a persistent decode-ahead buffer: one NextBatch call decodes
@@ -391,16 +317,6 @@ func (c *Core) reserveLSQ(e int64) int64 {
 	if len(c.lsq) < c.lsqSize {
 		return e
 	}
-	// Deferred sentinels must be resolved before any compaction: a
-	// compaction pass reads completion times, and DeferredDone would
-	// compare as long-completed. The resolve may block (it consumes
-	// coordinator replies), but only with the LSQ full of entries whose
-	// true values the serial engine would have had in hand already — the
-	// values it receives are those exact values, so the stall accounting
-	// below is byte-identical to serial.
-	if c.lsqPending > 0 {
-		c.resolveLSQ()
-	}
 	min := c.compactLSQ(e)
 	if len(c.lsq) < c.lsqSize {
 		return e
@@ -434,15 +350,10 @@ func (c *Core) compactLSQ(e int64) int64 {
 	return min
 }
 
-// pushLSQ records an outstanding completion time (or a DeferredDone
-// sentinel — the one extra compare is a never-taken branch on the serial
-// path).
+// pushLSQ records an outstanding completion time.
 //
 //snug:hotpath
 //snug:inline
 func (c *Core) pushLSQ(t int64) {
-	if t == DeferredDone {
-		c.lsqPending++
-	}
 	c.lsq = append(c.lsq, t) //snug:allow hotalloc capacity stabilizes at lsqSize; compactLSQ keeps len below it
 }

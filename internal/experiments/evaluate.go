@@ -64,17 +64,6 @@ type Options struct {
 	// results, several× less stream-synthesis work. The switch exists for
 	// A/B-ing exactly that claim (cmd/experiments -replay=false).
 	NoReplay bool
-	// Engine selects how each simulation advances (serial or intra-run
-	// epoch engine). Results are byte-identical either way, so the engine
-	// is excluded from checkpoint fingerprints: stores are interchangeable
-	// across engines.
-	Engine cmp.Engine
-	// CPUBudget has sweep.Options.CPUBudget semantics: cap the process-wide
-	// concurrent simulation goroutines so sweep workers and intra-run epoch
-	// engines compose instead of multiplying (0 keeps the process budget).
-	// Like Engine, it never changes results and is excluded from
-	// fingerprints.
-	CPUBudget int
 	// FailurePolicy, Retry, Salvage and Sync pass straight through to the
 	// sweep engine's failure model (sweep.Options): fail-fast vs.
 	// run-everything on job failures, retry/backoff for transient faults,
@@ -240,7 +229,7 @@ func jobKey(combo, label string) string { return combo + "/" + label }
 // sees identical instruction streams (paired comparisons). With a stream
 // cache, the streams are synthesized once per (combo, replicate) cell and
 // replayed to every scheme; cache == nil regenerates them live per run.
-func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64, eng cmp.Engine) []sweep.Job {
+func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64) []sweep.Job {
 	all := append([]schemes.Spec{baselineSpec}, specs...)
 	uses := len(all)
 	for _, spec := range all {
@@ -252,7 +241,7 @@ func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo wo
 				c := cfg
 				c.Seed = seed
 				if cache == nil {
-					return cmp.RunWorkloadEngine(c, label, combo.Cores, cycles, eng)
+					return cmp.RunWorkload(c, label, combo.Cores, cycles)
 				}
 				streams, release, err := cache.streams(seed, uses, func() ([]isa.Stream, error) {
 					return cmp.WorkloadStreams(c, combo.Cores, cmp.PhaseRefs(cycles))
@@ -261,7 +250,7 @@ func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo wo
 					return cmp.RunResult{}, err
 				}
 				defer release()
-				return cmp.RunStreamsEngine(c, label, streams, cycles, eng)
+				return cmp.RunStreams(c, label, streams, cycles)
 			},
 		})
 	}
@@ -345,7 +334,7 @@ func Evaluate(ctx context.Context, opt Options) (*Evaluation, error) {
 	var jobs []sweep.Job
 	for i, combo := range combos {
 		ev.Combos[i] = ComboResult{Combo: combo}
-		jobs = comboJobs(jobs, cache, opt.Cfg, combo, specs, opt.RunCycles, opt.Engine)
+		jobs = comboJobs(jobs, cache, opt.Cfg, combo, specs, opt.RunCycles)
 	}
 
 	fp, legacy, err := fingerprint(opt)
@@ -354,7 +343,6 @@ func Evaluate(ctx context.Context, opt Options) (*Evaluation, error) {
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
 		Parallelism:        opt.Parallelism,
-		CPUBudget:          opt.CPUBudget,
 		BaseSeed:           opt.Cfg.Seed,
 		Checkpoint:         opt.Checkpoint,
 		Salvage:            opt.Salvage,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/faults"
 	"snug/internal/metrics"
@@ -38,14 +37,6 @@ type ScalingOptions struct {
 	// NoReplay has the same semantics as Options.NoReplay: disable the
 	// trace record/replay cache and synthesize every run's streams live.
 	NoReplay bool
-	// Engine has the same semantics as Options.Engine: engine selection
-	// never changes results, so it is excluded from fingerprints.
-	Engine cmp.Engine
-	// CPUBudget has sweep.Options.CPUBudget semantics: it keeps the
-	// study's wide intra-run points (engineFor enables the epoch engine at
-	// 8+ cores) from multiplying goroutines past the host when the sweep
-	// itself is already parallel.
-	CPUBudget int
 	// FailurePolicy, Retry, Salvage, Sync and Faults have Options semantics:
 	// the sweep failure model (fail-fast vs. run-everything, retry/backoff,
 	// checkpoint salvage and fsync cadence) plus deterministic fault
@@ -142,10 +133,9 @@ func ScalingStudy(ctx context.Context, opt ScalingOptions) (*ScalingResult, erro
 			return nil, fmt.Errorf("experiments: no combos selected for classes %v", opt.Classes)
 		}
 		res.Points[i] = ScalingPoint{Cores: n, Cfg: cfg, Combos: make([]ComboResult, len(combos))}
-		eng := engineFor(opt.Engine, n)
 		for j, combo := range combos {
 			res.Points[i].Combos[j] = ComboResult{Combo: combo}
-			jobs = comboJobs(jobs, cache, cfg, combo, specs, opt.RunCycles, eng)
+			jobs = comboJobs(jobs, cache, cfg, combo, specs, opt.RunCycles)
 		}
 	}
 
@@ -155,7 +145,6 @@ func ScalingStudy(ctx context.Context, opt ScalingOptions) (*ScalingResult, erro
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
 		Parallelism:        opt.Parallelism,
-		CPUBudget:          opt.CPUBudget,
 		BaseSeed:           opt.BaseCfg.Seed,
 		Checkpoint:         opt.Checkpoint,
 		Salvage:            opt.Salvage,
@@ -180,21 +169,6 @@ func ScalingStudy(ctx context.Context, opt ScalingOptions) (*ScalingResult, erro
 		}
 	}
 	return res, nil
-}
-
-// engineFor picks the stepping engine for one scaling-study width: wide
-// points (8+ cores) default to the intra-run epoch engine, whose per-core
-// goroutines pay off exactly where the serial engine's single-threaded
-// stepping becomes the study's wall-clock bottleneck. Narrower points keep
-// the caller's engine untouched, and an explicit Intra request is never
-// downgraded. Engine selection is bit-identical by construction (the epoch
-// engine falls back to serial unless the scheme is epoch-safe), so this
-// changes wall-clock only, never results or fingerprints.
-func engineFor(base cmp.Engine, cores int) cmp.Engine {
-	if cores >= 8 {
-		base.Intra = true
-	}
-	return base
 }
 
 // ScalingSeries is one metric's scaling table: per core count, per scheme,

@@ -12,7 +12,7 @@ func TestHotAlloc(t *testing.T) {
 }
 
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"maporder", "wallclock", "seeddiscipline", "hotalloc", "hotdispatch", "coordinator", "staleallow"}
+	want := []string{"maporder", "wallclock", "seeddiscipline", "hotalloc", "hotdispatch", "staleallow"}
 	if len(lint.Analyzers) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(lint.Analyzers), len(want))
 	}

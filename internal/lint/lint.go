@@ -8,7 +8,7 @@
 // standard library only. The API mirrors go/analysis closely enough that
 // the analyzers could be ported to x/tools by swapping the framework types.
 //
-// Seven AST analyzers ship today:
+// Six AST analyzers ship today:
 //
 //   - maporder: flags `range` over a map in a result-affecting package —
 //     map iteration order is randomized per process, so any result that
@@ -25,10 +25,6 @@
 //   - hotdispatch: //snug:hotpath bodies must not pay dynamic-dispatch or
 //     conversion taxes: interface method calls, defer, and string↔[]byte
 //     conversions are flagged.
-//   - coordinator: code marked //snug:coreside (runs on the epoch engine's
-//     per-core goroutines) must never reach, through same-package static
-//     calls, a //snug:coordinator function or a schemes.Controller method;
-//     mutating Controller methods must carry the coordinator mark.
 //   - staleallow: every //snug:allow directive must name a known check and
 //     actually suppress something — a directive whose named analyzer ran
 //     but reported nothing on its lines is dead weight that would silently
@@ -52,16 +48,6 @@
 //	    In a function's doc comment: under the compiler contract the
 //	    function must be provably inlinable ("can inline" in -m=2 output);
 //	    a "cannot inline" decision is a gcinline finding.
-//
-//	//snug:coordinator
-//	    In a function's doc comment: the function touches shared below-L1
-//	    state and may only run on the goroutine driving the scheme
-//	    controller (the serial driver or the epoch coordinator).
-//
-//	//snug:coreside
-//	    In a function's doc comment: the function runs on a per-core
-//	    goroutine of the epoch engine; the coordinator analyzer walks its
-//	    static call graph and rejects paths into coordinator-only code.
 //
 //	//snug:allow <check> [justification...]
 //	    Trailing on a line, or alone on the line above: suppresses the
@@ -256,7 +242,6 @@ var Analyzers = []*Analyzer{
 	SeedDiscipline,
 	HotAlloc,
 	HotDispatch,
-	Coordinator,
 	StaleAllow,
 }
 
@@ -411,3 +396,16 @@ func isHotPath(fn *ast.FuncDecl) bool { return hasDirective(fn, hotpathDirective
 // wantsInline reports whether a function declaration carries the
 // //snug:inline directive in its doc comment.
 func wantsInline(fn *ast.FuncDecl) bool { return hasDirective(fn, inlineDirective) }
+
+// hasDirective reports whether fn's doc comment carries the directive.
+func hasDirective(fn *ast.FuncDecl, directive string) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
+			return true
+		}
+	}
+	return false
+}

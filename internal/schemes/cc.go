@@ -51,8 +51,6 @@ func NewCC(cfg config.System, spillPct int) *CC {
 func (c *CC) Name() string { return fmt.Sprintf("CC(%d%%)", c.spillPct) }
 
 // Access implements Controller.
-//
-//snug:coordinator
 func (c *CC) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	h := c.h
 	l2Lat := int64(h.Cfg.Mem.L2Lat)
@@ -135,15 +133,11 @@ func (c *CC) spill(core int, now int64, v cache.Block, setIdx uint32) {
 }
 
 // WritebackL1 implements Controller.
-//
-//snug:coordinator
 func (c *CC) WritebackL1(core int, now int64, a addr.Addr) {
 	c.h.MarkDirtyOrBuffer(core, now, a)
 }
 
 // Tick implements Controller.
-//
-//snug:coordinator
 func (c *CC) Tick(now int64) { c.h.DrainWriteBuffers(now) }
 
 // Report implements Controller.
@@ -162,8 +156,3 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// EpochSafe implements the EpochSafe capability: all mutable state is
-// confined to the Controller call surface, so the epoch engine may drive
-// this scheme.
-func (c *CC) EpochSafe() bool { return true }

@@ -122,8 +122,6 @@ func (d *DSR) train(core int, set uint32) {
 }
 
 // Access implements Controller.
-//
-//snug:coordinator
 func (d *DSR) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	h := d.h
 	l2Lat := int64(h.Cfg.Mem.L2Lat)
@@ -203,15 +201,11 @@ func (d *DSR) handleVictim(core int, now int64, v cache.Block, setIdx uint32) {
 }
 
 // WritebackL1 implements Controller.
-//
-//snug:coordinator
 func (d *DSR) WritebackL1(core int, now int64, a addr.Addr) {
 	d.h.MarkDirtyOrBuffer(core, now, a)
 }
 
 // Tick implements Controller.
-//
-//snug:coordinator
 func (d *DSR) Tick(now int64) { d.h.DrainWriteBuffers(now) }
 
 // PSEL exposes the per-core selector values for tests and reporting.
@@ -226,8 +220,3 @@ func (d *DSR) Report() Report {
 	r.RetrievalHits = d.retrievalHit
 	return r
 }
-
-// EpochSafe implements the EpochSafe capability: all mutable state is
-// confined to the Controller call surface, so the epoch engine may drive
-// this scheme.
-func (d *DSR) EpochSafe() bool { return true }

@@ -22,8 +22,6 @@ func NewL2P(cfg config.System) *L2P {
 func (p *L2P) Name() string { return "L2P" }
 
 // Access implements Controller.
-//
-//snug:coordinator
 func (p *L2P) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	h := p.h
 	l2Lat := int64(h.Cfg.Mem.L2Lat)
@@ -45,21 +43,12 @@ func (p *L2P) Access(core int, now int64, a addr.Addr, write bool) int64 {
 }
 
 // WritebackL1 implements Controller.
-//
-//snug:coordinator
 func (p *L2P) WritebackL1(core int, now int64, a addr.Addr) {
 	p.h.MarkDirtyOrBuffer(core, now, a)
 }
 
 // Tick implements Controller.
-//
-//snug:coordinator
 func (p *L2P) Tick(now int64) { p.h.DrainWriteBuffers(now) }
 
 // Report implements Controller.
 func (p *L2P) Report() Report { return p.h.BaseReport(p.Name()) }
-
-// EpochSafe implements the EpochSafe capability: all mutable state is
-// confined to the Controller call surface, so the epoch engine may drive
-// this scheme.
-func (p *L2P) EpochSafe() bool { return true }

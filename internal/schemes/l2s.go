@@ -76,8 +76,6 @@ func (s *L2S) issueWriteback(start int64, block addr.Addr) int64 {
 }
 
 // Access implements Controller.
-//
-//snug:coordinator
 func (s *L2S) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	b := s.bank(a)
 	la := s.bankLocal(a)
@@ -132,8 +130,6 @@ func (s *L2S) retire(bank int, now int64, v cache.Block, setIdx uint32) {
 }
 
 // WritebackL1 implements Controller.
-//
-//snug:coordinator
 func (s *L2S) WritebackL1(core int, now int64, a addr.Addr) {
 	b := s.bank(a)
 	la := s.bankLocal(a)
@@ -144,8 +140,6 @@ func (s *L2S) WritebackL1(core int, now int64, a addr.Addr) {
 }
 
 // Tick implements Controller.
-//
-//snug:coordinator
 func (s *L2S) Tick(now int64) {
 	for _, wb := range s.wb {
 		wb.Drain(now, s.issueWriteback)
@@ -177,8 +171,3 @@ func log2(v int) int {
 	}
 	return n
 }
-
-// EpochSafe implements the EpochSafe capability: all mutable state is
-// confined to the Controller call surface, so the epoch engine may drive
-// this scheme.
-func (l *L2S) EpochSafe() bool { return true }

@@ -57,11 +57,9 @@ func (s Source) String() string {
 // Ownership contract: a Controller owns all cross-core mutable state of
 // the simulation (slices, bus, write buffers, DRAM, scheme metadata), and
 // every mutation of that state must happen inside Access / WritebackL1 /
-// Tick. The serial engine calls them from its single driving goroutine;
-// the epoch engine calls them only from its coordinator goroutine, in the
-// serial order — implementations are therefore never called concurrently
-// and need no locking, but must not stash state anywhere a core goroutine
-// could reach (see EpochSafe and the snuglint coordinator analyzer).
+// Tick. The driver (internal/cmp) calls them from its single driving
+// goroutine, so implementations are never called concurrently and need no
+// locking.
 type Controller interface {
 	// Name identifies the scheme (e.g. "L2P", "SNUG").
 	Name() string
@@ -75,18 +73,6 @@ type Controller interface {
 	Tick(now int64)
 	// Report returns accumulated statistics.
 	Report() Report
-}
-
-// EpochSafe is the optional capability a Controller implements to declare
-// that it honours the coordinator-confinement contract above — no shared
-// mutable state outside the Access/WritebackL1/Tick call surface, no
-// internal goroutines, no global variables — so the intra-run epoch engine
-// (internal/cmp) may drive it with cores running on separate goroutines.
-// A controller that does not implement it (or returns false) is driven by
-// the serial engine regardless of the engine selection; results are
-// identical either way. All built-in schemes declare epoch safety.
-type EpochSafe interface {
-	EpochSafe() bool
 }
 
 // CoreAccessStats counts accesses by serving source for one core.

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"snug/internal/cmp"
-	"snug/internal/cpubudget"
 	"snug/internal/stats"
 )
 
@@ -124,23 +123,11 @@ func (r RetrySpec) delay(a int) time.Duration {
 
 // Options configures a sweep.
 type Options struct {
-	// Parallelism is the worker count; 0 or negative means
-	// runtime.GOMAXPROCS(0).
+	// Parallelism is the number of jobs run at once; 0 or negative means
+	// runtime.GOMAXPROCS(0). It is not capped at GOMAXPROCS: a value above
+	// it runs that many simulations concurrently on fewer processors.
+	// Results and checkpoint bytes are identical at every setting.
 	Parallelism int
-	// CPUBudget caps the process-wide number of concurrent simulation
-	// goroutines for the duration of the sweep (0 keeps the current
-	// process budget, default GOMAXPROCS). It is applied via
-	// internal/cpubudget, the token pool both layers of parallelism draw
-	// from: every sweep worker holds one token while it runs a job, and a
-	// job's intra-run epoch engine asks the same pool for its extra
-	// worker goroutines (falling back to the byte-identical serial engine
-	// when none are free). Sweep-level and intra-run parallelism therefore
-	// compose up to the budget instead of multiplying past the host:
-	// Parallelism above the budget degrades to the budget, and
-	// ScalingStudy's wide intra-run points stop oversubscribing a narrow
-	// machine. Results and checkpoint bytes are identical at every
-	// setting.
-	CPUBudget int
 	// BaseSeed is mixed into every job's derived seed, so one knob reseeds
 	// the whole sweep without touching job identities.
 	BaseSeed uint64
@@ -348,10 +335,6 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]cmp.RunResul
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if opts.CPUBudget > 0 {
-		prev := cpubudget.SetLimit(opts.CPUBudget)
-		defer cpubudget.SetLimit(prev)
-	}
 	reps := opts.Replicates
 	if reps < 1 {
 		reps = 1
@@ -460,13 +443,7 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]cmp.RunResul
 				if seedKey == "" {
 					seedKey = j.Key
 				}
-				// One budget token per in-flight job: the job's simulation —
-				// and, under the epoch engine, its coordinator — runs on this
-				// goroutine. Blocking here is the composition rule: worker
-				// counts above the CPU budget degrade to the budget.
-				cpubudget.Acquire()
 				res, err := runJob(ctx, j, JobSeed(opts.BaseSeed, seedKey), opts.Retry)
-				cpubudget.Release(1)
 				outCh <- outcome{j.Key, res, err}
 			}
 		}()

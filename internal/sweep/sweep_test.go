@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"snug/internal/cmp"
 )
@@ -48,6 +49,33 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if len(got[0]) != len(jobs) {
 		t.Errorf("got %d results, want %d", len(got[0]), len(jobs))
+	}
+}
+
+// TestParallelismNotCapped: Parallelism N runs N jobs at once even when N
+// exceeds GOMAXPROCS. Every job waits until all of them have started, so
+// the sweep finishes only if all N run concurrently; a cap below N would
+// leave the started ones waiting until the timeout fails them.
+func TestParallelismNotCapped(t *testing.T) {
+	n := runtime.GOMAXPROCS(0) + 2
+	var started atomic.Int32
+	all := make(chan struct{})
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{Key: fmt.Sprintf("job-%02d", i), Run: func(uint64) (cmp.RunResult, error) {
+			if started.Add(1) == int32(n) {
+				close(all)
+			}
+			select {
+			case <-all:
+				return cmp.RunResult{}, nil
+			case <-time.After(10 * time.Second):
+				return cmp.RunResult{}, fmt.Errorf("only %d of %d jobs started", started.Load(), n)
+			}
+		}}
+	}
+	if _, err := Run(context.Background(), Options{Parallelism: n}, jobs); err != nil {
+		t.Fatalf("Parallelism %d at GOMAXPROCS %d: %v", n, runtime.GOMAXPROCS(0), err)
 	}
 }
 
