@@ -1,77 +1,36 @@
-// Command snuglint runs the determinism-and-hot-path analyzer suite
-// (internal/lint) over this module. It machine-checks the invariants the
-// golden digest only samples: no map-iteration-order dependence, no
-// wall-clock reads, identity-derived RNG seeds, allocation- and
-// dispatch-free //snug:hotpath functions, and live //snug:allow
-// directives. With -compiler it also verifies the compiler's half of the
-// hot-path bargain: //snug:hotpath bodies compile with zero heap escapes
-// and zero bounds checks, and //snug:inline functions provably inline.
+// Command snuglint runs the determinism analyzer suite (internal/lint)
+// over this module. It machine-checks the invariants the golden digest
+// only samples: no map-iteration-order dependence, no wall-clock reads,
+// identity-derived RNG seeds, and live //snug:allow directives.
 //
-// Two modes:
+//	snuglint [packages]                 defaults to ./...
 //
-//	snuglint [flags] [packages]         standalone; defaults to ./...
-//	go vet -vettool=$(which snuglint) ./...
-//
-// The vet form integrates with the go command's build cache and package
-// graph but runs the AST suite only (the compiler contract needs a whole-
-// module compile the per-unit vet protocol cannot drive); the standalone
-// form needs only a go toolchain on PATH. Exit status is 0 when clean, 2
-// when findings fail the run, 1 on errors. See DESIGN.md §"Statically-
-// checked invariants" for the analyzer list and the //snug:hotpath /
-// //snug:inline / //snug:allow annotation grammar.
+// It needs only a go toolchain on PATH. Exit status is 0 when clean, 2
+// when there are findings, 1 on errors. See DESIGN.md §"Statically-checked
+// invariants" for the analyzer list and the //snug:allow grammar.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"snug/internal/lint"
 )
 
 func main() {
-	// The vet protocol (-V=full / -flags / *.cfg) exits internally.
-	if lint.VetEntry(os.Args[1:]) {
-		return
-	}
-	var opts lint.Options
-	flag.BoolVar(&opts.Compiler, "compiler", false,
-		"also verify the compiler contract: gcescape/gcbounds on //snug:hotpath bodies, gcinline on //snug:inline functions")
-	flag.BoolVar(&opts.JSON, "json", false,
-		"emit every finding (active, allowed, baselined) as one JSON object per line on stdout")
-	flag.StringVar(&opts.Baseline, "baseline", "",
-		"diff findings against this committed baseline `file`; only new findings fail the run")
-	flag.BoolVar(&opts.UpdateBaseline, "update-baseline", false,
-		"rewrite the baseline file (default LINT_BASELINE.json) from current findings instead of failing on them")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: snuglint [flags] [packages]\n       go vet -vettool=$(which snuglint) [packages]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: snuglint [packages]\n")
 	}
 	flag.Parse()
-	sum, err := lint.Main(os.Stdout, os.Stderr, flag.Args(), opts)
+	diags, err := lint.Main(os.Stderr, flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snuglint: %v\n", err)
 		os.Exit(1)
 	}
-	summarize(sum)
-	if len(sum.Failing) > 0 {
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "snuglint: %d finding(s)\n", len(diags))
 		os.Exit(2)
 	}
-}
-
-// summarize prints the per-analyzer finding counts (the line the CI job
-// summary scrapes) and the baseline bookkeeping to stderr.
-func summarize(sum *lint.Summary) {
-	if len(sum.Findings) == 0 {
-		fmt.Fprintln(os.Stderr, "snuglint: clean")
-		return
-	}
-	fmt.Fprintf(os.Stderr, "snuglint: %d finding(s), %d failing — %s\n",
-		len(sum.Findings), len(sum.Failing), strings.Join(lint.CountByAnalyzer(sum.Findings), " "))
-	if sum.Tracked > 0 || sum.Resolved > 0 {
-		fmt.Fprintf(os.Stderr, "snuglint: baseline tracked %d finding(s), %d resolved (refresh with -update-baseline)\n",
-			sum.Tracked, sum.Resolved)
-	}
+	fmt.Fprintln(os.Stderr, "snuglint: clean")
 }

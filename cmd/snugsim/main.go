@@ -161,7 +161,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		cfg.Seed = *seed
 	}
 
-	bench, err := resolveWorkload(*workload)
+	bench, err := resolveWorkload(*workload, cfg)
 	if err != nil {
 		return err
 	}
@@ -329,8 +329,9 @@ func splitSpecs(s string) []string {
 }
 
 // resolveWorkload accepts "a,b,c,d", a Table 8 combo name, or "Nxbench"
-// (e.g. "4xammp", "8xmcf") for an N-core stress test.
-func resolveWorkload(w string) ([]string, error) {
+// (e.g. "4xammp", "8xmcf") for an N-core stress test on base widened to N
+// cores.
+func resolveWorkload(w string, base config.System) ([]string, error) {
 	for _, c := range workloads.Table8() {
 		if c.Name == w {
 			return c.Cores, nil
@@ -338,8 +339,10 @@ func resolveWorkload(w string) ([]string, error) {
 	}
 	if pre, bench, ok := strings.Cut(w, "x"); ok && !strings.Contains(w, ",") {
 		if n, err := strconv.Atoi(pre); err == nil {
-			if n <= 0 {
-				return nil, fmt.Errorf("workload %q: core count must be positive", w)
+			// Check the width before allocating n names, so a huge N is
+			// a config error instead of an out-of-memory crash.
+			if _, err := config.WithCores(base, n); err != nil {
+				return nil, fmt.Errorf("workload %q: %w", w, err)
 			}
 			if _, err := trace.ByName(bench); err != nil {
 				return nil, err

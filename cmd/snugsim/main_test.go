@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"snug/internal/config"
 )
 
 // TestRunSingleScheme drives one tiny simulation end to end.
@@ -104,14 +106,15 @@ func TestSplitSpecs(t *testing.T) {
 }
 
 func TestResolveWorkload(t *testing.T) {
-	got, err := resolveWorkload("8xammp")
+	base := config.Default()
+	got, err := resolveWorkload("8xammp", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 8 || got[0] != "ammp" || got[7] != "ammp" {
 		t.Fatalf("8xammp resolved to %v", got)
 	}
-	got, err = resolveWorkload("ammp+parser+bzip2+mcf")
+	got, err = resolveWorkload("ammp+parser+bzip2+mcf", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +122,17 @@ func TestResolveWorkload(t *testing.T) {
 		t.Fatalf("combo name resolved to %v", got)
 	}
 	// "vortex" contains an 'x' but is a plain benchmark name.
-	got, err = resolveWorkload("vortex,vortex,vortex,vortex")
+	got, err = resolveWorkload("vortex,vortex,vortex,vortex", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 || got[0] != "vortex" {
 		t.Fatalf("vortex list resolved to %v", got)
 	}
-	for _, bad := range []string{"nope", "0xammp", "4xnope"} {
-		if _, err := resolveWorkload(bad); err == nil {
+	// Widths the base cannot be widened to are refused before any
+	// allocation: the last one used to exhaust memory.
+	for _, bad := range []string{"nope", "0xammp", "4xnope", "2xammp", "1000000000000xammp"} {
+		if _, err := resolveWorkload(bad, base); err == nil {
 			t.Errorf("resolveWorkload(%q) accepted", bad)
 		}
 	}

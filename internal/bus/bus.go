@@ -119,8 +119,6 @@ func MustNew(widthBytes, speedRatio, arbBusCycles, blockBytes int) *Bus {
 // Address-path arbitration is pipelined with the previous beat, so a snoop
 // occupies the path for just its broadcast beat; data transfers pay
 // arbitration plus ceil(block/width) beats.
-//
-//snug:inline
 func (b *Bus) duration(k Kind) int64 {
 	switch k {
 	case KindSnoop:
@@ -135,8 +133,6 @@ func (b *Bus) duration(k Kind) int64 {
 }
 
 // path selects the calendar serving kind k.
-//
-//snug:inline
 func (b *Bus) path(k Kind) *calendar {
 	if k == KindSnoop {
 		return &b.addrPath
@@ -166,21 +162,21 @@ func (b *Bus) Acquire(now int64, k Kind) (doneAt int64) {
 // so ends are monotonic too: a binary search finds the first interval that
 // can conflict — everything before it ends at or before t — and the gap
 // walk continues from there instead of scanning the whole calendar.
-//
-//snug:hotpath
 func (c *calendar) place(t, dur int64) int64 {
 	cur := t
 	// sort.Search's parameter does not escape, so this comparator is
-	// stack-allocated (pinned by the 202-allocs-per-run measurement).
-	pos := sort.Search(len(c.busy), func(i int) bool { return c.busy[i].end > cur }) //snug:allow hotalloc non-escaping sort.Search comparator
+	// stack-allocated (pinned by TestSteadyStateAllocs in internal/cmp).
+	pos := sort.Search(len(c.busy), func(i int) bool { return c.busy[i].end > cur })
 	for pos < len(c.busy) && c.busy[pos].start < cur+dur {
 		cur = c.busy[pos].end
 		pos++
 	}
 	// Insert keeping start order. pos is the first interval starting after
 	// the chosen slot (every earlier interval ends at or before cur), so a
-	// single memmove keeps the invariant — no re-sort is ever needed.
-	c.busy = append(c.busy, interval{}) //snug:allow hotalloc amortized: pruning caps len, so capacity reaches a steady state
+	// single memmove keeps the invariant — no re-sort is ever needed. The
+	// append is amortized: pruning caps len, so capacity reaches a steady
+	// state.
+	c.busy = append(c.busy, interval{})
 	copy(c.busy[pos+1:], c.busy[pos:])
 	c.busy[pos] = interval{start: cur, end: cur + dur}
 	// Prune only once the calendar has accumulated enough entries to
@@ -205,9 +201,6 @@ const pruneLen = 64
 // prune drops calendar entries that can no longer affect placements. The
 // quantum-stepped driver guarantees request timestamps regress by at most a
 // few quanta; a generous slack keeps pruning safe.
-//
-//snug:hotpath
-//snug:inline
 func (c *calendar) prune(now int64) {
 	const slack = 4096
 	cut := now - slack
@@ -227,12 +220,8 @@ func (c *calendar) prune(now int64) {
 // hasGap reports whether the calendar is free for dur cycles at exactly t:
 // the first interval ending after t either starts beyond the window or
 // overlaps it.
-//
-//snug:hotpath
-//snug:inline
-//snug:allow gcinline the sort.Search call pushes cost to 97, past the 80 budget; the comparator closure itself inlines
 func (c *calendar) hasGap(t, dur int64) bool {
-	i := sort.Search(len(c.busy), func(k int) bool { return c.busy[k].end > t }) //snug:allow hotalloc non-escaping sort.Search comparator
+	i := sort.Search(len(c.busy), func(k int) bool { return c.busy[k].end > t })
 	return i == len(c.busy) || c.busy[i].start >= t+dur
 }
 

@@ -237,9 +237,6 @@ func (c *Cache) blockAt(s uint32, way int) Block {
 // scan shared by Lookup, Probe, Peek and Invalidate: the per-set meta word
 // yields the eligible ways (valid && !(CC && F)) in one mask expression,
 // and only their tags — dense, row-major — are compared, in way order.
-//
-//snug:hotpath
-//snug:inline
 func (c *Cache) matchWay(s uint32, tag uint64) int {
 	m := c.meta[s]
 	elig := (m &^ ((m >> 2) & (m >> 3))) & c.waySel
@@ -259,9 +256,6 @@ func (c *Cache) matchWay(s uint32, tag uint64) int {
 // locate it. order's low nibbles are a permutation, so exactly one nibble
 // matches; higher (unused) nibbles are zero and can only flag above the
 // true match, which TrailingZeros64 ignores.
-//
-//snug:hotpath
-//snug:inline
 func rankShift(order uint64, w int) uint {
 	x := order ^ (uint64(w) * lowBits)
 	y := (x - lowBits) & ^x & highBits
@@ -271,9 +265,6 @@ func rankShift(order uint64, w int) uint {
 // promote moves way w to rank 0 (MRU) in the order word: the ranks above
 // it rotate up by one nibble — a constant-time operation, independent of
 // associativity.
-//
-//snug:hotpath
-//snug:inline
 func promote(order uint64, w int) uint64 {
 	p := rankShift(order, w)
 	below := order & (uint64(1)<<p - 1)
@@ -285,8 +276,6 @@ func promote(order uint64, w int) uint64 {
 // block is promoted to MRU, the dirty bit is set for writes, and hit
 // statistics are updated. On a miss only the miss counter is updated.
 // Use Peek to inspect a resident block's state without side effects.
-//
-//snug:hotpath
 func (c *Cache) Lookup(a addr.Addr, write bool) bool {
 	s := uint32((uint64(a) >> c.offBits) & c.idxMask)
 	tag := uint64(a) >> c.tagShift
@@ -327,8 +316,6 @@ func (c *Cache) Peek(a addr.Addr) (blk Block, found bool) {
 }
 
 // ccInc counts a cooperative block entering set s with flip state flipped.
-//
-//snug:inline
 func (c *Cache) ccInc(s uint32, flipped bool) {
 	if c.ccCnt[s] == 0 {
 		c.ccSets[s>>6] |= 1 << (s & 63)
@@ -341,8 +328,6 @@ func (c *Cache) ccInc(s uint32, flipped bool) {
 }
 
 // ccDec counts a cooperative block leaving set s with flip state flipped.
-//
-//snug:inline
 func (c *Cache) ccDec(s uint32, flipped bool) {
 	if flipped {
 		c.ccCnt[s] -= 1 << 16
@@ -383,8 +368,6 @@ func (c *Cache) ForEachCCSet(fn func(setIdx uint32)) {
 // The occupancy index answers an empty candidate set in O(1), so a
 // retrieval broadcast costs each non-holding peer one counter check
 // instead of a set scan. It does not update LRU or statistics.
-//
-//snug:hotpath
 func (c *Cache) FindCC(setIdx uint32, tag uint64, flipped bool) (found bool, way int) {
 	if c.CCCount(setIdx, flipped) == 0 {
 		return false, -1
@@ -410,8 +393,6 @@ func (c *Cache) FindCC(setIdx uint32, tag uint64, flipped bool) (found bool, way
 // victimWay selects the fill target in set s: the lowest-index invalid way
 // if one exists (one mask expression over the meta word), otherwise the
 // way at LRU rank (one shift of the order word).
-//
-//snug:inline
 func (c *Cache) victimWay(s uint32) int {
 	if inv := ^c.meta[s] & c.waySel; inv != 0 {
 		return bits.TrailingZeros64(inv) >> 2

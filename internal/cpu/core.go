@@ -79,7 +79,7 @@ type Core struct {
 	// next is the non-batch fallback's decode target. As a field it lives
 	// in the Core's existing allocation; as a Run local its address would
 	// escape into the stream.Next interface call and heap-allocate once
-	// per Run call (caught by the gcescape compiler contract).
+	// per Run call (caught by TestSteadyStateAllocs in internal/cmp).
 	next isa.Instr
 
 	// kindCount is the per-kind tally with a power-of-two shape so the
@@ -147,18 +147,16 @@ const pendBatch = 256
 // dispatches. Instructions decoded past a quantum boundary stay buffered
 // for the next Run call, so the consumed stream prefix — and therefore
 // every simulation result — is identical to the one-at-a-time path.
-//
-//snug:hotpath
 func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 	before := c.stats.Instructions
 	if bs, ok := stream.(isa.BatchStream); ok {
 		if c.pend == nil {
-			//snug:allow gcescape one-time decode-buffer warm-up escapes into c.pend by design
-			c.pend = make([]isa.Instr, pendBatch) //snug:allow hotalloc one-time decode-buffer warm-up, never per step
+			// One-time decode-buffer warm-up, never per step.
+			c.pend = make([]isa.Instr, pendBatch)
 		}
 		for c.clock < until {
 			if c.pendHead == c.pendLen {
-				c.pendLen = bs.NextBatch(c.pend) //snug:allow hotdispatch one dispatch per pendBatch instructions, amortized by design
+				c.pendLen = bs.NextBatch(c.pend)
 				c.pendHead = 0
 				if c.pendLen == 0 {
 					// A finite stream ran dry; the workload streams are
@@ -173,15 +171,13 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 	}
 	in := &c.next
 	for c.clock < until {
-		stream.Next(in) //snug:allow hotdispatch generator fallback: only non-batch streams pay the per-instruction dispatch
+		stream.Next(in)
 		c.step(in, mem)
 	}
 	return c.stats.Instructions - before
 }
 
 // step dispatches, executes and commits one instruction in model time.
-//
-//snug:hotpath
 func (c *Core) step(in *isa.Instr, mem MemFunc) {
 	// Dispatch: bounded by fetch availability, window space, issue width,
 	// and LSQ occupancy for memory operations.
@@ -286,8 +282,6 @@ func (c *Core) step(in *isa.Instr, mem MemFunc) {
 
 // redirect applies a fetch redirect (branch misprediction) resolved at
 // cycle resolved.
-//
-//snug:inline
 func (c *Core) redirect(resolved int64) {
 	c.stats.BranchMispredicts++
 	avail := resolved + int64(c.cfg.BranchPenalty)
@@ -311,8 +305,6 @@ func (c *Core) redirect(resolved int64) {
 // this path is a length check in the common case and one predictable
 // linear pass per capacity-fill, amortizing to ~1 slot move per push when
 // most entries are short-lived.
-//
-//snug:hotpath
 func (c *Core) reserveLSQ(e int64) int64 {
 	if len(c.lsq) < c.lsqSize {
 		return e
@@ -330,9 +322,6 @@ func (c *Core) reserveLSQ(e int64) int64 {
 
 // compactLSQ drops entries whose memory operation completed by cycle e,
 // returning the minimum surviving completion time (MaxInt64 when none).
-//
-//snug:hotpath
-//snug:inline
 func (c *Core) compactLSQ(e int64) int64 {
 	q := c.lsq
 	w := 0
@@ -350,10 +339,9 @@ func (c *Core) compactLSQ(e int64) int64 {
 	return min
 }
 
-// pushLSQ records an outstanding completion time.
-//
-//snug:hotpath
-//snug:inline
+// pushLSQ records an outstanding completion time. The append does not
+// allocate in steady state: capacity stabilizes at lsqSize, and compactLSQ
+// keeps len below it.
 func (c *Core) pushLSQ(t int64) {
-	c.lsq = append(c.lsq, t) //snug:allow hotalloc capacity stabilizes at lsqSize; compactLSQ keeps len below it
+	c.lsq = append(c.lsq, t)
 }

@@ -65,8 +65,6 @@ func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
 }
 
 // index folds the PC into the gshare table slot for the current history.
-//
-//snug:inline
 func (p *Predictor) index(pc uint64) uint64 {
 	return (pc>>2 ^ p.history) & uint64(len(p.table)-1)
 }
@@ -87,8 +85,6 @@ func (p *Predictor) Lookups() int64 { return p.lookups }
 func (p *Predictor) Mispredicts() int64 { return p.mispredict }
 
 // b2u is the branchless bool-to-bit conversion the history shift uses.
-//
-//snug:inline
 func b2u(b bool) uint64 {
 	if b {
 		return 1

@@ -56,7 +56,8 @@ func ParseSpec(text string) (Spec, error) {
 		}
 		name = strings.TrimSpace(name)
 		p, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || p < 0 || p > 1 {
+		// Written so NaN, which compares false both ways, is refused too.
+		if err != nil || !(p >= 0 && p <= 1) {
 			return Spec{}, fmt.Errorf("faults: bad probability %q for %s (want a number in [0,1])", val, name)
 		}
 		if seen[name] {

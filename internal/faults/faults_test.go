@@ -16,8 +16,10 @@ import (
 	"snug/internal/sweep"
 )
 
-func TestParseSpec(t *testing.T) {
-	cases := []struct {
+// parseSpecCases are accepted specs with their parsed values; badSpecs
+// must all be refused. Both seed FuzzParseSpec.
+var (
+	parseSpecCases = []struct {
 		in   string
 		want Spec
 	}{
@@ -26,7 +28,15 @@ func TestParseSpec(t *testing.T) {
 		{"panic:0.02,err:0.05,putfail:0.01", Spec{Panic: 0.02, Err: 0.05, PutFail: 0.01}},
 		{" err:0.5 , putfail:1 ", Spec{Err: 0.5, PutFail: 1}},
 	}
-	for _, c := range cases {
+	badSpecs = []string{
+		"panic", "panic:", "panic:x", "panic:-0.1", "panic:1.5",
+		"panic:NaN", "err:nan", "panic:0.1,err:NaN",
+		"exotic:0.5", "panic:0.1,panic:0.2",
+	}
+)
+
+func TestParseSpec(t *testing.T) {
+	for _, c := range parseSpecCases {
 		got, err := ParseSpec(c.in)
 		if err != nil {
 			t.Errorf("ParseSpec(%q): %v", c.in, err)
@@ -41,14 +51,37 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("round trip of %q via %q = %+v, %v", c.in, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{
-		"panic", "panic:", "panic:x", "panic:-0.1", "panic:1.5",
-		"exotic:0.5", "panic:0.1,panic:0.2",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want an error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: every spec ParseSpec accepts has all its probabilities in
+// [0,1] and round-trips through String.
+func FuzzParseSpec(f *testing.F) {
+	for _, c := range parseSpecCases {
+		f.Add(c.in)
+	}
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{s.Panic, s.Err, s.PutFail} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseSpec(%q) = %#v: probability %v outside [0,1]", text, s, p)
+			}
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil || back != s {
+			t.Fatalf("ParseSpec(%q) = %#v renders as %q, which parses to %#v, %v", text, s, s.String(), back, err)
+		}
+	})
 }
 
 // TestDrawsDeterministic: fault decisions are a pure function of (identity,

@@ -196,175 +196,33 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// goModulePath returns the module path of the module containing dir (the
-// prefix -trimpath compile diagnostics carry), or "" outside a module.
-func goModulePath(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %v", err)
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
-// moduleRoot resolves the root directory of the module containing dir, so
-// finding paths (and therefore baseline entries) are stable no matter which
-// subdirectory the tool runs from. Outside a module it falls back to dir.
-func moduleRoot(dir string) (string, error) {
-	cmd := exec.Command("go", "env", "GOMOD")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go env GOMOD: %v", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return dir, nil
-	}
-	return filepath.Dir(gomod), nil
-}
-
-// Options configures a standalone snuglint run (cmd/snuglint flags map
-// onto these one-to-one).
-type Options struct {
-	// Compiler also runs the gcdiag compiler-contract checks (gcescape,
-	// gcbounds, gcinline) alongside the AST suite.
-	Compiler bool
-	// JSON emits every finding — active, allowed and baselined — as JSON
-	// Lines on stdout instead of the text rendering of failures.
-	JSON bool
-	// Baseline, when non-empty, is the committed baseline to diff against:
-	// only findings absent from it fail the run.
-	Baseline string
-	// UpdateBaseline rewrites Baseline from the current findings instead
-	// of failing on them.
-	UpdateBaseline bool
-}
-
-// Summary is the outcome of one standalone run.
-type Summary struct {
-	// Findings holds every finding in position order: failing, baselined
-	// and allow-suppressed alike (the -json stream).
-	Findings []Finding
-	// Failing are the findings that fail this run: active ones, minus the
-	// baseline matches in baseline mode.
-	Failing []Finding
-	// Tracked and Resolved report the baseline diff: findings matched by
-	// the baseline, and baseline entries nothing matched anymore.
-	Tracked, Resolved int
-}
-
 // Main is the standalone snuglint entry point: it loads the packages
-// matching the argument patterns (default ./...) relative to the working
-// directory, runs the full analyzer suite (plus the compiler contract and
-// baseline diff when configured), and writes findings to stdout (-json)
-// or stderr (text). The caller decides the exit code from the summary.
-func Main(stdout, stderr io.Writer, patterns []string, opts Options) (*Summary, error) {
+// matching patterns (default ./...) relative to the working directory,
+// runs the full analyzer suite over each, and writes every finding to w
+// with its path relative to the working directory. It returns the
+// findings; the caller decides the exit code.
+func Main(w io.Writer, patterns []string) ([]Diagnostic, error) {
 	dir, err := os.Getwd()
 	if err != nil {
 		return nil, err
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
 	}
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	root, err := moduleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: the AST suite, holding staleallow back so the compiler
-	// contract can consume //snug:allow directives first.
-	var active []Diagnostic
-	suite := make([]*Analyzer, 0, len(Analyzers))
-	for _, a := range Analyzers {
-		if a != StaleAllow {
-			suite = append(suite, a)
-		}
-	}
-	for _, pkg := range pkgs {
-		diags, err := Run(pkg, suite)
-		if err != nil {
-			return nil, err
-		}
-		active = append(active, diags...)
-	}
-	// Phase 2: the compiler contract over the same patterns.
-	if opts.Compiler {
-		diags, err := CompilerContract(dir, pkgs, patterns)
-		if err != nil {
-			return nil, err
-		}
-		active = append(active, diags...)
-	}
-	// Phase 3: staleallow judges the fully-accounted directives.
-	for _, pkg := range pkgs {
-		diags, err := Run(pkg, []*Analyzer{StaleAllow})
-		if err != nil {
-			return nil, err
-		}
-		active = append(active, diags...)
-	}
-
 	var all []Diagnostic
-	all = append(all, active...)
 	for _, pkg := range pkgs {
-		all = append(all, pkg.Suppressed...)
-	}
-	sortDiagnostics(all)
-
-	sum := &Summary{Findings: make([]Finding, 0, len(all))}
-	for _, d := range all {
-		sum.Findings = append(sum.Findings, findingOf(root, d))
-	}
-
-	switch {
-	case opts.UpdateBaseline:
-		path := opts.Baseline
-		if path == "" {
-			path = "LINT_BASELINE.json"
-		}
-		if err := WriteBaseline(path, sum.Findings); err != nil {
-			return nil, err
-		}
-		n := 0
-		for _, f := range sum.Findings {
-			if !f.Allowed {
-				n++
-			}
-		}
-		fmt.Fprintf(stderr, "snuglint: baseline %s updated with %d finding(s)\n", path, n)
-	case opts.Baseline != "":
-		b, err := LoadBaseline(opts.Baseline)
+		diags, err := Run(pkg, Analyzers)
 		if err != nil {
 			return nil, err
 		}
-		sum.Failing, sum.Resolved = b.Diff(sum.Findings)
-		for _, f := range sum.Findings {
-			if f.Baselined {
-				sum.Tracked++
-			}
-		}
-	default:
-		for _, f := range sum.Findings {
-			if !f.Allowed {
-				sum.Failing = append(sum.Failing, f)
-			}
-		}
+		all = append(all, diags...)
 	}
-
-	if opts.JSON {
-		if err := WriteJSON(stdout, sum.Findings); err != nil {
-			return nil, err
+	for _, d := range all {
+		if rel, err := filepath.Rel(dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-	} else {
-		for _, f := range sum.Failing {
-			fmt.Fprintln(stderr, f)
-		}
+		fmt.Fprintln(w, d)
 	}
-	return sum, nil
+	return all, nil
 }

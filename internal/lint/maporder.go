@@ -24,7 +24,7 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) error {
-	if !resultAffectingPath(pass.Pkg.Path()) {
+	if !ResultAffecting[pass.Pkg.Path()] {
 		return nil
 	}
 	for _, file := range pass.Files() {

@@ -10,28 +10,25 @@ import (
 // any diagnostic is not harmless noise — it silently pre-approves the next
 // regression on its line. Two findings share this machinery:
 //
-//   - unknown check: the directive names neither an AST analyzer nor a
-//     compiler-contract check, so it can never suppress anything (today
-//     such a directive is silently inert — a typo like "hotallocs" leaves
-//     the site unprotected while looking annotated);
+//   - unknown check: the directive names no analyzer in the suite, so it
+//     can never suppress anything (a typo like "wallclocks" leaves the
+//     site unprotected while looking annotated);
 //   - stale directive: the named check ran over this package and reported
 //     nothing on the directive's lines, so the exception is dead.
 //
-// A directive naming a check that did not run this invocation (the
-// compiler-contract checks in runs without -compiler, or a single-analyzer
-// test run) is skipped: absence of evidence is not staleness.
+// A directive naming a check that did not run this invocation (a
+// single-analyzer test run) is skipped: absence of evidence is not
+// staleness.
 //
-// StaleAllow must run after every other analyzer (and after the gcdiag
-// compiler pass, when enabled) so directive usage is fully accounted; it
-// is last in the Analyzers suite and cmd/snuglint sequences it after the
-// compiler contract.
+// StaleAllow must run after every other analyzer so directive usage is
+// fully accounted; it is last in the Analyzers suite.
 var StaleAllow = &Analyzer{
 	Name: "staleallow",
 	Doc:  "flags //snug:allow directives that name unknown checks or suppress nothing",
 }
 
 // Run is bound in an init function: runStaleAllow reaches the Analyzers
-// registry through KnownCheck, and a static assignment would form an
+// registry through ByName, and a static assignment would form an
 // initialization cycle with the suite slice that contains StaleAllow.
 func init() { StaleAllow.Run = runStaleAllow }
 
@@ -47,7 +44,7 @@ func runStaleAllow(pass *Pass) error {
 		for _, line := range lines {
 			for _, e := range idx[line] {
 				switch {
-				case !KnownCheck(e.name):
+				case ByName(e.name) == nil:
 					pass.Reportf(e.pos, "unknown check %q in %s directive (known: %s); a misspelled name suppresses nothing", e.name, allowDirective, knownCheckList())
 				case pkg.ran[e.name] && !e.used:
 					pass.Reportf(e.pos, "stale %s %s: the %s check ran and reported nothing here; delete the directive so it cannot mask a future finding", allowDirective, e.name, e.name)
@@ -60,10 +57,9 @@ func runStaleAllow(pass *Pass) error {
 
 // knownCheckList renders the valid //snug:allow targets for messages.
 func knownCheckList() string {
-	names := make([]string, 0, len(Analyzers)+len(CompilerChecks))
-	for _, a := range Analyzers {
-		names = append(names, a.Name)
+	names := make([]string, len(Analyzers))
+	for i, a := range Analyzers {
+		names[i] = a.Name
 	}
-	names = append(names, CompilerChecks...)
 	return strings.Join(names, " ")
 }

@@ -7,12 +7,12 @@ import (
 	"snug/internal/lint/linttest"
 )
 
-// TestStaleAllow runs hotalloc and staleallow in one pass, as the suite
+// TestStaleAllow runs maporder and staleallow in one pass, as the suite
 // does: staleallow only judges directives whose named check ran alongside
 // it, so the two must share the usage accounting of a single lint.Run.
 func TestStaleAllow(t *testing.T) {
 	linttest.RunAnalyzers(t, "testdata/staleallow",
-		[]*lint.Analyzer{lint.HotAlloc, lint.StaleAllow}, "hot")
+		[]*lint.Analyzer{lint.MapOrder, lint.StaleAllow}, "snug/internal/cache")
 }
 
 // TestStaleAllowWallclock pairs staleallow with wallclock over a fixture

@@ -30,7 +30,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runWallClock(pass *Pass) error {
-	if !resultAffectingPath(pass.Pkg.Path()) {
+	if !ResultAffecting[pass.Pkg.Path()] {
 		return nil
 	}
 	for _, file := range pass.Files() {

@@ -7,10 +7,10 @@ import (
 	"snug/internal/config"
 )
 
-// TestSpecParseCanonical pins the canonical string of every accepted spec
-// form. These strings key checkpoint stores, so they must never change.
-func TestSpecParseCanonical(t *testing.T) {
-	cases := []struct {
+// canonicalSpecs are accepted spec forms with their canonical strings;
+// badSpecs must all be refused. Both seed FuzzSpecParse.
+var (
+	canonicalSpecs = []struct {
 		in, want string
 	}{
 		{"L2P", "L2P"},
@@ -23,7 +23,16 @@ func TestSpecParseCanonical(t *testing.T) {
 		{"CC(100%)", "CC(100%)"},
 		{"DSR", "DSR"},
 	}
-	for _, c := range cases {
+	badSpecs = []string{
+		"", "victim-cache", "CC(", "CC()", "CC(,)", "CC(25,50)", "CC(no)",
+		"CC(-1)", "CC(101)", "L2P(3)", "2CC", "CC)",
+	}
+)
+
+// TestSpecParseCanonical pins the canonical string of every accepted spec
+// form. These strings key checkpoint stores, so they must never change.
+func TestSpecParseCanonical(t *testing.T) {
+	for _, c := range canonicalSpecs {
 		sp, err := Parse(c.in)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", c.in, err)
@@ -41,14 +50,35 @@ func TestSpecParseCanonical(t *testing.T) {
 }
 
 func TestSpecParseErrors(t *testing.T) {
-	for _, in := range []string{
-		"", "victim-cache", "CC(", "CC()", "CC(,)", "CC(25,50)", "CC(no)",
-		"CC(-1)", "CC(101)", "L2P(3)", "2CC", "CC)",
-	} {
+	for _, in := range badSpecs {
 		if sp, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted as %+v", in, sp)
 		}
 	}
+}
+
+// FuzzSpecParse: every spec Parse accepts round-trips through String, and
+// its canonical string is a fixed point of Parse followed by String.
+func FuzzSpecParse(f *testing.F) {
+	for _, c := range canonicalSpecs {
+		f.Add(c.in)
+	}
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sp, err := Parse(text)
+		if err != nil {
+			return
+		}
+		again, err := Parse(sp.String())
+		if err != nil || !reflect.DeepEqual(again, sp) {
+			t.Fatalf("Parse(%q) = %+v renders as %q, which parses to %+v, %v", text, sp, sp.String(), again, err)
+		}
+		if again.String() != sp.String() {
+			t.Fatalf("Parse(%q): canonical %q re-renders as %q", text, sp.String(), again.String())
+		}
+	})
 }
 
 // TestSpecBuild checks that parsed specs build the matching controller and

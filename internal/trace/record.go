@@ -282,10 +282,6 @@ func (p *Replay) Name() string { return p.rec.name }
 func (p *Replay) Pos() int64 { return p.pos }
 
 // Next implements isa.Stream, decoding the next recorded instruction.
-//
-//snug:hotpath
-//snug:inline
-//snug:allow gcinline the decode loop costs ~480 against the 80 budget; per-call overhead is amortized by NextBatch on the hot engines
 func (p *Replay) Next(in *isa.Instr) {
 	if p.pos >= p.limit {
 		p.moreInstructions()
@@ -339,8 +335,6 @@ func (p *Replay) Next(in *isa.Instr) {
 // live in locals across the batch and the published-window checks run once
 // per window instead of once per instruction, so batched replay decodes at
 // memory-scan speed. Behaviour is identical to len(dst) Next calls.
-//
-//snug:hotpath
 func (p *Replay) NextBatch(dst []isa.Instr) int {
 	n := 0
 	for n < len(dst) {
@@ -463,8 +457,6 @@ func zig(d uint64) uint64 {
 }
 
 // zag inverts zig.
-//
-//snug:inline
 func zag(u uint64) uint64 {
 	return (u >> 1) ^ -(u & 1)
 }
@@ -482,8 +474,6 @@ func putUvarint(buf []byte, off int, v uint64) int {
 
 // uvarint reads a LEB128 value at buf[off:], returning it and the new
 // offset. Encoded values are bounded by putUvarint, so no overflow checks.
-//
-//snug:inline
 func uvarint(buf []byte, off int) (uint64, int) {
 	var v uint64
 	var s uint
