@@ -353,9 +353,9 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 	fmt.Fprintf(stdout, "SNUG ablations on %v (normalized throughput vs L2P %.4f):\n", bench, baseline.Throughput())
 	for _, v := range variants {
 		r := results[v.name]
-		fmt.Fprintf(stdout, "  %-26s %.4f  (spills=%d case2=%d retrHits=%d)\n",
+		fmt.Fprintf(stdout, "  %-26s %.4f  (spills=%d retrHits=%d)\n",
 			v.name, r.Throughput()/baseline.Throughput(),
-			r.Report.Spills, 0, r.Report.RetrievalHits)
+			r.Report.Spills, r.Report.RetrievalHits)
 	}
 	return nil
 }

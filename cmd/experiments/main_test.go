@@ -53,7 +53,9 @@ func TestRunScalingSmoke(t *testing.T) {
 }
 
 // TestRunAblationCores: -ablation honors -cores (the widened system, not a
-// silently ignored flag).
+// silently ignored flag), and its variant lines print only counters the
+// run reports (no case-2 spill count reaches a RunResult, so no column
+// may claim one).
 func TestRunAblationCores(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-ablation", "-cores", "8", "-cycles", "40000"}, &out, io.Discard); err != nil {
@@ -61,6 +63,9 @@ func TestRunAblationCores(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ammp ammp parser parser") {
 		t.Errorf("ablation did not widen the workload:\n%s", out.String())
+	}
+	if text := out.String(); !strings.Contains(text, "spills=") || strings.Contains(text, "case2=") {
+		t.Errorf("variant lines must report spills and no case-2 count:\n%s", text)
 	}
 	if err := run(context.Background(), []string{"-ablation", "-cores", "4,8"}, io.Discard, io.Discard); err == nil {
 		t.Error("ablation accepted a core-count list")

@@ -158,8 +158,3 @@ func TestKindString(t *testing.T) {
 		t.Fatal("kind names wrong")
 	}
 }
-
-// The calendar-placement microbenchmark (BusContention) lives in
-// internal/bench, shared between the repo-root BenchmarkBusContention and
-// cmd/bench's CI-gated baseline, so there is exactly one traffic shape to
-// tune.

@@ -15,7 +15,7 @@ import (
 
 // writeStore runs a small checkpointed sweep and returns the store path
 // and its results, for integrity tests to corrupt.
-func writeStore(t *testing.T, n int) (string, map[string]cmp.RunResult) {
+func writeStore(t testing.TB, n int) (string, map[string]cmp.RunResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	res, err := Run(context.Background(), Options{
@@ -256,4 +256,90 @@ func TestProgressReportsQuarantined(t *testing.T) {
 	if first.Restored != 2 {
 		t.Errorf("first progress snapshot reports Restored=%d, want the 2 intact jobs", first.Restored)
 	}
+}
+
+// FuzzOpenStore feeds arbitrary bytes to both open paths. Neither may
+// panic; a store OpenStore accepts takes one more Put and reopens to the
+// same fingerprint and one more result (its tail repair leaves a clean
+// line boundary); and OpenStoreSalvage always succeeds, leaving a file
+// that a plain OpenStore accepts with the same results.
+func FuzzOpenStore(f *testing.F) {
+	// Seed with the shapes the integrity tests build: a header, CRC'd
+	// result lines, a legacy line without a CRC, a duplicate key, a torn
+	// tail, bit rot only the CRC catches, and a garbage interior line.
+	path, _ := writeStore(f, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	header, line := lines[0], lines[1]
+	var e storeEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		f.Fatal(err)
+	}
+	e.CRC = ""
+	legacy, err := json.Marshal(e)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add(header)
+	f.Add(data)
+	f.Add(cat(header, legacy, []byte("\n")))
+	f.Add(cat(header, line, line))
+	f.Add(cat(data, []byte(`{"key":"torn","result":{"Sch`)))
+	f.Add(bytes.Replace(data, []byte(`"Scheme":"job-01"`), []byte(`"Scheme":"job-0X"`), 1))
+	f.Add(cat(header, []byte("!!not json at all!!\n"), line))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		plain := filepath.Join(dir, "plain.jsonl")
+		if err := os.WriteFile(plain, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := OpenStore(plain); err == nil {
+			n, fp := s.Len(), s.Fingerprint()
+			const key = "fuzz-appended"
+			if _, dup := s.Get(key); !dup {
+				if err := s.Put(key, cmp.RunResult{Scheme: key}); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenStore(plain)
+			if err != nil {
+				t.Fatalf("reopening an accepted store: %v", err)
+			}
+			if again.Len() != n || again.Fingerprint() != fp {
+				t.Errorf("reopened store holds %d results, fingerprint %q; first open held %d, %q",
+					again.Len(), again.Fingerprint(), n, fp)
+			}
+			again.Close()
+		}
+
+		salvaged := filepath.Join(dir, "salvaged.jsonl")
+		if err := os.WriteFile(salvaged, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStoreSalvage(salvaged)
+		if err != nil {
+			t.Fatalf("OpenStoreSalvage: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenStore(salvaged)
+		if err != nil {
+			t.Fatalf("OpenStore of a salvaged store: %v", err)
+		}
+		defer again.Close()
+		if !reflect.DeepEqual(again.results, s.results) || again.Fingerprint() != s.Fingerprint() {
+			t.Errorf("salvaged store reopens with %d results, fingerprint %q; salvage kept %d, %q",
+				again.Len(), again.Fingerprint(), s.Len(), s.Fingerprint())
+		}
+	})
 }
