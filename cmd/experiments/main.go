@@ -18,6 +18,13 @@
 //	experiments -inject panic:0.02,err:0.05       # deterministic chaos testing
 //	experiments -ablation               # SNUG design-choice ablations
 //
+// Every sweep records each cell's instruction streams once and replays them
+// to the cell's schemes (cmp.StreamCache), bit-identical to live runs. The
+// ablation is one fixed comparison: it takes -cycles, -par, -cores,
+// -fullscale and the profile flags, and refuses the sweep flags (-classes,
+// -schemes, -scaling, -csv, -out, -resume, -salvage, -sync, -failpolicy,
+// -retries, -backoff, -inject) instead of ignoring them.
+//
 // On SIGINT/SIGTERM the sweep stops dispatching, drains and checkpoints
 // in-flight runs, prints a resume hint, and exits 130; a second signal
 // exits immediately. Exit codes: 0 success, 1 error, 3 completed with job
@@ -45,7 +52,6 @@ import (
 	"snug/internal/prof"
 	"snug/internal/report"
 	"snug/internal/sweep"
-	"snug/internal/trace"
 )
 
 // figures are the three evaluation metrics in paper order.
@@ -90,7 +96,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	out := fs.String("out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
 	resume := fs.Bool("resume", false, "resume from -out, skipping runs already checkpointed")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
-	replay := fs.Bool("replay", true, "record each cell's instruction streams once and replay them to every scheme (bit-identical results); false regenerates streams live per run")
 	ablation := fs.Bool("ablation", false, "run the SNUG ablation sweep instead of the figures")
 	fullScale := fs.Bool("fullscale", false, "Table 4 full-size system (slow; default is the scaled test system)")
 	failpolicy := fs.String("failpolicy", "fast", "response to failed runs: \"fast\" stops at the first failure, \"continue\" runs every cell and aggregates failures (exit code 3)")
@@ -128,23 +133,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
-	policy, err := cli.ParseFailurePolicy(*failpolicy)
-	if err != nil {
-		return err
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries %d: retry count must be non-negative", *retries)
-	}
-	retry := sweep.RetrySpec{Attempts: *retries, Backoff: *backoff}
-	injectSpec, err := faults.ParseSpec(*inject)
-	if err != nil {
-		return err
-	}
-	if *salvage && *out == "" {
-		return fmt.Errorf("-salvage requires -out")
-	}
 
 	if *ablation {
+		// The ablation is one fixed comparison without a checkpoint: refuse
+		// the sweep flags it would otherwise silently drop.
+		var unused []string
+		fs.Visit(func(f *flag.Flag) {
+			if ablationRejects[f.Name] {
+				unused = append(unused, "-"+f.Name)
+			}
+		})
+		if len(unused) > 0 {
+			return fmt.Errorf("the ablation does not support %s; drop them for its fixed comparison", strings.Join(unused, " "))
+		}
 		if len(coreCounts) != 1 {
 			return fmt.Errorf("the ablation runs at one core count (got -cores %s)", *cores)
 		}
@@ -155,9 +156,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
-		return runAblation(ctx, stdout, cfg, *cycles, *par, *replay)
+		return runAblation(ctx, stdout, cfg, *cycles, *par)
 	}
 
+	policy, err := cli.ParseFailurePolicy(*failpolicy)
+	if err != nil {
+		return err
+	}
+	if *retries < 0 {
+		return fmt.Errorf("-retries %d: retry count must be non-negative", *retries)
+	}
+	injectSpec, err := faults.ParseSpec(*inject)
+	if err != nil {
+		return err
+	}
+	if *salvage && *out == "" {
+		return fmt.Errorf("-salvage requires -out")
+	}
 	if *resume && *out == "" {
 		return fmt.Errorf("-resume requires -out")
 	}
@@ -182,15 +197,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		progress = func(p sweep.Progress) { fmt.Fprintln(stderr, report.ProgressLine(p)) }
 	}
 
+	opt := experiments.Options{
+		Cfg: cfg, RunCycles: *cycles, Parallelism: *par, Classes: cls,
+		Schemes: sch, Checkpoint: *out, Progress: progress, Replicates: *reps,
+		FailurePolicy: policy, Retry: sweep.RetrySpec{Attempts: *retries, Backoff: *backoff},
+		Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
+	}
 	if *scaling {
-		err := runScaling(ctx, stdout, experiments.ScalingOptions{
-			BaseCfg: cfg, CoreCounts: coreCounts, RunCycles: *cycles,
-			Parallelism: *par, Classes: cls, Schemes: sch,
-			Checkpoint: *out, Progress: progress, Replicates: *reps,
-			NoReplay:      !*replay,
-			FailurePolicy: policy, Retry: retry,
-			Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
-		}, *csvDir)
+		err := runScaling(ctx, stdout, opt, coreCounts, *csvDir)
 		cli.ResumeHint(err, stderr, "experiments", *out)
 		return cli.WrapCompleted(err, policy == sweep.ContinueOnError)
 	}
@@ -198,17 +212,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if len(coreCounts) != 1 {
 		return fmt.Errorf("the figures run at one core count (got -cores %s); pass -scaling for the multi-width study", *cores)
 	}
-	cfg, err = config.WithCores(cfg, coreCounts[0])
-	if err != nil {
+	if opt.Cfg, err = config.WithCores(cfg, coreCounts[0]); err != nil {
 		return err
 	}
-	ev, err := experiments.Evaluate(ctx, experiments.Options{
-		Cfg: cfg, RunCycles: *cycles, Parallelism: *par, Classes: cls,
-		Schemes: sch, Checkpoint: *out, Progress: progress, Replicates: *reps,
-		NoReplay:      !*replay,
-		FailurePolicy: policy, Retry: retry,
-		Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
-	})
+	ev, err := experiments.Evaluate(ctx, opt)
 	if err != nil {
 		cli.ResumeHint(err, stderr, "experiments", *out)
 		return cli.WrapCompleted(err, policy == sweep.ContinueOnError)
@@ -236,8 +243,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 }
 
 // runScaling executes the scaling study and prints one table per metric.
-func runScaling(ctx context.Context, stdout io.Writer, opt experiments.ScalingOptions, csvDir string) error {
-	res, err := experiments.ScalingStudy(ctx, opt)
+func runScaling(ctx context.Context, stdout io.Writer, opt experiments.Options, coreCounts []int, csvDir string) error {
+	res, err := experiments.ScalingStudy(ctx, opt, coreCounts)
 	if err != nil {
 		return err
 	}
@@ -288,9 +295,16 @@ func writeCSV(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// ablationRejects are the sweep flags the ablation has no use for.
+var ablationRejects = map[string]bool{
+	"classes": true, "schemes": true, "scaling": true, "csv": true,
+	"out": true, "resume": true, "salvage": true, "sync": true,
+	"failpolicy": true, "retries": true, "backoff": true, "inject": true,
+}
+
 // runAblation compares SNUG variants on the C1 stress tests plus one mixed
 // combo per class — the design choices DESIGN.md calls out.
-func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par int, replay bool) error {
+func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par int) error {
 	// The quad-core A+A+D+D mix, replicated to the configured width the
 	// same way workloads.ScaleOut widens Table 8.
 	var bench []string
@@ -314,31 +328,17 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 		{"stage I x2", func(c *config.System) { c.SNUG.StageICycles *= 2 }},
 	}
 	// All jobs share one seed key so every variant sees the same instruction
-	// streams as the L2P baseline it is normalized against.
+	// streams as the L2P baseline it is normalized against; the variants
+	// mutate only controller parameters, never the seed or the L2 geometry
+	// the streams derive from, so one recording serves them all.
 	seedKey := "ablation/" + strings.Join(bench, "+")
-	// With replay, record those shared streams once and replay them to
-	// every variant: the variants mutate only controller parameters, never
-	// the seed or the L2 geometry the streams derive from. The shared seed
-	// is derivable up front, exactly as in cmd/snugsim.
-	var recordings []*trace.Recording
-	if replay {
-		c := base
-		c.Seed = sweep.JobSeed(base.Seed, seedKey)
-		streams, err := cmp.WorkloadStreams(c, bench, cmp.PhaseRefs(cycles))
-		if err != nil {
-			return err
-		}
-		recordings = trace.RecordAll(streams)
-	}
+	cache, uses := cmp.NewStreamCache(), 1+len(variants)
 	job := func(key, scheme string, mut func(*config.System)) sweep.Job {
 		return sweep.Job{Key: key, SeedKey: seedKey, Run: func(seed uint64) (cmp.RunResult, error) {
 			cfg := base
 			cfg.Seed = seed
 			mut(&cfg)
-			if recordings != nil {
-				return cmp.RunStreams(cfg, scheme, trace.Replays(recordings), cycles)
-			}
-			return cmp.RunWorkload(cfg, scheme, bench, cycles)
+			return cache.Run(cfg, scheme, bench, cycles, uses)
 		}}
 	}
 	jobs := []sweep.Job{job("L2P", "L2P", func(*config.System) {})}

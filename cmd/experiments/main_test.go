@@ -84,6 +84,15 @@ func TestRunFlagErrors(t *testing.T) {
 		"bad class":          {"-classes", "C9", "-cycles", "1000"},
 		"bad scheme":         {"-schemes", "NOPE", "-cycles", "1000"},
 	}
+	// The ablation refuses every sweep flag it would otherwise ignore.
+	for _, f := range [][]string{
+		{"-classes", "C1"}, {"-schemes", "SNUG"}, {"-scaling"}, {"-csv", t.TempDir()},
+		{"-out", filepath.Join(t.TempDir(), "abl.json")}, {"-resume"}, {"-salvage"},
+		{"-sync", "1"}, {"-failpolicy", "continue"}, {"-retries", "1"},
+		{"-backoff", "1ms"}, {"-inject", "panic:0.5"},
+	} {
+		cases["ablation with "+f[0]] = append([]string{"-ablation", "-cycles", "1000"}, f...)
+	}
 	for name, args := range cases {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: run(%v) succeeded", name, args)

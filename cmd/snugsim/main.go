@@ -15,7 +15,6 @@
 //	snugsim -scheme L2P,CC(75%),SNUG -workload 4xammp  # paired comparison
 //	snugsim -scheme L2P,SNUG -workload 4xammp -reps 5  # mean ±95% CI
 //	snugsim -scheme SNUG -workload 8xammp              # 8-core scale-out
-//	snugsim -replay=false ...                          # regenerate streams live per scheme
 //	snugsim -scheme L2P,SNUG -workload 4xammp -out runs.jsonl  # checkpoint completed runs
 //	snugsim ... -out runs.jsonl -resume                # continue an interrupted sweep
 //	snugsim ... -failpolicy continue -retries 3        # run everything, retry failures
@@ -23,9 +22,10 @@
 //	snugsim ... -inject panic:0.02,err:0.05,putfail:0.01  # deterministic chaos testing
 //	snugsim -list
 //
-// Scheme comparisons record the workload's instruction streams once and
-// replay them to every scheme (-replay, default on) — the same streams the
-// live generators would produce, so results are bit-identical either way.
+// Scheme comparisons record the workload's instruction streams once per
+// replicate and replay them to every scheme (cmp.StreamCache) — the same
+// streams the live generators would produce, so results are bit-identical
+// to separate single-scheme runs.
 //
 // On SIGINT/SIGTERM the sweep stops dispatching, drains and checkpoints
 // in-flight runs, prints a resume hint, and exits 130; a second signal
@@ -86,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	par := fs.Int("par", 0, "concurrent simulations when comparing schemes (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
 	reps := fs.Int("reps", 1, "independently-seeded replicates per scheme; >1 reports mean ±95% CI")
 	scale := fs.Bool("testscale", true, "use the scaled test system (64-set slices); false = full Table 4 system")
-	replay := fs.Bool("replay", true, "record the workload's instruction streams once and replay them to every compared scheme (bit-identical results); false regenerates streams live per run")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
 	out := fs.String("out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
 	resume := fs.Bool("resume", false, "resume from -out, skipping runs already checkpointed")
@@ -176,27 +175,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	specs := splitSpecs(*scheme)
 	seedKey := strings.Join(bench, "+") // one stream per workload, shared by every scheme
 
-	// Record/replay across the compared schemes: every scheme of one
-	// replicate sees the same seed (shared SeedKey), so its streams are
-	// synthesized once and replayed. Seeds are derivable up front — the
-	// sweep engine's seed derivation is a pure function of the replicate-
-	// suffixed seed key — so the recordings are simply keyed by seed.
-	// A single run has nothing to share, so it stays on the live path
-	// (identical streams either way).
-	recordings := map[uint64][]*trace.Recording{}
-	if *replay && len(specs)*(*reps) > 1 {
-		for r := 0; r < *reps; r++ {
-			seed := sweep.JobSeed(cfg.Seed, sweep.ReplicateKey(seedKey, r))
-			c := cfg
-			c.Seed = seed
-			streams, err := cmp.WorkloadStreams(c, bench, cmp.PhaseRefs(*cycles))
-			if err != nil {
-				return err
-			}
-			recordings[seed] = trace.RecordAll(streams)
-		}
-	}
-
+	// Every scheme of one replicate sees the same seed (shared SeedKey), so
+	// the cache synthesizes each replicate's streams once and replays them.
+	cache := cmp.NewStreamCache()
 	var jobs []sweep.Job
 	for _, s := range specs {
 		s := s
@@ -206,10 +187,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			Run: func(jobSeed uint64) (cmp.RunResult, error) {
 				c := cfg
 				c.Seed = jobSeed
-				if recs, ok := recordings[jobSeed]; ok {
-					return cmp.RunStreams(c, s, trace.Replays(recs), *cycles)
-				}
-				return cmp.RunWorkload(c, s, bench, *cycles)
+				return cache.Run(c, s, bench, *cycles, len(specs))
 			},
 		})
 	}

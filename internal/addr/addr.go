@@ -1,7 +1,7 @@
 // Package addr provides address arithmetic shared by every cache level:
 // block/set/tag decomposition, reconstruction of addresses from (tag, index)
-// pairs, per-core address-space separation for multiprogrammed workloads,
-// and bank interleaving for the shared-L2 (L2S) organization.
+// pairs, and per-core address-space separation for multiprogrammed
+// workloads. (The shared L2S organization banks its own addresses.)
 //
 // The paper (Table 2/Table 4) uses 32-bit physical addresses, 64-byte blocks
 // and 1024-set L2 caches. All of those are parameters here; the arithmetic
@@ -110,51 +110,6 @@ func (g Geometry) Rebuild(tag uint64, index uint32) Addr {
 // flipped — the pairing relation of the SNUG index-bit-flipping scheme
 // (paper §3.2): peer sets i and i^1 form a potential spill/receive group.
 func FlipLastIndexBit(index uint32) uint32 { return index ^ 1 }
-
-// Interleave describes block-granularity bank interleaving for a shared
-// cache: the bank number comes from the address bits directly above the
-// block offset, and the per-bank set index from the bits above those.
-type Interleave struct {
-	banks    int
-	bankBits uint
-	geom     Geometry
-}
-
-// NewInterleave constructs bank interleaving over banks banks of the given
-// per-bank geometry. banks must be a power of two.
-func NewInterleave(banks int, perBank Geometry) (Interleave, error) {
-	if banks <= 0 || banks&(banks-1) != 0 {
-		return Interleave{}, fmt.Errorf("addr: bank count %d is not a positive power of two", banks)
-	}
-	return Interleave{banks: banks, bankBits: uint(log2(banks)), geom: perBank}, nil
-}
-
-// MustInterleave is NewInterleave but panics on invalid parameters.
-func MustInterleave(banks int, perBank Geometry) Interleave {
-	il, err := NewInterleave(banks, perBank)
-	if err != nil {
-		panic(err)
-	}
-	return il
-}
-
-// Banks returns the number of banks.
-func (il Interleave) Banks() int { return il.banks }
-
-// Bank returns the bank holding address a.
-func (il Interleave) Bank(a Addr) int {
-	return int((uint64(a) >> il.geom.offBits) & uint64(il.banks-1))
-}
-
-// Index returns the set index of a within its bank.
-func (il Interleave) Index(a Addr) uint32 {
-	return uint32((uint64(a) >> (il.geom.offBits + il.bankBits)) & il.geom.idxMask)
-}
-
-// Tag returns the tag of a under the interleaved mapping.
-func (il Interleave) Tag(a Addr) uint64 {
-	return uint64(a) >> (il.geom.offBits + il.bankBits + il.geom.idxBits)
-}
 
 func log2(v int) int {
 	n := 0

@@ -78,31 +78,3 @@ func TestFlipLastIndexBitPairsSets(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInterleaveBanking(t *testing.T) {
-	g := MustGeometry(64, 1024)
-	il := MustInterleave(4, g)
-	if il.Banks() != 4 {
-		t.Fatalf("Banks = %d", il.Banks())
-	}
-	// Consecutive blocks round-robin across banks.
-	for i := 0; i < 16; i++ {
-		a := Addr(i * 64)
-		if got, want := il.Bank(a), i%4; got != want {
-			t.Errorf("Bank(block %d) = %d, want %d", i, got, want)
-		}
-	}
-	// Same block -> same bank regardless of offset.
-	if il.Bank(0x1000) != il.Bank(0x103F) {
-		t.Error("offsets within a block changed the bank")
-	}
-}
-
-func TestInterleaveRejectsBadBankCount(t *testing.T) {
-	g := MustGeometry(64, 64)
-	for _, banks := range []int{0, 3, -2} {
-		if _, err := NewInterleave(banks, g); err == nil {
-			t.Errorf("NewInterleave(%d) succeeded, want error", banks)
-		}
-	}
-}

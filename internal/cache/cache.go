@@ -203,9 +203,6 @@ func (c *Cache) Sets() int { return c.sets }
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the event counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Index returns the set index for a under this cache's geometry.
 func (c *Cache) Index(a addr.Addr) uint32 {
 	return uint32((uint64(a) >> c.offBits) & c.idxMask)

@@ -230,8 +230,7 @@ func WorkloadStreams(cfg config.System, benchmarks []string, totalRefs int64) ([
 
 // PhaseRefs is the generator phase-cycle length RunWorkload derives from a
 // run length. It is exported so callers that build streams themselves (the
-// record/replay cache in internal/experiments, the benchmark harness) stay
-// byte-compatible with RunWorkload's streams: roughly one distinct touch
+// benchmark harnesses) stay byte-compatible with RunWorkload's streams: roughly one distinct touch
 // per L2Every instructions at IPC ~1 means cycles/40 touches; cycles/32
 // lets multi-phase workloads (vortex) rotate through all phases about once
 // per run.

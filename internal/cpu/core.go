@@ -122,12 +122,6 @@ func (c *Core) Stats() Stats {
 	return s
 }
 
-// Clock returns the core's current cycle.
-func (c *Core) Clock() int64 { return c.clock }
-
-// Predictor exposes the branch predictor for reporting.
-func (c *Core) Predictor() *Predictor { return c.pred }
-
 // pendBatch is the decode-ahead depth of the BatchStream run loop: large
 // enough to amortize the batched decode across a whole quantum (~100-200
 // instructions at the configured widths), small enough to stay cache-hot.

@@ -81,9 +81,6 @@ func (p *Predictor) Accuracy() float64 {
 // Lookups returns the number of predictions made.
 func (p *Predictor) Lookups() int64 { return p.lookups }
 
-// Mispredicts returns the number of mispredictions.
-func (p *Predictor) Mispredicts() int64 { return p.mispredict }
-
 // b2u is the branchless bool-to-bit conversion the history shift uses.
 func b2u(b bool) uint64 {
 	if b {

@@ -2,9 +2,11 @@
 // characterization of Figures 1–3, the scheme comparison of Figures 9–11
 // over the 21 workload combinations of Table 8, the overhead tables, the
 // ablation studies of SNUG's design choices, and the N-core scaling study
-// that extends the matrix beyond the paper's quad-core system. It is the
-// engine behind cmd/experiments, the examples, and the repository's
-// benchmark suite.
+// that extends the matrix beyond the paper's quad-core system. Evaluate and
+// ScalingStudy share one driver and one Options type; both run their
+// matrix as one sweep whose cells share instruction streams through
+// cmp.StreamCache. The package is the engine behind cmd/experiments, the
+// examples, and the repository's benchmark suite.
 package experiments
 
 import (
@@ -16,7 +18,6 @@ import (
 	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/faults"
-	"snug/internal/isa"
 	"snug/internal/metrics"
 	"snug/internal/schemes"
 	"snug/internal/stats"
@@ -31,11 +32,13 @@ var CCPercents = []int{0, 25, 50, 75, 100}
 // FigureSchemes are the scheme labels of Figures 9–11, in plot order.
 var FigureSchemes = []string{"L2S", "CC(Best)", "DSR", "SNUG"}
 
-// Options configures an evaluation.
+// Options configures an evaluation (Evaluate) or a scaling study
+// (ScalingStudy).
 type Options struct {
-	// Cfg is the simulated system. Its core count selects the evaluation
-	// width: 4 runs the paper's Table 8 matrix, 8/16/... run the
+	// Cfg is the simulated system. For Evaluate its core count selects the
+	// evaluation width: 4 runs the paper's Table 8 matrix, 8/16/... run the
 	// class-consistent scale-out combinations of workloads.ScaleOut.
+	// ScalingStudy takes it as the quad-core base it widens to each width.
 	Cfg         config.System
 	RunCycles   int64
 	Parallelism int      // concurrent simulations (0 = runtime.GOMAXPROCS(0))
@@ -48,7 +51,9 @@ type Options struct {
 	Schemes []string
 	// Checkpoint is a sweep results-store path: completed runs found there
 	// are restored instead of re-simulated, and new runs are appended, so an
-	// interrupted evaluation resumes where it stopped. "" disables.
+	// interrupted evaluation resumes where it stopped. "" disables. A
+	// scaling study keeps every width in one store, so a store warmed with
+	// some core counts extends to more.
 	Checkpoint string
 	// Progress, when set, receives a snapshot after each completed run.
 	Progress func(sweep.Progress)
@@ -57,13 +62,6 @@ type Options struct {
 	// exact output and checkpoint keys). Schemes stay paired within each
 	// replicate, and the figures report mean ± 95% CI across replicates.
 	Replicates int
-	// NoReplay disables the trace record/replay cache and regenerates each
-	// run's instruction streams live, as releases before the cache did. The
-	// default (replay on) records every (combo, replicate) cell's streams
-	// once and replays them to all of the cell's schemes — bit-identical
-	// results, several× less stream-synthesis work. The switch exists for
-	// A/B-ing exactly that claim (cmd/experiments -replay=false).
-	NoReplay bool
 	// FailurePolicy, Retry, Salvage and Sync pass straight through to the
 	// sweep engine's failure model (sweep.Options): fail-fast vs.
 	// run-everything on job failures, retry/backoff for transient faults,
@@ -96,10 +94,6 @@ type ComboResult struct {
 	// RepComparisons[0] equals Comparisons. Empty on hand-built fixtures,
 	// which Figure treats as a single replicate described by Comparisons.
 	RepComparisons []map[string]metrics.Comparison
-	// RepCCBestPct is each replicate's CC(Best) selection — chosen per
-	// replicate by throughput, since the best spill probability can differ
-	// across instruction streams.
-	RepCCBestPct []int
 }
 
 // replicates returns the replicate count the combo carries data for.
@@ -121,8 +115,7 @@ func (cr *ComboResult) repComps(r int) map[string]metrics.Comparison {
 
 // Evaluation is the full Figures 9–11 dataset.
 type Evaluation struct {
-	Options Options
-	Combos  []ComboResult
+	Combos []ComboResult
 	// Replicates is the effective replicate count behind every combo
 	// (max(1, Options.Replicates)).
 	Replicates int
@@ -193,29 +186,22 @@ const fingerprintVersion = 1
 
 // fingerprint identifies everything that changes a run's result — the
 // results-schema version, the system configuration (which embeds the base
-// seed) and the run length — so a checkpoint store refuses to mix results
-// across configurations or releases. Classes, Schemes and Replicates are
+// seed) and the run length — under kind ("evaluate" or "scaling"), so a
+// checkpoint store refuses to mix results across configurations, releases
+// or drivers. Classes, Schemes, Replicates and a study's core counts are
 // deliberately excluded: they select which jobs run, not what any job
 // computes (replicates only add keys), so a store warmed by a subset sweep
 // is reusable by a wider or replicated one. The second return lists
 // fingerprints of older releases whose results are still valid (the
 // pre-version-token format; v1 changed no results), accepted on resume.
-func fingerprint(opt Options) (fp string, legacy []string, err error) {
-	h, err := cfgHash(opt.Cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	return fmt.Sprintf("evaluate/v%d/cycles=%d/cfg=%s", fingerprintVersion, opt.RunCycles, h),
-		[]string{fmt.Sprintf("evaluate/cycles=%d/cfg=%s", opt.RunCycles, h)}, nil
-}
-
-// cfgHash hashes a system configuration for fingerprinting.
-func cfgHash(cfg config.System) (string, error) {
+func fingerprint(kind string, cfg config.System, cycles int64) (fp string, legacy []string, err error) {
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
-		return "", fmt.Errorf("experiments: fingerprint config: %w", err)
+		return "", nil, fmt.Errorf("experiments: fingerprint config: %w", err)
 	}
-	return fmt.Sprintf("%016x", stats.HashString(string(cfgJSON))), nil
+	h := fmt.Sprintf("%016x", stats.HashString(string(cfgJSON)))
+	return fmt.Sprintf("%s/v%d/cycles=%d/cfg=%s", kind, fingerprintVersion, cycles, h),
+		[]string{fmt.Sprintf("%s/cycles=%d/cfg=%s", kind, cycles, h)}, nil
 }
 
 // jobKey identifies one (combo, labelled run) pair in the sweep; it is also
@@ -226,12 +212,10 @@ func jobKey(combo, label string) string { return combo + "/" + label }
 
 // comboJobs appends one combo's runs — the L2P baseline plus every spec —
 // to jobs. All of a combo's runs share its name as SeedKey, so every scheme
-// sees identical instruction streams (paired comparisons). With a stream
-// cache, the streams are synthesized once per (combo, replicate) cell and
-// replayed to every scheme; cache == nil regenerates them live per run.
-func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64) []sweep.Job {
+// sees identical instruction streams (paired comparisons), which cache
+// synthesizes once per (combo, replicate) cell and replays to every scheme.
+func comboJobs(jobs []sweep.Job, cache *cmp.StreamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64) []sweep.Job {
 	all := append([]schemes.Spec{baselineSpec}, specs...)
-	uses := len(all)
 	for _, spec := range all {
 		label := spec.String()
 		jobs = append(jobs, sweep.Job{
@@ -240,17 +224,7 @@ func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo wo
 			Run: func(seed uint64) (cmp.RunResult, error) {
 				c := cfg
 				c.Seed = seed
-				if cache == nil {
-					return cmp.RunWorkload(c, label, combo.Cores, cycles)
-				}
-				streams, release, err := cache.streams(seed, uses, func() ([]isa.Stream, error) {
-					return cmp.WorkloadStreams(c, combo.Cores, cmp.PhaseRefs(cycles))
-				})
-				if err != nil {
-					return cmp.RunResult{}, err
-				}
-				defer release()
-				return cmp.RunStreams(c, label, streams, cycles)
+				return cache.Run(c, label, combo.Cores, cycles, len(all))
 			},
 		})
 	}
@@ -263,7 +237,6 @@ func comboJobs(jobs []sweep.Job, cache *streamCache, cfg config.System, combo wo
 // fields, so single-replicate consumers are untouched.
 func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []string, reps int) error {
 	cr.RepComparisons = make([]map[string]metrics.Comparison, reps)
-	cr.RepCCBestPct = make([]int, reps)
 	for r := 0; r < reps; r++ {
 		runs := make(map[string]cmp.RunResult)
 		// Map-to-map transfer: insertion order cannot change the resulting
@@ -284,7 +257,6 @@ func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []stri
 			}
 			return err
 		}
-		cr.RepCCBestPct[r] = pct
 		cr.RepComparisons[r] = comps
 		if r == 0 {
 			cr.Baseline = runs[baselineSpec.String()]
@@ -306,40 +278,50 @@ func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []stri
 // and checkpoints in-flight runs, then returns the partial-progress error
 // (a later call with the same Checkpoint resumes).
 func Evaluate(ctx context.Context, opt Options) (*Evaluation, error) {
-	if opt.RunCycles <= 0 {
-		return nil, fmt.Errorf("experiments: RunCycles must be positive")
-	}
-	combos, err := selectCombos(opt.Classes, opt.Cfg.Cores)
+	points := []ScalingPoint{{Cores: opt.Cfg.Cores, Cfg: opt.Cfg}}
+	reps, err := sweepPoints(ctx, "evaluate", opt, points)
 	if err != nil {
 		return nil, err
 	}
-	if len(combos) == 0 {
-		return nil, fmt.Errorf("experiments: no combos selected for classes %v", opt.Classes)
+	return &Evaluation{Combos: points[0].Combos, Replicates: reps}, nil
+}
+
+// sweepPoints is the driver Evaluate and ScalingStudy share. On every
+// point's system it runs the L2P baseline and the selected schemes over
+// the selected combos, all as one sweep whose checkpoint fingerprint is
+// kind's over opt.Cfg, and fills the point's Combos. It returns the
+// effective replicate count.
+func sweepPoints(ctx context.Context, kind string, opt Options, points []ScalingPoint) (int, error) {
+	if opt.RunCycles <= 0 {
+		return 0, fmt.Errorf("experiments: RunCycles must be positive")
 	}
 	selected, err := selectSchemes(opt.Schemes)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	specs := specsFor(selected)
-	reps := opt.Replicates
-	if reps < 1 {
-		reps = 1
-	}
+	reps := max(opt.Replicates, 1)
 
-	ev := &Evaluation{Options: opt, Combos: make([]ComboResult, len(combos)), Replicates: reps}
-	var cache *streamCache
-	if !opt.NoReplay {
-		cache = newStreamCache()
-	}
+	cache := cmp.NewStreamCache()
 	var jobs []sweep.Job
-	for i, combo := range combos {
-		ev.Combos[i] = ComboResult{Combo: combo}
-		jobs = comboJobs(jobs, cache, opt.Cfg, combo, specs, opt.RunCycles)
+	for i := range points {
+		p := &points[i]
+		combos, err := selectCombos(opt.Classes, p.Cfg.Cores)
+		if err != nil {
+			return 0, err
+		}
+		if len(combos) == 0 {
+			return 0, fmt.Errorf("experiments: no combos selected for classes %v", opt.Classes)
+		}
+		for _, combo := range combos {
+			p.Combos = append(p.Combos, ComboResult{Combo: combo})
+			jobs = comboJobs(jobs, cache, p.Cfg, combo, specs, opt.RunCycles)
+		}
 	}
 
-	fp, legacy, err := fingerprint(opt)
+	fp, legacy, err := fingerprint(kind, opt.Cfg, opt.RunCycles)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
 		Parallelism:        opt.Parallelism,
@@ -356,15 +338,17 @@ func Evaluate(ctx context.Context, opt Options) (*Evaluation, error) {
 		OnProgress:         opt.Progress,
 	}, opt.Faults.Wrap(opt.Cfg.Seed, jobs))
 	if err != nil {
-		return nil, evalErr(err)
+		return 0, evalErr(err)
 	}
 
-	for i := range ev.Combos {
-		if err := ev.Combos[i].collect(results, selected, reps); err != nil {
-			return nil, err
+	for i := range points {
+		for j := range points[i].Combos {
+			if err := points[i].Combos[j].collect(results, selected, reps); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return ev, nil
+	return reps, nil
 }
 
 // evalErr renders a sweep failure with combo + run (+ replicate) context.

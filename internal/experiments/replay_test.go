@@ -1,87 +1,79 @@
-package experiments
+package experiments_test
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/experiments"
+	"snug/internal/metrics"
+	"snug/internal/sweep"
 )
 
-// replayOpts is a small but structurally complete evaluation: one class,
-// two scheme families plus the CC spill sweep and the L2P baseline.
-func replayOpts(t *testing.T, checkpoint string, noReplay bool, reps int) Options {
-	t.Helper()
-	return Options{
-		Cfg:         config.TestScale(),
-		RunCycles:   150_000,
-		Parallelism: 1, // checkpoint lines append in completion order; serialize for byte-comparable stores
-		Classes:     []string{"C1"},
-		Schemes:     []string{"CC", "SNUG"},
-		Checkpoint:  checkpoint,
-		Replicates:  reps,
-		NoReplay:    noReplay,
-	}
-}
-
-// TestEvaluateReplayStoreByteIdentical is the tentpole's acceptance bar:
-// an evaluation over recorded-replayed streams must write a checkpoint
-// store byte-identical to one simulated over live generators — same keys,
-// same results, same order — both single-run and replicated (replicate
-// r > 0 records its own streams).
-func TestEvaluateReplayStoreByteIdentical(t *testing.T) {
+// TestEvaluateMatchesLiveRuns is the live reference for the stream cache:
+// every result an evaluation stores and returns must equal a live
+// cmp.RunWorkload at its key's seed, single-run and serial as well as
+// replicated and parallel (replicate r > 0 records its own streams, and a
+// cell's schemes share recordings across workers).
+func TestEvaluateMatchesLiveRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paired full evaluations; skipped in -short")
+		t.Skip("two evaluations plus their live references; skipped in -short")
 	}
-	for _, reps := range []int{1, 2} {
-		dir := t.TempDir()
-		livePath := filepath.Join(dir, "live.json")
-		replayPath := filepath.Join(dir, "replay.json")
-		if _, err := Evaluate(context.Background(), replayOpts(t, livePath, true, reps)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Evaluate(context.Background(), replayOpts(t, replayPath, false, reps)); err != nil {
-			t.Fatal(err)
-		}
-		live, err := os.ReadFile(livePath)
+	const cycles = 150_000
+	cfg := config.TestScale()
+	labels := []string{"L2P", "CC(0%)", "CC(25%)", "CC(50%)", "CC(75%)", "CC(100%)", "SNUG"}
+	live := map[string]cmp.RunResult{} // by checkpoint key, shared by both runs
+	for _, tc := range []struct{ reps, par int }{{1, 1}, {2, 4}} {
+		ckpt := filepath.Join(t.TempDir(), "live.sweep.json")
+		ev, err := experiments.Evaluate(context.Background(), experiments.Options{
+			Cfg: cfg, RunCycles: cycles, Parallelism: tc.par, Classes: []string{"C1"},
+			Schemes: []string{"CC", "SNUG"}, Checkpoint: ckpt, Replicates: tc.reps,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := os.ReadFile(replayPath)
+		store, err := sweep.OpenStore(ckpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(live) != string(replay) {
-			t.Errorf("reps=%d: replay-on checkpoint store differs from live-generator store\nlive:\n%s\nreplay:\n%s",
-				reps, live, replay)
+		defer store.Close()
+		if want := len(ev.Combos) * len(labels) * tc.reps; store.Len() != want {
+			t.Errorf("reps=%d: store holds %d results, want %d", tc.reps, store.Len(), want)
 		}
-	}
-}
-
-// TestEvaluateReplayResultsMatchParallel checks replay keeps the sweep's
-// parallelism-independence: a parallel replayed evaluation (schemes of one
-// cell share recordings across workers) equals the serial live one.
-func TestEvaluateReplayResultsMatchParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paired full evaluations; skipped in -short")
-	}
-	serialLive, err := Evaluate(context.Background(), replayOpts(t, "", true, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := replayOpts(t, "", false, 1)
-	opts.Parallelism = 4
-	parallelReplay, err := Evaluate(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cr := range serialLive.Combos {
-		pr := parallelReplay.Combos[i]
-		for label, run := range cr.Runs {
-			if got := pr.Runs[label]; !reflect.DeepEqual(got, run) {
-				t.Errorf("combo %s run %s: parallel replay result differs from serial live", cr.Combo.Name, label)
+		for _, cr := range ev.Combos {
+			for r := 0; r < tc.reps; r++ {
+				runs := map[string]cmp.RunResult{}
+				for _, label := range labels {
+					key := sweep.ReplicateKey(cr.Combo.Name+"/"+label, r)
+					want, ok := live[key]
+					if !ok {
+						c := cfg
+						c.Seed = sweep.JobSeed(cfg.Seed, sweep.ReplicateKey(cr.Combo.Name, r))
+						if want, err = cmp.RunWorkload(c, label, cr.Combo.Cores, cycles); err != nil {
+							t.Fatal(err)
+						}
+						live[key] = want
+					}
+					runs[label] = want
+					if got, ok := store.Get(key); !ok || !reflect.DeepEqual(got, want) {
+						t.Errorf("reps=%d par=%d: stored %s differs from the live run", tc.reps, tc.par, key)
+					}
+					if got := cr.Runs[label]; r == 0 && !reflect.DeepEqual(got, want) {
+						t.Errorf("reps=%d par=%d: returned %s differs from the live run", tc.reps, tc.par, key)
+					}
+				}
+				want, err := metrics.Compare(runs["L2P"], runs["SNUG"])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Scheme = "SNUG"
+				if got := cr.RepComparisons[r]["SNUG"]; !reflect.DeepEqual(got, want) {
+					t.Errorf("reps=%d par=%d: combo %s replicate %d SNUG comparison differs from the live runs'",
+						tc.reps, tc.par, cr.Combo.Name, r)
+				}
 			}
 		}
 	}

@@ -66,7 +66,7 @@ func TestEvaluateReplicatesShape(t *testing.T) {
 		t.Fatalf("Replicates = %d, want 3", ev.Replicates)
 	}
 	for _, cr := range ev.Combos {
-		if len(cr.RepComparisons) != 3 || len(cr.RepCCBestPct) != 3 {
+		if len(cr.RepComparisons) != 3 {
 			t.Fatalf("combo %s has %d replicate comparisons, want 3", cr.Combo.Name, len(cr.RepComparisons))
 		}
 		if !reflect.DeepEqual(cr.RepComparisons[0], cr.Comparisons) {
@@ -173,7 +173,7 @@ func TestScalingReplicates(t *testing.T) {
 		opt := scalingOpts()
 		opt.Replicates = 2
 		opt.Parallelism = par
-		res, err := experiments.ScalingStudy(context.Background(), opt)
+		res, err := experiments.ScalingStudy(context.Background(), opt, []int{4, 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,5 +233,41 @@ func TestEvaluateLegacyFingerprint(t *testing.T) {
 	opt.RunCycles *= 2
 	if _, err := experiments.Evaluate(context.Background(), opt); err == nil {
 		t.Error("store from a different RunCycles accepted via the legacy path")
+	}
+}
+
+// TestCheckpointFingerprints pins the store headers Evaluate and
+// ScalingStudy write at the test scale, so a change to their driver cannot
+// silently orphan existing stores. The scaling header hashes the quad-core
+// base whatever the core counts.
+func TestCheckpointFingerprints(t *testing.T) {
+	opt := experiments.Options{
+		Cfg: config.TestScale(), RunCycles: 20_000,
+		Classes: []string{"C1"}, Schemes: []string{"L2P"},
+	}
+	header := func(path string) string {
+		t.Helper()
+		s, err := sweep.OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.Fingerprint()
+	}
+
+	opt.Checkpoint = filepath.Join(t.TempDir(), "evaluate.sweep.json")
+	if _, err := experiments.Evaluate(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := header(opt.Checkpoint), "evaluate/v1/cycles=20000/cfg=ebba1b660fbe28ea"; got != want {
+		t.Errorf("Evaluate store header %q, want %q", got, want)
+	}
+
+	opt.Checkpoint = filepath.Join(t.TempDir(), "scaling.sweep.json")
+	if _, err := experiments.ScalingStudy(context.Background(), opt, []int{4, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := header(opt.Checkpoint), "scaling/v1/cycles=20000/cfg=ebba1b660fbe28ea"; got != want {
+		t.Errorf("ScalingStudy store header %q, want %q", got, want)
 	}
 }

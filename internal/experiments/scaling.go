@@ -6,169 +6,58 @@ import (
 	"slices"
 
 	"snug/internal/config"
-	"snug/internal/faults"
 	"snug/internal/metrics"
 	"snug/internal/stats"
-	"snug/internal/sweep"
 )
-
-// ScalingOptions configures the N-core scaling study.
-type ScalingOptions struct {
-	// BaseCfg is the quad-core system each point scales out from via
-	// config.WithCores; it must have Cores == 4.
-	BaseCfg config.System
-	// CoreCounts are the evaluated widths, e.g. {4, 8, 16}. Each must be
-	// a valid config.WithCores width.
-	CoreCounts  []int
-	RunCycles   int64
-	Parallelism int
-	Classes     []string // subset of {"C1".."C6"}; nil = all
-	Schemes     []string // same semantics as Options.Schemes
-	// Checkpoint is a sweep results-store path shared by every point: the
-	// study runs as ONE sweep over all (width, combo, scheme) jobs, so an
-	// interrupted study resumes mid-axis and a store warmed with some core
-	// counts extends to more.
-	Checkpoint string
-	Progress   func(sweep.Progress)
-	// Replicates has the same semantics as Options.Replicates: every
-	// (width, combo, scheme) cell runs this many independently-seeded
-	// times, and Series reports mean ± 95% CI per width.
-	Replicates int
-	// NoReplay has the same semantics as Options.NoReplay: disable the
-	// trace record/replay cache and synthesize every run's streams live.
-	NoReplay bool
-	// FailurePolicy, Retry, Salvage, Sync and Faults have Options semantics:
-	// the sweep failure model (fail-fast vs. run-everything, retry/backoff,
-	// checkpoint salvage and fsync cadence) plus deterministic fault
-	// injection. ContinueOnError matters most here — a multi-hour study
-	// should not abandon every queued width because one cell failed.
-	FailurePolicy sweep.FailurePolicy
-	Retry         sweep.RetrySpec
-	Salvage       bool
-	Sync          int
-	Faults        faults.Spec
-}
 
 // ScalingPoint is the evaluation at one core count.
 type ScalingPoint struct {
 	Cores  int
-	Cfg    config.System // BaseCfg widened to Cores
+	Cfg    config.System // Options.Cfg widened to Cores
 	Combos []ComboResult
 }
 
 // ScalingResult is the full scaling-study dataset.
 type ScalingResult struct {
-	Options ScalingOptions
-	Points  []ScalingPoint
+	Points []ScalingPoint
 	// Replicates is the effective replicate count behind every point
 	// (max(1, Options.Replicates)).
 	Replicates int
 }
 
-// scalingFingerprint identifies the study's result-changing inputs: the
-// base configuration and run length. Core counts, classes and schemes are
-// excluded for the same reason Evaluate excludes Classes/Schemes — they
-// select which jobs run, not what a job computes — so a store warmed with
-// {4,8} serves a later {4,8,16} study.
-// Like fingerprint, it also returns the accepted-on-resume fingerprints of
-// older releases whose results remain valid.
-func scalingFingerprint(opt ScalingOptions) (fp string, legacy []string, err error) {
-	h, err := cfgHash(opt.BaseCfg)
-	if err != nil {
-		return "", nil, err
-	}
-	return fmt.Sprintf("scaling/v%d/cycles=%d/cfg=%s", fingerprintVersion, opt.RunCycles, h),
-		[]string{fmt.Sprintf("scaling/cycles=%d/cfg=%s", opt.RunCycles, h)}, nil
-}
-
 // ScalingStudy evaluates every selected scheme across core counts: for each
 // width, the class-consistent scale-out combinations (workloads.ScaleOut)
 // run under the L2P baseline plus the selected schemes, all through one
-// sweep. Seeds pair per (width, combo): scale-out combo names are unique
-// per width, so every scheme at one width sees identical instruction
-// streams while widths draw independent streams. Results are bit-identical
-// for any Parallelism. Canceling ctx drains and checkpoints in-flight runs
-// before returning, like Evaluate.
-func ScalingStudy(ctx context.Context, opt ScalingOptions) (*ScalingResult, error) {
-	if opt.RunCycles <= 0 {
-		return nil, fmt.Errorf("experiments: RunCycles must be positive")
-	}
-	if len(opt.CoreCounts) == 0 {
+// sweep. opt.Cfg is the quad-core base each width scales out from via
+// config.WithCores; every other option means what it does for Evaluate.
+// Seeds pair per (width, combo): scale-out combo names are unique per
+// width, so every scheme at one width sees identical instruction streams
+// while widths draw independent streams. Results are bit-identical for any
+// Parallelism. Canceling ctx drains and checkpoints in-flight runs before
+// returning, like Evaluate.
+func ScalingStudy(ctx context.Context, opt Options, coreCounts []int) (*ScalingResult, error) {
+	if len(coreCounts) == 0 {
 		return nil, fmt.Errorf("experiments: scaling study needs at least one core count")
 	}
-	if opt.BaseCfg.Cores != 4 {
-		return nil, fmt.Errorf("experiments: scaling BaseCfg has %d cores, want the quad-core base", opt.BaseCfg.Cores)
+	if opt.Cfg.Cores != 4 {
+		return nil, fmt.Errorf("experiments: scaling Cfg has %d cores, want the quad-core base", opt.Cfg.Cores)
 	}
-	selected, err := selectSchemes(opt.Schemes)
-	if err != nil {
-		return nil, err
-	}
-	specs := specsFor(selected)
-	reps := opt.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-
-	res := &ScalingResult{Options: opt, Points: make([]ScalingPoint, len(opt.CoreCounts)), Replicates: reps}
-	var cache *streamCache
-	if !opt.NoReplay {
-		cache = newStreamCache()
-	}
-	var jobs []sweep.Job
-	seen := map[int]bool{}
-	for i, n := range opt.CoreCounts {
-		if seen[n] {
+	points := make([]ScalingPoint, len(coreCounts))
+	for i, n := range coreCounts {
+		if slices.Contains(coreCounts[:i], n) {
 			return nil, fmt.Errorf("experiments: duplicate core count %d", n)
 		}
-		seen[n] = true
-		cfg, err := config.WithCores(opt.BaseCfg, n)
+		cfg, err := config.WithCores(opt.Cfg, n)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		combos, err := selectCombos(opt.Classes, n)
-		if err != nil {
-			return nil, err
-		}
-		if len(combos) == 0 {
-			return nil, fmt.Errorf("experiments: no combos selected for classes %v", opt.Classes)
-		}
-		res.Points[i] = ScalingPoint{Cores: n, Cfg: cfg, Combos: make([]ComboResult, len(combos))}
-		for j, combo := range combos {
-			res.Points[i].Combos[j] = ComboResult{Combo: combo}
-			jobs = comboJobs(jobs, cache, cfg, combo, specs, opt.RunCycles)
-		}
+		points[i] = ScalingPoint{Cores: n, Cfg: cfg}
 	}
-
-	fp, legacy, err := scalingFingerprint(opt)
+	reps, err := sweepPoints(ctx, "scaling", opt, points)
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.Run(ctx, sweep.Options{
-		Parallelism:        opt.Parallelism,
-		BaseSeed:           opt.BaseCfg.Seed,
-		Checkpoint:         opt.Checkpoint,
-		Salvage:            opt.Salvage,
-		Sync:               opt.Sync,
-		Fingerprint:        fp,
-		AcceptFingerprints: legacy,
-		Replicates:         reps,
-		FailurePolicy:      opt.FailurePolicy,
-		Retry:              opt.Retry,
-		PutHook:            opt.Faults.PutHook(opt.BaseCfg.Seed),
-		OnProgress:         opt.Progress,
-	}, opt.Faults.Wrap(opt.BaseCfg.Seed, jobs))
-	if err != nil {
-		return nil, evalErr(err)
-	}
-
-	for i := range res.Points {
-		for j := range res.Points[i].Combos {
-			if err := res.Points[i].Combos[j].collect(results, selected, reps); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
+	return &ScalingResult{Points: points, Replicates: reps}, nil
 }
 
 // ScalingSeries is one metric's scaling table: per core count, per scheme,

@@ -14,22 +14,21 @@ import (
 	"snug/internal/sweep"
 )
 
-// scalingOpts is the small fixture study: two widths, the C1 stress class,
-// SNUG only (plus the always-on L2P baseline).
-func scalingOpts() experiments.ScalingOptions {
-	return experiments.ScalingOptions{
-		BaseCfg:    config.TestScale(),
-		CoreCounts: []int{4, 8},
-		RunCycles:  120_000,
-		Classes:    []string{"C1"},
-		Schemes:    []string{"SNUG"},
+// scalingOpts is the small fixture study, run at widths 4 and 8: the C1
+// stress class, SNUG only (plus the always-on L2P baseline).
+func scalingOpts() experiments.Options {
+	return experiments.Options{
+		Cfg:       config.TestScale(),
+		RunCycles: 120_000,
+		Classes:   []string{"C1"},
+		Schemes:   []string{"SNUG"},
 	}
 }
 
 // TestScalingStudyShape checks the study's structure: one point per core
 // count, width-matched combos and runs, and a series row per width.
 func TestScalingStudyShape(t *testing.T) {
-	res, err := experiments.ScalingStudy(context.Background(), scalingOpts())
+	res, err := experiments.ScalingStudy(context.Background(), scalingOpts(), []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestScalingStudyDeterminism(t *testing.T) {
 	run := func(par int) []experiments.ScalingPoint {
 		opt := scalingOpts()
 		opt.Parallelism = par
-		res, err := experiments.ScalingStudy(context.Background(), opt)
+		res, err := experiments.ScalingStudy(context.Background(), opt, []int{4, 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,17 +93,15 @@ func TestScalingStudyDeterminism(t *testing.T) {
 func TestScalingStudyResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "scaling.sweep.json")
 	opt := scalingOpts()
-	opt.CoreCounts = []int{4}
 	opt.Checkpoint = ckpt
-	first, err := experiments.ScalingStudy(context.Background(), opt)
+	first, err := experiments.ScalingStudy(context.Background(), opt, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	opt.CoreCounts = []int{4, 8}
 	var last sweep.Progress
 	opt.Progress = func(p sweep.Progress) { last = p }
-	second, err := experiments.ScalingStudy(context.Background(), opt)
+	second, err := experiments.ScalingStudy(context.Background(), opt, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,41 +125,21 @@ func TestScalingStudyResume(t *testing.T) {
 
 // TestScalingStudyValidation covers option errors.
 func TestScalingStudyValidation(t *testing.T) {
-	base := scalingOpts()
-
-	opt := base
-	opt.RunCycles = 0
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("zero RunCycles accepted")
-	}
-
-	opt = base
-	opt.CoreCounts = nil
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("empty core counts accepted")
-	}
-
-	opt = base
-	opt.CoreCounts = []int{4, 4}
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("duplicate core count accepted")
-	}
-
-	opt = base
-	opt.CoreCounts = []int{6}
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("invalid core count accepted")
-	}
-
-	opt = base
-	opt.BaseCfg.Cores = 8
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("non-quad base config accepted")
-	}
-
-	opt = base
-	opt.Schemes = []string{"NOPE"}
-	if _, err := experiments.ScalingStudy(context.Background(), opt); err == nil {
-		t.Error("unknown scheme accepted")
+	for name, tc := range map[string]struct {
+		mut   func(*experiments.Options)
+		cores []int
+	}{
+		"zero RunCycles":       {func(o *experiments.Options) { o.RunCycles = 0 }, []int{4, 8}},
+		"empty core counts":    {func(*experiments.Options) {}, nil},
+		"duplicate core count": {func(*experiments.Options) {}, []int{4, 4}},
+		"invalid core count":   {func(*experiments.Options) {}, []int{6}},
+		"non-quad base config": {func(o *experiments.Options) { o.Cfg.Cores = 8 }, []int{4, 8}},
+		"unknown scheme":       {func(o *experiments.Options) { o.Schemes = []string{"NOPE"} }, []int{4, 8}},
+	} {
+		opt := scalingOpts()
+		tc.mut(&opt)
+		if _, err := experiments.ScalingStudy(context.Background(), opt, tc.cores); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -35,9 +35,6 @@ type Spec struct {
 	PutFail float64 // probability a checkpoint write fails
 }
 
-// Enabled reports whether the spec injects anything.
-func (s Spec) Enabled() bool { return s.Panic > 0 || s.Err > 0 || s.PutFail > 0 }
-
 // ParseSpec parses the CLI injection grammar: a comma-separated list of
 // <class>:<probability> terms, e.g. "panic:0.02,err:0.05,putfail:0.01".
 // Classes are panic, err and putfail; each may appear at most once; an

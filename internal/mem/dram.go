@@ -62,9 +62,6 @@ func MustDRAM(latency int64, banks, blockBytes int) *DRAM {
 	return d
 }
 
-// Latency returns the configured access latency.
-func (d *DRAM) Latency() int64 { return d.latency }
-
 // Read schedules a read of a beginning at now and returns its completion
 // cycle.
 func (d *DRAM) Read(now int64, a addr.Addr) int64 {

@@ -55,9 +55,6 @@ func MustWriteBuffer(capacity int) *WriteBuffer {
 // Len returns the number of pending entries.
 func (w *WriteBuffer) Len() int { return len(w.entries) }
 
-// Capacity returns the entry capacity.
-func (w *WriteBuffer) Capacity() int { return w.capacity }
-
 // Stats returns a snapshot of the counters.
 func (w *WriteBuffer) Stats() WriteBufferStats { return w.stats }
 

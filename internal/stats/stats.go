@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Counter is a monotonically increasing event counter. The zero value is
@@ -311,14 +310,4 @@ func Summarize(xs []float64) Distribution {
 		Mean: Mean(c),
 		P50:  c[len(c)/2],
 	}
-}
-
-// FormatFractions renders fractions as a compact percentage string for
-// logs and example output.
-func FormatFractions(fr []float64) string {
-	parts := make([]string, len(fr))
-	for i, f := range fr {
-		parts[i] = fmt.Sprintf("%.1f%%", f*100)
-	}
-	return strings.Join(parts, " ")
 }

@@ -66,18 +66,6 @@ func Names() []string {
 	return out
 }
 
-// NamesInClass returns the registered benchmarks of one class, sorted.
-func NamesInClass(c Class) []string {
-	var out []string
-	for n, p := range registry {
-		if p.Class == c {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // intProfile returns the common integer-code knobs.
 func intProfile(p Profile) Profile {
 	p.Burst = 14

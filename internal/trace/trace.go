@@ -220,8 +220,6 @@ type Generator struct {
 	cumMem, cumBr, cumCall float64 // unit-type thresholds (touch/branch/call)
 	cumDiv, cumMult, cumFP float64 // filler-kind thresholds
 	burstCont              float64 // same-block burst continuation probability
-
-	touches int64 // distinct-block touches emitted (for tests/metrics)
 }
 
 // maxBurst caps same-block repeats so bursts stay within L1 residency.
@@ -309,9 +307,6 @@ func (g *Generator) WithDemandSalt(salt uint64) *Generator {
 
 // Name implements isa.Stream.
 func (g *Generator) Name() string { return g.prof.Name }
-
-// Touches returns the number of distinct-block data touches emitted.
-func (g *Generator) Touches() int64 { return g.touches }
 
 // PhaseIndex returns the current phase.
 func (g *Generator) PhaseIndex() int { return g.phaseIdx }
@@ -459,7 +454,6 @@ func (g *Generator) planTouch() {
 		n++
 	}
 
-	g.touches++
 	g.refsInPhase++
 	if g.refsInPhase >= g.phaseLen[g.phaseIdx] {
 		g.enterPhase((g.phaseIdx + 1) % len(g.prof.Phases))
