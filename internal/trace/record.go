@@ -215,13 +215,9 @@ func (r *Recording) encode(in *isa.Instr) {
 	}
 	buf := r.cur.buf
 	pos := r.curPos
-	meta := byte(in.Kind)
-	if in.DepPrev {
-		meta |= metaDepPrev
-	}
-	if in.Taken {
-		meta |= metaTaken
-	}
+	// The flags are close to random per instruction, so they are ORed in
+	// without branches.
+	meta := byte(in.Kind) | b2u(in.DepPrev)*metaDepPrev | b2u(in.Taken)*metaTaken
 	if in.PC == r.encPC+4 {
 		// Straight-line fetch — the overwhelmingly common case: fold the
 		// +4 PC advance into the meta byte and skip the varint entirely.

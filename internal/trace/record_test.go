@@ -199,6 +199,111 @@ func TestRecordingLazy(t *testing.T) {
 	}
 }
 
+// byteStream expands fuzz bytes into an endless, cyclic instruction stream
+// that keeps the isa.Stream contract: Kind below isa.NumKinds, Addr only on
+// loads and stores, Target only on returns. Each instruction takes one
+// control byte from one cursor; 8-byte words for PC deltas, addresses and
+// targets come from a second cursor, so the control bytes are served in
+// the order given and any ordering of kinds and flags can be spelled out.
+type byteStream struct {
+	data    []byte
+	ctl, wd int
+	pc      uint64
+}
+
+func (s *byteStream) Name() string { return "fuzz" }
+
+func (s *byteStream) word() uint64 {
+	var w uint64
+	for i := 0; i < 8; i++ {
+		w = w<<8 | uint64(s.data[s.wd])
+		s.wd = (s.wd + 1) % len(s.data)
+	}
+	return w
+}
+
+// Next decodes control byte b as: kind (b&0x0f) mod NumKinds, DepPrev
+// (0x10), Taken (0x20), and a PC jump by a word (0x40) rather than +4.
+func (s *byteStream) Next(in *isa.Instr) {
+	b := s.data[s.ctl]
+	s.ctl = (s.ctl + 1) % len(s.data)
+	*in = isa.Instr{
+		Kind:    isa.Kind(int(b&0x0f) % isa.NumKinds),
+		DepPrev: b&0x10 != 0,
+		Taken:   b&0x20 != 0,
+	}
+	if b&0x40 != 0 {
+		s.pc += s.word()
+	} else {
+		s.pc += 4
+	}
+	in.PC = s.pc
+	switch in.Kind {
+	case isa.KindLoad, isa.KindStore:
+		in.Addr = addr.Addr(s.word())
+	case isa.KindReturn:
+		in.Target = s.word()
+	}
+}
+
+// FuzzRecordingRoundTrip records arbitrary contract-keeping streams and
+// replays them through Next and through NextBatch at ragged sizes, field
+// for field. Recordings never come from outside the process, so the
+// property is the round trip, not resistance to corrupt bytes. Each input
+// is recorded past its first 64 KiB chunk.
+func FuzzRecordingRoundTrip(f *testing.F) {
+	// Every kind with every DepPrev/Taken combination, sequential and not.
+	var all []byte
+	for k := byte(0); k < byte(isa.NumKinds); k++ {
+		for flags := byte(0); flags < 8; flags++ {
+			all = append(all, k|flags<<4)
+		}
+	}
+	f.Add(all)
+	f.Add([]byte{0})
+	f.Add([]byte{0x44, 0xff, 0x80, 0x00, 0x7f, 0x01, 0xfe})
+	f.Add([]byte{0x48, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x05, 0x31})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		rec := NewRecording(&byteStream{data: data})
+		for len(*rec.chunks.Load()) < 2 {
+			rec.Record(rec.Len() + 1)
+		}
+		n := rec.Len() + 100 // read past the recorded prefix too
+
+		ref := &byteStream{data: data}
+		rp := rec.Replay()
+		var want, got isa.Instr
+		for i := int64(0); i < n; i++ {
+			ref.Next(&want)
+			rp.Next(&got)
+			if got != want {
+				t.Fatalf("Next: instruction %d: replay %+v, source %+v", i, got, want)
+			}
+		}
+
+		ref = &byteStream{data: data}
+		rp = rec.Replay()
+		sizes := [...]int{1, 5, 256, 4099, 17, 63}
+		buf := make([]isa.Instr, 4099)
+		for i, done := 0, int64(0); done < n; i++ {
+			batch := buf[:sizes[i%len(sizes)]]
+			if k := rp.NextBatch(batch); k != len(batch) {
+				t.Fatalf("NextBatch(%d) = %d", len(batch), k)
+			}
+			for j := range batch {
+				ref.Next(&want)
+				if batch[j] != want {
+					t.Fatalf("NextBatch: instruction %d: replay %+v, source %+v", done+int64(j), batch[j], want)
+				}
+			}
+			done += int64(len(batch))
+		}
+	})
+}
+
 // BenchmarkReplayNext measures the replay decode hot path.
 func BenchmarkReplayNext(b *testing.B) {
 	prof, err := ByName("ammp")
@@ -219,6 +324,31 @@ func BenchmarkReplayNext(b *testing.B) {
 			rp = rec.Replay() // stay inside the pre-recorded prefix
 		}
 		rp.Next(&in)
+	}
+}
+
+// BenchmarkGeneratorNext measures live synthesis, one instruction per op,
+// read through isa.Stream as a core reads a live stream: ammp for the
+// floating-point mix, parser for the integer mix.
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, name := range []string{"ammp", "parser"} {
+		b.Run(name, func(b *testing.B) {
+			prof, err := ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := NewGenerator(prof, recGeom, 42, 50_000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var s isa.Stream = g
+			var in isa.Instr
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Next(&in)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/instr")
+		})
 	}
 }
 

@@ -121,13 +121,46 @@ type Profile struct {
 	Phases []Phase
 }
 
-// Validate reports profile construction errors.
+// maxDepth is the deepest demand band a profile may declare: a set's pool
+// slots are numbered by uint8 ids.
+const maxDepth = 256
+
+// Validate reports profile construction errors. A profile it accepts is
+// one the generator handles exactly: in particular the filler-kind
+// thresholds DivFrac ≤ DivFrac+MultFrac ≤ DivFrac+MultFrac+FPFrac are
+// non-decreasing and stay within [0, 1].
 func (p Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("trace: profile has no name")
 	}
 	if p.L2Every <= 0 {
 		return fmt.Errorf("trace: %s: L2Every must be positive", p.Name)
+	}
+	if p.BranchEvery <= 0 {
+		return fmt.Errorf("trace: %s: BranchEvery must be positive", p.Name)
+	}
+	if !(p.Burst >= 0) {
+		return fmt.Errorf("trace: %s: Burst %v must be non-negative", p.Name, p.Burst)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"StoreFrac", p.StoreFrac},
+		{"DepFrac", p.DepFrac},
+		{"DepLoadFrac", p.DepLoadFrac},
+		{"BranchBias", p.BranchBias},
+		{"HardBranchFrac", p.HardBranchFrac},
+		{"FPFrac", p.FPFrac},
+		{"MultFrac", p.MultFrac},
+		{"DivFrac", p.DivFrac},
+	} {
+		if !unitRange(f.v) {
+			return fmt.Errorf("trace: %s: %s %v out of [0,1]", p.Name, f.name, f.v)
+		}
+	}
+	if mix := p.DivFrac + p.MultFrac + p.FPFrac; mix > 1 {
+		return fmt.Errorf("trace: %s: DivFrac+MultFrac+FPFrac = %v exceeds 1", p.Name, mix)
 	}
 	if len(p.Phases) == 0 {
 		return fmt.Errorf("trace: %s: profile needs at least one phase", p.Name)
@@ -137,15 +170,15 @@ func (p Profile) Validate() error {
 		totalFrac += ph.FracOfRun
 		bandSum := 0.0
 		for _, b := range ph.Bands {
-			if b.MinDepth < 1 || b.MaxDepth < b.MinDepth {
-				return fmt.Errorf("trace: %s phase %d: bad band depth range [%d,%d]", p.Name, i, b.MinDepth, b.MaxDepth)
+			if b.MinDepth < 1 || b.MaxDepth < b.MinDepth || b.MaxDepth > maxDepth {
+				return fmt.Errorf("trace: %s phase %d: bad band depth range [%d,%d] (depths are 1..%d)", p.Name, i, b.MinDepth, b.MaxDepth, maxDepth)
 			}
 			bandSum += b.Frac
 		}
 		if math.Abs(bandSum-1) > 1e-9 {
 			return fmt.Errorf("trace: %s phase %d: band fractions sum to %.4f, want 1", p.Name, i, bandSum)
 		}
-		if ph.Compulsory < 0 || ph.Compulsory > 1 {
+		if !unitRange(ph.Compulsory) {
 			return fmt.Errorf("trace: %s phase %d: compulsory rate %.2f out of [0,1]", p.Name, i, ph.Compulsory)
 		}
 	}
@@ -154,6 +187,9 @@ func (p Profile) Validate() error {
 	}
 	return nil
 }
+
+// unitRange reports whether v is a probability: in [0, 1] and not NaN.
+func unitRange(v float64) bool { return v >= 0 && v <= 1 }
 
 // MeanDemandWays returns the footprint implied by the first phase, in
 // average ways per set — the application-level capacity demand in units of
@@ -213,7 +249,7 @@ type Generator struct {
 	branches []branchSite
 	pcTick   uint64
 
-	// Cached per-instruction decision thresholds (plan/filler run once per
+	// Cached per-instruction decision thresholds (plan/fill run once per
 	// emitted instruction — the simulator's hottest path — so the divisions
 	// behind them are hoisted out of it). Cumulative: a single uniform draw
 	// is compared against each in order.
@@ -224,6 +260,10 @@ type Generator struct {
 
 // maxBurst caps same-block repeats so bursts stay within L1 residency.
 const maxBurst = 24
+
+// queueCap is the longest unit the generator queues: a touch's access plus
+// maxBurst filler/repeat pairs.
+const queueCap = 1 + 2*maxBurst
 
 // poolTagBase separates pool tags from fresh (streaming) tags.
 const freshTagBase = 1 << 20
@@ -250,6 +290,7 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 		cum:        make([]float64, geom.Sets()),
 		recency:    make([][]uint8, geom.Sets()),
 		freshCtr:   make([]uint32, geom.Sets()),
+		queue:      make([]isa.Instr, 0, queueCap),
 	}
 	g.phaseLen = make([]int64, len(prof.Phases))
 	for i, ph := range prof.Phases {
@@ -356,7 +397,7 @@ func (g *Generator) enterPhase(idx int) {
 		// recency order so working sets overlap across phase transitions,
 		// then append any missing slot ids at LRU positions.
 		rec := g.recency[s][:0]
-		var present [256]bool
+		var present [maxDepth]bool
 		for _, id := range g.recency[s] {
 			if int(id) < d && !present[id] {
 				present[id] = true
@@ -399,7 +440,7 @@ func (g *Generator) pickSet() uint32 {
 
 // Next implements isa.Stream. It plans the next unit in place: a data-touch
 // burst, a branch, a call/return pair, or filler compute. Filler — the vast
-// majority of the stream — is written straight into in, skipping the queue
+// majority of the stream — is filled straight into in, skipping the queue
 // round trip; multi-instruction units go through the queue. The RNG draw
 // order is identical either way, so streams are unchanged by the fast path.
 func (g *Generator) Next(in *isa.Instr) {
@@ -419,7 +460,7 @@ func (g *Generator) Next(in *isa.Instr) {
 	case r < g.cumCall:
 		g.planCall()
 	default:
-		*in = g.filler()
+		g.fill(in)
 		return
 	}
 	*in = g.queue[0]
@@ -449,7 +490,7 @@ func (g *Generator) planTouch() {
 	// rate without disturbing the L2-level reuse structure.
 	n := 0
 	for n < maxBurst && g.rng.Bool(g.burstCont) {
-		g.queue = append(g.queue, g.filler())
+		g.fill(g.push())
 		g.emitAccess(a, false)
 		n++
 	}
@@ -490,59 +531,90 @@ func (g *Generator) touchPool(s uint32) int {
 	return int(slot)
 }
 
-// emitAccess appends one load/store of address a.
+// emitAccess queues one load/store of address a.
 func (g *Generator) emitAccess(a addr.Addr, store bool) {
 	g.pcTick += 4
-	in := isa.Instr{PC: g.pcTick, Addr: a}
+	in := g.push()
+	in.PC = g.pcTick
+	in.Addr = a
+	in.Taken = false
+	in.Target = 0
 	if store {
 		in.Kind = isa.KindStore
+		in.DepPrev = false
 	} else {
 		in.Kind = isa.KindLoad
 		in.DepPrev = g.rng.Bool(g.prof.DepLoadFrac)
 	}
-	g.queue = append(g.queue, in)
 }
 
 // planBranch emits one conditional branch from the benchmark's site pool.
 func (g *Generator) planBranch() {
 	site := &g.branches[g.rng.Intn(len(g.branches))]
-	g.queue = append(g.queue, isa.Instr{
-		Kind:  isa.KindBranch,
-		PC:    site.pc,
-		Taken: g.rng.Bool(site.bias),
-	})
+	g.control(isa.KindBranch, site.pc, g.rng.Bool(site.bias), 0)
 }
 
 // planCall emits a call / body / return triple exercising the RAS.
 func (g *Generator) planCall() {
 	g.pcTick += 4
 	callPC := g.pcTick
-	g.queue = append(g.queue,
-		isa.Instr{Kind: isa.KindCall, PC: callPC},
-		g.filler(),
-		g.filler(),
-		isa.Instr{Kind: isa.KindReturn, PC: callPC + 0x100, Target: callPC + 4},
-	)
+	g.control(isa.KindCall, callPC, false, 0)
+	g.fill(g.push())
+	g.fill(g.push())
+	g.control(isa.KindReturn, callPC+0x100, false, callPC+4)
+}
+
+// control queues one branch, call or return.
+func (g *Generator) control(kind isa.Kind, pc uint64, taken bool, target uint64) {
+	in := g.push()
+	in.Kind = kind
+	in.PC = pc
+	in.Addr = 0
+	in.Taken = taken
+	in.Target = target
+	in.DepPrev = false
+}
+
+// push extends the queue by one slot and returns it for the caller to fill
+// field by field. The slot may hold a stale instruction, so the caller sets
+// every field. The queue is allocated at queueCap, the longest unit, so
+// push never reallocates.
+func (g *Generator) push() *isa.Instr {
+	n := len(g.queue)
+	g.queue = g.queue[:n+1]
+	return &g.queue[n]
 }
 
 // nameSeed hashes a benchmark name into the demand seed shared by all
 // instances of that benchmark.
 func nameSeed(name string) uint64 { return stats.HashString(name) }
 
-// filler returns one compute instruction per the profile's mix.
-func (g *Generator) filler() isa.Instr {
+// fill writes one compute instruction per the profile's mix into in. It
+// sets every field, since callers hand it reused storage, and writes each
+// one in place: an isa.Instr built on the stack and returned by value is
+// copied with wide loads that cannot forward from its narrow field stores,
+// so every copy stalls.
+//
+// The kind is a sum of three 0/1 threshold tests rather than a switch,
+// whose branches are a coin flip on the floating-point profiles. The sum
+// counts how many of cumFP >= cumMult >= cumDiv lie above r, which equals
+// the switch's KindALU (0) … KindDiv (3) because those kinds are numbered
+// 0…3 and Validate keeps the thresholds non-decreasing.
+func (g *Generator) fill(in *isa.Instr) {
 	g.pcTick += 4
-	in := isa.Instr{PC: g.pcTick, DepPrev: g.rng.Bool(g.prof.DepFrac)}
+	in.PC = g.pcTick
+	in.DepPrev = g.rng.Bool(g.prof.DepFrac)
 	r := g.rng.Float64()
-	switch {
-	case r < g.cumDiv:
-		in.Kind = isa.KindDiv
-	case r < g.cumMult:
-		in.Kind = isa.KindMult
-	case r < g.cumFP:
-		in.Kind = isa.KindFPU
-	default:
-		in.Kind = isa.KindALU
+	in.Kind = isa.Kind(b2u(r < g.cumFP) + b2u(r < g.cumMult) + b2u(r < g.cumDiv))
+	in.Addr = 0
+	in.Taken = false
+	in.Target = 0
+}
+
+// b2u converts a bool to 0 or 1; the compiler lowers it without a branch.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
 	}
-	return in
+	return 0
 }

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"snug/internal/addr"
 	"snug/internal/isa"
+	"snug/internal/stats"
 )
 
 var testGeom = addr.MustGeometry(64, 64)
@@ -225,24 +227,127 @@ func TestRecencyPermutationInvariant(t *testing.T) {
 	}
 }
 
+// streamDigests pins the first 500k instructions of every registered
+// profile, built as cmp.WorkloadStreams builds core 0's stream at the
+// default seed. The table is fixed: a hash that moves means a synthesized
+// stream changed, so fix the generator rather than re-record the table.
+var streamDigests = map[string]uint64{
+	"ammp":   0xff37e22210e91823,
+	"applu":  0x79347e88439d6eaf,
+	"apsi":   0x27ad2642223dfe44,
+	"art":    0x24933f385e365c9b,
+	"bzip2":  0xc93ce87bb141f297,
+	"gcc":    0x254e43f96cd063c2,
+	"gzip":   0xd6f3389fd45eb880,
+	"mcf":    0x3671d700f305dfee,
+	"mesa":   0xc45a1422f5842b43,
+	"parser": 0x84bd7205343b4bb9,
+	"swim":   0x684acb2a66b2f89a,
+	"vortex": 0x96f7e2ff5587a480,
+	"vpr":    0x3a12df4cc2aa97b8,
+}
+
+// TestStreamDigests hashes every field of each profile's stream. The phase
+// rotation is short (1,000 touches) so vortex crosses its phase boundaries
+// dozens of times within the window.
+func TestStreamDigests(t *testing.T) {
+	const n = 500_000
+	for _, name := range Names() {
+		g := MustGenerator(MustByName(name), testGeom, 0x5eed_c0de, 1_000).WithDemandSalt(1)
+		var in isa.Instr
+		h := uint64(0xcbf29ce484222325)
+		phase, crossings := g.PhaseIndex(), 0
+		for i := 0; i < n; i++ {
+			g.Next(&in)
+			h = mixInstr(h, &in)
+			if p := g.PhaseIndex(); p != phase {
+				phase = p
+				crossings++
+			}
+		}
+		if want, ok := streamDigests[name]; !ok || h != want {
+			t.Errorf("%s: stream digest %#016x, want %#016x", name, h, want)
+		}
+		if len(g.prof.Phases) > 1 && crossings < 10 {
+			t.Errorf("%s crossed %d phase boundaries, want >= 10", name, crossings)
+		}
+	}
+}
+
+// mixInstr folds every field of in into the running hash h.
+func mixInstr(h uint64, in *isa.Instr) uint64 {
+	flags := uint64(in.Kind)
+	if in.Taken {
+		flags |= 1 << 8
+	}
+	if in.DepPrev {
+		flags |= 1 << 9
+	}
+	for _, v := range [...]uint64{flags, in.PC, uint64(in.Addr), in.Target} {
+		h = stats.Mix64(h ^ v)
+	}
+	return h
+}
+
 func TestValidateRejectsBadProfiles(t *testing.T) {
 	base := MustByName("ammp")
-	bad := base
-	bad.Phases = []Phase{{FracOfRun: 0.5, Bands: base.Phases[0].Bands}}
-	if err := bad.Validate(); err == nil {
-		t.Error("phase fractions not summing to 1 accepted")
-	}
-	bad = base
-	bad.Phases = []Phase{{FracOfRun: 1, Bands: []DemandBand{{Frac: 0.5, MinDepth: 1, MaxDepth: 4}}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("band fractions not summing to 1 accepted")
-	}
-	bad = base
-	bad.L2Every = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("L2Every=0 accepted")
+	deep := []Phase{{FracOfRun: 1, Bands: []DemandBand{{Frac: 1, MinDepth: 200, MaxDepth: 300}}}}
+	for _, c := range []struct {
+		name string
+		edit func(p *Profile)
+	}{
+		{"phase fractions not summing to 1", func(p *Profile) {
+			p.Phases = []Phase{{FracOfRun: 0.5, Bands: base.Phases[0].Bands}}
+		}},
+		{"band fractions not summing to 1", func(p *Profile) {
+			p.Phases = []Phase{{FracOfRun: 1, Bands: []DemandBand{{Frac: 0.5, MinDepth: 1, MaxDepth: 4}}}}
+		}},
+		{"L2Every 0", func(p *Profile) { p.L2Every = 0 }},
+		{"band depth 300", func(p *Profile) { p.Phases = deep }},
+		{"BranchEvery 0", func(p *Profile) { p.BranchEvery = 0 }},
+		{"BranchEvery -5", func(p *Profile) { p.BranchEvery = -5 }},
+		{"Burst -1", func(p *Profile) { p.Burst = -1 }},
+		{"Burst NaN", func(p *Profile) { p.Burst = math.NaN() }},
+		{"StoreFrac 1.5", func(p *Profile) { p.StoreFrac = 1.5 }},
+		{"DepFrac -1", func(p *Profile) { p.DepFrac = -1 }},
+		{"DepLoadFrac 2", func(p *Profile) { p.DepLoadFrac = 2 }},
+		{"BranchBias NaN", func(p *Profile) { p.BranchBias = math.NaN() }},
+		{"HardBranchFrac -0.1", func(p *Profile) { p.HardBranchFrac = -0.1 }},
+		{"FPFrac 1.2", func(p *Profile) { p.FPFrac = 1.2 }},
+		{"MultFrac -0.01", func(p *Profile) { p.MultFrac = -0.01 }},
+		{"DivFrac NaN", func(p *Profile) { p.DivFrac = math.NaN() }},
+		{"FPFrac 0.7 with MultFrac 0.5", func(p *Profile) { p.FPFrac, p.MultFrac = 0.7, 0.5 }},
+		{"compulsory rate NaN", func(p *Profile) {
+			p.Phases = []Phase{{FracOfRun: 1, Bands: base.Phases[0].Bands, Compulsory: math.NaN()}}
+		}},
+	} {
+		bad := base
+		c.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 	if _, err := ByName("quake3"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+
+	// Slot ids are uint8: a 300-deep band used to pass Validate and then
+	// panic in enterPhase. NewGenerator must refuse it with an error.
+	bad := base
+	bad.Phases = deep
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("NewGenerator panicked on a 300-deep band: %v", r)
+			}
+		}()
+		if _, err := NewGenerator(bad, testGeom, 1, 1_000); err == nil {
+			t.Error("NewGenerator accepted a 300-deep band")
+		}
+	}()
+	// 256 is the deepest band slot ids can number.
+	bad.Phases = []Phase{{FracOfRun: 1, Bands: []DemandBand{{Frac: 1, MinDepth: 256, MaxDepth: 256}}}}
+	if _, err := NewGenerator(bad, testGeom, 1, 1_000); err != nil {
+		t.Errorf("NewGenerator rejected a 256-deep band: %v", err)
 	}
 }
