@@ -38,7 +38,6 @@ func (s Stats) IPC() float64 {
 // Core is the out-of-order timing model. It is advanced in quanta by Run;
 // cross-core structures are consulted only through the MemFunc.
 type Core struct {
-	cfg  config.Core
 	pred *Predictor
 	btb  *BTB
 	ras  *RAS
@@ -48,23 +47,20 @@ type Core struct {
 	// simpleLat maps the non-memory, non-control kinds (ALU/FPU/Mult/Div)
 	// to their functional-unit latency, turning four switch arms into one
 	// predictable "simple instruction" branch plus a table load.
-	aluLat, loadLat     int64
-	simpleLat           [isa.KindLoad]int64
-	lsqSize             int
-	issueWidth, ruuSize int
-	commitWidth         int
+	aluLat, loadLat         int64
+	simpleLat               [isa.KindLoad]int64
+	branchPenalty           int64
+	issueWidth, commitWidth int64
+	lsqSize                 int
 
-	clock      int64 // dispatch cycle of the most recent instruction
+	clock      int64 // dispatch and issue cycle of the most recent instruction
 	fetchAvail int64 // earliest dispatch after a fetch redirect
-
-	issuedAt  int64 // cycle issuedCnt refers to
-	issuedCnt int
+	issuedCnt  int64 // instructions issued at clock
 
 	commitRing []int64 // commit time of instruction j at j % RUUSize
 	robIdx     int     // commitRing slot of the current instruction (wraps at RUUSize)
-	lastCommit int64
-	commitAt   int64
-	commitCnt  int
+	commitAt   int64   // latest commit cycle, the previous instruction's
+	commitCnt  int64   // instructions committed at commitAt
 
 	lsq []int64 // outstanding memory-op completion times; compacted lazily
 
@@ -93,18 +89,17 @@ type Core struct {
 // NewCore builds a core with the given configuration.
 func NewCore(cfg config.Core) *Core {
 	c := &Core{
-		cfg:         cfg,
-		pred:        NewPredictor(cfg.PredictorSize, cfg.HistoryLength),
-		btb:         NewBTB(cfg.BTBSets, cfg.BTBWays),
-		ras:         NewRAS(cfg.RASEntries),
-		commitRing:  make([]int64, cfg.RUUSize),
-		lsq:         make([]int64, 0, cfg.LSQSize),
-		aluLat:      int64(cfg.ALULat),
-		loadLat:     int64(cfg.LoadLat),
-		lsqSize:     cfg.LSQSize,
-		issueWidth:  cfg.IssueWidth,
-		commitWidth: cfg.CommitWidth,
-		ruuSize:     cfg.RUUSize,
+		pred:          NewPredictor(cfg.PredictorSize, cfg.HistoryLength),
+		btb:           NewBTB(cfg.BTBSets, cfg.BTBWays),
+		ras:           NewRAS(cfg.RASEntries),
+		commitRing:    make([]int64, cfg.RUUSize),
+		lsq:           make([]int64, 0, cfg.LSQSize),
+		aluLat:        int64(cfg.ALULat),
+		loadLat:       int64(cfg.LoadLat),
+		branchPenalty: int64(cfg.BranchPenalty),
+		issueWidth:    int64(cfg.IssueWidth),
+		commitWidth:   int64(cfg.CommitWidth),
+		lsqSize:       cfg.LSQSize,
 	}
 	c.simpleLat[isa.KindALU] = int64(cfg.ALULat)
 	c.simpleLat[isa.KindFPU] = int64(cfg.FPLat)
@@ -135,34 +130,15 @@ const pendBatch = 256
 // exact instruction sequence of Run(b2) — which is how internal/cmp drives
 // it, one quantum at a time. Run itself never touches cross-core state.
 //
-// Streams implementing isa.BatchStream (trace replays) are consumed
-// through a persistent decode-ahead buffer: one NextBatch call decodes
-// pendBatch instructions in a tight loop, replacing pendBatch interface
-// dispatches. Instructions decoded past a quantum boundary stay buffered
-// for the next Run call, so the consumed stream prefix — and therefore
-// every simulation result — is identical to the one-at-a-time path.
+// Streams implementing isa.BatchStream (trace replays) take runBatch;
+// every other stream (live generators) is read one Next call at a time
+// and stepped by step. The two paths apply the same timing rules, so
+// they give identical results on identical instructions.
 func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
-	before := c.stats.Instructions
 	if bs, ok := stream.(isa.BatchStream); ok {
-		if c.pend == nil {
-			// One-time decode-buffer warm-up, never per step.
-			c.pend = make([]isa.Instr, pendBatch)
-		}
-		for c.clock < until {
-			if c.pendHead == c.pendLen {
-				c.pendLen = bs.NextBatch(c.pend)
-				c.pendHead = 0
-				if c.pendLen == 0 {
-					// A finite stream ran dry; the workload streams are
-					// endless, but never step stale buffer contents.
-					break
-				}
-			}
-			c.step(&c.pend[c.pendHead], mem)
-			c.pendHead++
-		}
-		return c.stats.Instructions - before
+		return c.runBatch(until, bs, mem)
 	}
+	before := c.stats.Instructions
 	in := &c.next
 	for c.clock < until {
 		stream.Next(in)
@@ -171,49 +147,114 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 	return c.stats.Instructions - before
 }
 
+// runBatch is Run over a BatchStream. It reads the stream through a
+// persistent decode-ahead buffer: one NextBatch call decodes pendBatch
+// instructions in a tight loop, replacing pendBatch interface dispatches.
+// Instructions decoded past a quantum boundary stay buffered for the next
+// call, so the consumed stream prefix, and with it every simulation
+// result, is the one the Next path consumes.
+//
+// The loop-carried pipeline state lives in locals for the whole call and
+// is written back once, so the per-instruction timing chain runs in
+// registers instead of through loads and stores of Core fields. Its body
+// is step's, rule for rule.
+func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
+	if c.pend == nil {
+		// One-time decode-buffer warm-up, never per step.
+		c.pend = make([]isa.Instr, pendBatch)
+	}
+	pend, head, n := c.pend, c.pendHead, c.pendLen
+	ring := c.commitRing
+	clock, fetchAvail, issuedCnt := c.clock, c.fetchAvail, c.issuedCnt
+	commitAt, commitCnt := c.commitAt, c.commitCnt
+	robIdx, prevComplete := c.robIdx, c.prevComplete
+	var robStall, depStall, mispredicts, count int64
+	for clock < until {
+		if head == n {
+			n, head = bs.NextBatch(pend), 0
+			if n == 0 {
+				// A finite stream ran dry; the workload streams are
+				// endless, but never step stale buffer contents.
+				break
+			}
+		}
+		in := &pend[head]
+		head++
+
+		e := max(clock, fetchAvail)
+		robFree := ring[robIdx]
+		robStall += max(robFree-e, 0)
+		e = max(e, robFree)
+		kind := in.Kind
+		if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
+			e = c.reserveLSQ(e)
+		}
+		clock, issuedCnt = slot(e, clock, issuedCnt, c.issueWidth)
+
+		dep := depDelay(prevComplete, clock, in.DepPrev)
+		depStall += dep
+		start := clock + dep
+		var complete int64
+		if kind < isa.KindLoad {
+			complete = start + c.simpleLat[kind]
+		} else {
+			switch kind {
+			case isa.KindLoad:
+				complete = mem(start+c.loadLat, in.Addr, false)
+				c.pushLSQ(complete)
+			case isa.KindStore:
+				c.pushLSQ(mem(start+c.loadLat, in.Addr, true))
+				complete = start + 1 // posted through the store buffer
+			default:
+				complete = start + c.aluLat
+				if c.mispredicted(in) {
+					mispredicts++
+					fetchAvail = max(fetchAvail, complete+c.branchPenalty)
+				}
+			}
+		}
+		prevComplete = complete
+
+		commitAt, commitCnt = slot(complete, commitAt, commitCnt, c.commitWidth)
+		ring[robIdx] = commitAt
+		robIdx++
+		if robIdx == len(ring) {
+			robIdx = 0
+		}
+		count++
+		c.kindCount[kind&15]++
+	}
+	c.pendHead, c.pendLen = head, n
+	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt
+	c.commitAt, c.commitCnt = commitAt, commitCnt
+	c.robIdx, c.prevComplete = robIdx, prevComplete
+	c.stats.ROBStall += robStall
+	c.stats.DepStall += depStall
+	c.stats.BranchMispredicts += mispredicts
+	c.stats.Instructions += count
+	return count
+}
+
 // step dispatches, executes and commits one instruction in model time.
 func (c *Core) step(in *isa.Instr, mem MemFunc) {
-	// Dispatch: bounded by fetch availability, window space, issue width,
-	// and LSQ occupancy for memory operations.
+	// Dispatch: bounded by fetch availability, window space, LSQ occupancy
+	// for memory operations, and issue width.
 	e := max(c.clock, c.fetchAvail)
-	if robFree := c.commitRing[c.robIdx]; robFree > e {
-		c.stats.ROBStall += robFree - e
-		e = robFree
-	}
+	robFree := c.commitRing[c.robIdx]
+	c.stats.ROBStall += max(robFree-e, 0)
+	e = max(e, robFree)
 	kind := in.Kind
-	if kind == isa.KindLoad || kind == isa.KindStore {
+	if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
 		e = c.reserveLSQ(e)
 	}
-	// Issue-width constraint.
-	if e < c.issuedAt {
-		e = c.issuedAt
-	}
-	if e == c.issuedAt && c.issuedCnt >= c.issueWidth {
-		e++
-	}
-	if e > c.issuedAt {
-		c.issuedAt = e
-		c.issuedCnt = 0
-	}
-	c.issuedCnt++
+	c.clock, c.issuedCnt = slot(e, c.clock, c.issuedCnt, c.issueWidth)
 
-	// Execute. The dependence stall is computed branchlessly: DepPrev is
-	// effectively random per instruction (the generators model dependence
-	// chains probabilistically), so a conditional here mispredicts
-	// constantly — masking the stall with the flag costs a handful of
-	// always-executed ALU ops instead.
-	start := e
-	dep := max(c.prevComplete-start, 0)
-	var depMask int64
-	if in.DepPrev {
-		depMask = -1
-	}
-	dep &= depMask
+	// Execute. The simple kinds (ALU/FPU/Mult/Div) — the bulk of the
+	// stream — share one predictable branch into a latency table; only
+	// memory and control flow take the switch.
+	dep := depDelay(c.prevComplete, c.clock, in.DepPrev)
 	c.stats.DepStall += dep
-	start += dep
-	// The simple kinds (ALU/FPU/Mult/Div) — the bulk of the stream — share
-	// one predictable branch into a latency table; only memory and control
-	// flow take the switch.
+	start := c.clock + dep
 	var complete int64
 	if kind < isa.KindLoad {
 		complete = start + c.simpleLat[kind]
@@ -223,65 +264,84 @@ func (c *Core) step(in *isa.Instr, mem MemFunc) {
 			complete = mem(start+c.loadLat, in.Addr, false)
 			c.pushLSQ(complete)
 		case isa.KindStore:
-			done := mem(start+c.loadLat, in.Addr, true)
-			c.pushLSQ(done)
+			c.pushLSQ(mem(start+c.loadLat, in.Addr, true))
 			complete = start + 1 // posted through the store buffer
-		case isa.KindBranch:
-			complete = start + c.aluLat
-			mispred := c.pred.Update(in.PC, in.Taken)
-			if in.Taken && !c.btb.LookupInsert(in.PC) {
-				mispred = true
-			}
-			if mispred {
-				c.redirect(complete)
-			}
-		case isa.KindCall:
-			complete = start + c.aluLat
-			c.ras.Push(in.PC + 4)
-			if !c.btb.LookupInsert(in.PC) {
-				c.redirect(complete)
-			}
-		case isa.KindReturn:
-			complete = start + c.aluLat
-			if !c.ras.Pop(in.Target) {
-				c.redirect(complete)
-			}
 		default:
 			complete = start + c.aluLat
+			if c.mispredicted(in) {
+				c.stats.BranchMispredicts++
+				c.fetchAvail = max(c.fetchAvail, complete+c.branchPenalty)
+			}
 		}
 	}
 	c.prevComplete = complete
 
 	// Commit: in order, bounded by commit width.
-	ct := max(complete, c.lastCommit)
-	if ct == c.commitAt && c.commitCnt >= c.commitWidth {
-		ct++
-	}
-	if ct > c.commitAt {
-		c.commitAt = ct
-		c.commitCnt = 0
-	}
-	c.commitCnt++
-	c.lastCommit = ct
-	c.commitRing[c.robIdx] = ct
-
+	c.commitAt, c.commitCnt = slot(complete, c.commitAt, c.commitCnt, c.commitWidth)
+	c.commitRing[c.robIdx] = c.commitAt
 	c.robIdx++
-	if c.robIdx == c.ruuSize {
+	if c.robIdx == len(c.commitRing) {
 		c.robIdx = 0
 	}
-	c.clock = e
 	c.stats.Instructions++
 	c.kindCount[kind&15]++
 }
 
-// redirect applies a fetch redirect (branch misprediction) resolved at
-// cycle resolved.
-func (c *Core) redirect(resolved int64) {
-	c.stats.BranchMispredicts++
-	avail := resolved + int64(c.cfg.BranchPenalty)
-	if avail > c.fetchAvail {
-		c.fetchAvail = avail
+// slot places an event requested at cycle t on an in-order resource that
+// takes width events per cycle, where at is the cycle of the previous
+// event and cnt the number of events placed there. The event lands on
+// max(t, at), or one cycle later when that cycle is full. slot returns
+// the event's cycle and the new count there, which are the resource's
+// next at and cnt. Issue and commit width are both this rule.
+//
+// Whether the cycle is full and whether the event moves past at are
+// data-dependent, so slot is written to compile to conditional moves and
+// set instructions rather than branches.
+func slot(t, at, cnt, width int64) (int64, int64) {
+	t = max(t, at)
+	t += b2i(t == at) & b2i(cnt >= width)
+	if t != at {
+		cnt = 0
 	}
+	return t, cnt + 1
+}
+
+// depDelay is how long an instruction ready at start waits for the
+// previous instruction's result, completing at prevComplete: zero unless
+// it depends on it. DepPrev is close to a coin flip per instruction (the
+// generators model dependence chains probabilistically), so the flag
+// masks the wait instead of branching on it.
+func depDelay(prevComplete, start int64, depPrev bool) int64 {
+	return max(prevComplete-start, 0) & -b2i(depPrev)
+}
+
+// b2i converts a bool to 0 or 1; the compiler lowers it without a branch.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// mispredicted trains the predictors on a control-flow instruction
+// (branch, call or return) and reports whether fetch must be redirected:
+// a mispredicted direction, a taken branch or a call missing in the BTB,
+// or a return whose target the RAS did not hold.
+func (c *Core) mispredicted(in *isa.Instr) bool {
+	switch in.Kind {
+	case isa.KindBranch:
+		mispred := c.pred.Update(in.PC, in.Taken)
+		if in.Taken && !c.btb.LookupInsert(in.PC) {
+			mispred = true
+		}
+		return mispred
+	case isa.KindCall:
+		c.ras.Push(in.PC + 4)
+		return !c.btb.LookupInsert(in.PC)
+	case isa.KindReturn:
+		return !c.ras.Pop(in.Target)
+	}
+	return false
 }
 
 // reserveLSQ frees completed LSQ entries as of cycle e and, if the queue is

@@ -68,7 +68,7 @@ func TestLSQMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const size = 8
-		c := &Core{cfg: config.Core{LSQSize: size}, lsqSize: size}
+		c := &Core{lsqSize: size}
 		ref := &refLSQ{}
 		e := int64(0)
 		for i := 0; i < 5000; i++ {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -122,20 +123,15 @@ func TestStoreSalvageInteriorGarbage(t *testing.T) {
 	}
 }
 
-// TestStoreAbsentCRCBackcompat: a store written without CRC fields — the
-// format of releases before this one — loads unchanged, resumes a sweep
-// with zero reruns, and the resume writes nothing (byte-identical file),
-// so existing long-running checkpoints survive the upgrade.
-func TestStoreAbsentCRCBackcompat(t *testing.T) {
-	path, want := writeStore(t, 5)
-	// Strip the CRC field from every line, producing the previous release's
-	// on-disk format (field order and encoding are otherwise identical).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+// crcless lists the two ways a store line can lose its CRC, each as a
+// function returning the damaged line: the field dropped, or its key
+// damaged ("crc" renamed "crx") together with an edit of the result on
+// the same line that only the CRC would have caught.
+var crcless = []struct {
+	name   string
+	damage func(t testing.TB, line []byte) []byte
+}{
+	{"dropped", func(t testing.TB, line []byte) []byte {
 		var e storeEntry
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatal(err)
@@ -145,34 +141,62 @@ func TestStoreAbsentCRCBackcompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.Write(append(out, '\n'))
-	}
-	legacyPath := filepath.Join(t.TempDir(), "legacy.jsonl")
-	if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		return append(out, '\n')
+	}},
+	{"damaged key", func(t testing.TB, line []byte) []byte {
+		out := bytes.Replace(line, []byte(`"crc":`), []byte(`"crx":`), 1)
+		out = regexp.MustCompile(`"Cycles":\d+`).ReplaceAll(out, []byte(`"Cycles":900`))
+		if bytes.Equal(out, line) || !bytes.Contains(out, []byte(`"Cycles":900`)) {
+			t.Fatalf("line %q has no crc key or Cycles field to damage", line)
+		}
+		return out
+	}},
+}
 
-	var last Progress
-	res, err := Run(context.Background(), Options{
-		Parallelism: 1, BaseSeed: 7, Checkpoint: legacyPath,
-		Fingerprint: "integrity-test/v1",
-		OnProgress:  func(p Progress) { last = p },
-	}, fakeJobs(5))
-	if err != nil {
-		t.Fatalf("resume from legacy store: %v", err)
-	}
-	if !reflect.DeepEqual(res, want) {
-		t.Error("legacy-store results differ from the original sweep")
-	}
-	if last.Restored != 5 {
-		t.Errorf("restored %d jobs from the legacy store, want all 5", last.Restored)
-	}
-	after, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, legacy.Bytes()) {
-		t.Error("resuming a complete legacy store rewrote its bytes")
+// TestStoreMissingCRCIsCorrupt: every line a store writes carries a CRC,
+// so an interior line without one is corrupt. OpenStore refuses the
+// store, and OpenStoreSalvage quarantines the line, keeps the rest, and
+// leaves a store a plain open accepts.
+func TestStoreMissingCRCIsCorrupt(t *testing.T) {
+	for _, c := range crcless {
+		t.Run(c.name, func(t *testing.T) {
+			path, _ := writeStore(t, 3)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(data, []byte("\n"))
+			bad := c.damage(t, lines[2]) // the second result, after the header
+			lines[2] = bad
+			if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := OpenStore(path); err == nil || !strings.Contains(err.Error(), "line 3: no CRC") {
+				t.Fatalf("OpenStore on a line without a CRC returned %v, want a refusal naming line 3", err)
+			}
+			s, err := OpenStoreSalvage(path)
+			if err != nil {
+				t.Fatalf("OpenStoreSalvage: %v", err)
+			}
+			if s.Quarantined() != 1 || s.Len() != 2 {
+				t.Errorf("salvage quarantined %d lines and kept %d results, want 1 and 2", s.Quarantined(), s.Len())
+			}
+			if _, ok := s.Get("job-01"); ok {
+				t.Error("the line without a CRC was restored instead of quarantined")
+			}
+			s.Close()
+			q, err := os.ReadFile(path + ".quarantine")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(q, bad) {
+				t.Errorf("quarantine holds %q, want the damaged line %q", q, bad)
+			}
+			if _, err := OpenStore(path); err != nil {
+				t.Errorf("OpenStore after salvage rewrite: %v", err)
+			}
+		})
 	}
 }
 
@@ -265,8 +289,9 @@ func TestProgressReportsQuarantined(t *testing.T) {
 // that a plain OpenStore accepts with the same results.
 func FuzzOpenStore(f *testing.F) {
 	// Seed with the shapes the integrity tests build: a header, CRC'd
-	// result lines, a legacy line without a CRC, a duplicate key, a torn
-	// tail, bit rot only the CRC catches, and a garbage interior line.
+	// result lines, a line without a CRC, a duplicate key, a torn tail,
+	// bit rot only the CRC catches, a garbage interior line, and a line
+	// whose damaged "crc" key hides an edited result.
 	path, _ := writeStore(f, 2)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -274,23 +299,15 @@ func FuzzOpenStore(f *testing.F) {
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	header, line := lines[0], lines[1]
-	var e storeEntry
-	if err := json.Unmarshal(line, &e); err != nil {
-		f.Fatal(err)
-	}
-	e.CRC = ""
-	legacy, err := json.Marshal(e)
-	if err != nil {
-		f.Fatal(err)
-	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	f.Add(header)
 	f.Add(data)
-	f.Add(cat(header, legacy, []byte("\n")))
+	f.Add(cat(header, crcless[0].damage(f, line)))
 	f.Add(cat(header, line, line))
 	f.Add(cat(data, []byte(`{"key":"torn","result":{"Sch`)))
 	f.Add(bytes.Replace(data, []byte(`"Scheme":"job-01"`), []byte(`"Scheme":"job-0X"`), 1))
 	f.Add(cat(header, []byte("!!not json at all!!\n"), line))
+	f.Add(cat(header, crcless[1].damage(f, line)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -17,11 +17,11 @@ import (
 // checkpointing crash-safe — a write torn by an interrupt corrupts only the
 // final line, which OpenStore tolerates (that job simply reruns on resume).
 //
-// Every line this release writes carries a CRC32 of its payload, so
-// corruption that still parses as JSON (bit rot, a partial overwrite that
-// happens to balance its braces) is detected instead of silently restored.
-// Lines without a CRC — stores written by earlier releases — still load,
-// so existing checkpoints resume unchanged.
+// Every line carries a CRC32 of its payload, so corruption that still
+// parses as JSON (bit rot, a partial overwrite that happens to balance its
+// braces) is detected instead of silently restored. A line without a CRC
+// is corrupt too: a damaged "crc" key parses with an empty CRC, and
+// loading such a line would skip the check its other damage needs.
 type Store struct {
 	path         string
 	mu           sync.Mutex
@@ -63,16 +63,16 @@ func entryCRC(e storeEntry) string {
 // every previously completed result. An unterminated final line — the
 // signature of an interrupted write — is truncated away so later appends
 // start on a clean boundary; corruption of a newline-terminated line
-// (unparseable JSON, a CRC mismatch, a duplicate key) is an error, since a
-// single-writer append can only tear the tail. Use OpenStoreSalvage to
-// quarantine such lines instead of refusing.
+// (unparseable JSON, a missing or mismatched CRC, a duplicate key) is an
+// error, since a single-writer append can only tear the tail. Use
+// OpenStoreSalvage to quarantine such lines instead of refusing.
 func OpenStore(path string) (*Store, error) {
 	return openStore(path, false)
 }
 
 // OpenStoreSalvage opens the store in salvage mode: corrupt interior lines
-// (unparseable JSON, CRC mismatches, duplicate keys) are moved to
-// <path>.quarantine — preserved byte-for-byte for forensics — and the main
+// (unparseable JSON, missing or mismatched CRCs, duplicate keys) are moved
+// to <path>.quarantine — preserved byte-for-byte for forensics — and the main
 // file is rewritten atomically with only the intact lines, so a resumed
 // sweep reruns exactly the quarantined jobs. Quarantined reports how many
 // lines were set aside.
@@ -171,10 +171,11 @@ func (s *Store) loadLine(line []byte, path string, lineNo int) error {
 	if err := json.Unmarshal(line, &e); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s line %d: %w", path, lineNo, err)
 	}
-	if e.CRC != "" {
-		if want := entryCRC(storeEntry{Fingerprint: e.Fingerprint, Key: e.Key, Result: e.Result}); e.CRC != want {
-			return fmt.Errorf("sweep: checkpoint %s line %d: CRC mismatch (stored %s, computed %s): line is corrupt", path, lineNo, e.CRC, want)
-		}
+	if e.CRC == "" {
+		return fmt.Errorf("sweep: checkpoint %s line %d: no CRC: line is corrupt", path, lineNo)
+	}
+	if want := entryCRC(storeEntry{Fingerprint: e.Fingerprint, Key: e.Key, Result: e.Result}); e.CRC != want {
+		return fmt.Errorf("sweep: checkpoint %s line %d: CRC mismatch (stored %s, computed %s): line is corrupt", path, lineNo, e.CRC, want)
 	}
 	if e.Fingerprint != "" {
 		s.fingerprint = e.Fingerprint

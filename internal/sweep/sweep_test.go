@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -345,11 +346,17 @@ func TestPutFailureKeepsResultAndContext(t *testing.T) {
 // fail naming the offending line, not let the later line win silently.
 func TestStoreDuplicateKey(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dup.json")
-	lines := `{"key":"a","result":{"Scheme":"x"}}
-{"key":"b","result":{"Scheme":"y"}}
-{"key":"a","result":{"Scheme":"z"}}
-`
-	if err := os.WriteFile(ckpt, []byte(lines), 0o644); err != nil {
+	var lines []byte
+	for _, kv := range [][2]string{{"a", `{"Scheme":"x"}`}, {"b", `{"Scheme":"y"}`}, {"a", `{"Scheme":"z"}`}} {
+		e := storeEntry{Key: kv[0], Result: json.RawMessage(kv[1])}
+		e.CRC = entryCRC(e)
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, line...), '\n')
+	}
+	if err := os.WriteFile(ckpt, lines, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := OpenStore(ckpt)

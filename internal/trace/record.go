@@ -14,13 +14,26 @@
 // A Recording wraps a live source stream and memoizes its output into
 // fixed-size chunks of a byte-oriented struct-of-arrays encoding:
 //
-//	meta byte   kind (4 bits) | DepPrev | Taken
-//	pc          zig-zag varint delta against the previous instruction's PC
+//	meta byte   kind (4 bits) | DepPrev | Taken | PC mode (2 bits)
+//	pc          zig-zag varint delta (out-of-line PCs only)
 //	addr        zig-zag varint delta (loads/stores only)
 //	target      zig-zag varint delta (returns only)
 //
-// Sequential PCs advance by 4, so the common case costs two bytes per
-// instruction (~10x smaller than raw isa.Instr values). Recording is lazy:
+// The PC mode names where the instruction's PC comes from:
+//
+//	seq          the previous instruction's PC + 4
+//	resume       the linear PC + 4, where the linear PC is the PC of the
+//	             last instruction encoded as seq or resume
+//	out-of-line  a varint delta against the previous out-of-line PC
+//
+// The generators run straight-line code and step out of it only for a
+// branch site or a return, after which fetch falls back to the straight
+// line: that fall-back is a resume, free like a seq, and branch sites sit
+// close together, so an out-of-line PC mostly costs one or two varint
+// bytes instead of a delta across the address space. The common case, a
+// straight-line instruction that is neither a memory access nor a return,
+// costs one byte, and the evaluation's streams average about 1.4 bytes per
+// instruction (an isa.Instr value is 48). Recording is lazy:
 // a Replay cursor that runs past the recorded prefix extends the recording
 // from the live source, so no a-priori bound on the consumed stream length
 // is needed — schemes with different IPCs naturally consume different
@@ -89,10 +102,13 @@ type Recording struct {
 	src  isa.Stream // consumed under mu
 	name string
 
-	// Encoder state, under mu.
+	// Encoder state, under mu: the previous, linear and out-of-line PCs
+	// and the previous address and target, mirrored by every decoder.
 	cur        *chunk
 	curPos     int
 	encPC      uint64
+	encLinPC   uint64
+	encOutPC   uint64
 	encAddr    uint64
 	encTarget  uint64
 	totalBytes int64
@@ -218,15 +234,22 @@ func (r *Recording) encode(in *isa.Instr) {
 	// The flags are close to random per instruction, so they are ORed in
 	// without branches.
 	meta := byte(in.Kind) | b2u(in.DepPrev)*metaDepPrev | b2u(in.Taken)*metaTaken
-	if in.PC == r.encPC+4 {
-		// Straight-line fetch — the overwhelmingly common case: fold the
-		// +4 PC advance into the meta byte and skip the varint entirely.
-		buf[pos] = meta | metaSeqPC
+	switch pc := in.PC; pc {
+	case r.encPC + 4:
+		// Straight-line fetch, the overwhelmingly common case.
+		buf[pos] = meta | metaPCSeq
 		pos++
-	} else {
-		buf[pos] = meta
+		r.encLinPC = pc
+	case r.encLinPC + 4:
+		// Fetch falls back to the straight line after an out-of-line PC.
+		buf[pos] = meta | metaPCResume
 		pos++
-		pos = putUvarint(buf, pos, zig(in.PC-r.encPC))
+		r.encLinPC = pc
+	default:
+		buf[pos] = meta | metaPCOut
+		pos++
+		pos = putUvarint(buf, pos, zig(pc-r.encOutPC))
+		r.encOutPC = pc
 	}
 	r.encPC = in.PC
 	switch in.Kind {
@@ -242,14 +265,18 @@ func (r *Recording) encode(in *isa.Instr) {
 	r.curPos = pos
 }
 
-// meta-byte layout: low 4 bits hold the kind, then one bit per flag.
-// metaSeqPC marks a straight-line PC (previous + 4) carried by the meta
-// byte itself, with no PC varint following.
+// meta-byte layout: low 4 bits hold the kind, then one bit per flag, and
+// the top two bits the PC mode. Only an out-of-line PC is followed by a
+// PC varint; the fourth mode value is never written.
 const (
 	metaKindMask = 0x0f
 	metaDepPrev  = 1 << 4
 	metaTaken    = 1 << 5
-	metaSeqPC    = 1 << 6
+
+	metaPCMask   = 3 << 6
+	metaPCOut    = 0 << 6
+	metaPCSeq    = 1 << 6
+	metaPCResume = 2 << 6
 )
 
 // Replay is a sequential cursor over a Recording, implementing isa.Stream.
@@ -267,6 +294,8 @@ type Replay struct {
 	limit int64 // cached published instruction count
 
 	prevPC     uint64
+	linPC      uint64
+	outPC      uint64
 	prevAddr   uint64
 	prevTarget uint64
 }
@@ -290,16 +319,22 @@ func (p *Replay) Next(in *isa.Instr) {
 	meta := buf[off]
 	off++
 	var pc uint64
-	if meta&metaSeqPC != 0 {
-		pc = p.prevPC + 4
-	} else {
+	if mode := meta & metaPCMask; mode == metaPCOut {
 		var d uint64
 		if b := buf[off]; b < 0x80 { // inline uvarint fast path
 			d, off = uint64(b), off+1
 		} else {
 			d, off = uvarint(buf, off)
 		}
-		pc = p.prevPC + zag(d)
+		pc = p.outPC + zag(d)
+		p.outPC = pc
+	} else {
+		pc = p.linPC
+		if mode == metaPCSeq {
+			pc = p.prevPC
+		}
+		pc += 4
+		p.linPC = pc
 	}
 	p.prevPC = pc
 	kind := isa.Kind(meta & metaKindMask)
@@ -346,22 +381,30 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 		buf := p.buf
 		off := p.off
 		used := p.used
-		pc, a, tgt := p.prevPC, p.prevAddr, p.prevTarget
+		pc, lin, out := p.prevPC, p.linPC, p.outPC
+		a, tgt := p.prevAddr, p.prevTarget
 		decoded := int64(0)
 		for off < used && n < len(dst) {
 			in := &dst[n]
 			meta := buf[off]
 			off++
-			if meta&metaSeqPC != 0 {
-				pc += 4
-			} else {
+			if mode := meta & metaPCMask; mode == metaPCOut {
 				var d uint64
 				if b := buf[off]; b < 0x80 { // inline uvarint fast path
 					d, off = uint64(b), off+1
 				} else {
 					d, off = uvarint(buf, off)
 				}
-				pc += zag(d)
+				out += zag(d)
+				pc = out
+			} else {
+				// seq and resume differ only right after an out-of-line
+				// PC, so pick the base without a branch.
+				if mode == metaPCSeq {
+					lin = pc
+				}
+				lin += 4
+				pc = lin
 			}
 			kind := isa.Kind(meta & metaKindMask)
 			in.Kind = kind
@@ -390,7 +433,8 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 			decoded++
 		}
 		p.off = off
-		p.prevPC, p.prevAddr, p.prevTarget = pc, a, tgt
+		p.prevPC, p.linPC, p.outPC = pc, lin, out
+		p.prevAddr, p.prevTarget = a, tgt
 		p.pos += decoded
 	}
 	return n

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestReplayConcurrentLazyExtension(t *testing.T) {
 
 // TestRecordingCompact pins the encoding's space advantage: the paper-model
 // streams are dominated by sequential-PC filler, so the recording must stay
-// well under 4 bytes per instruction (raw isa.Instr is 40).
+// well under 4 bytes per instruction (raw isa.Instr is 48).
 func TestRecordingCompact(t *testing.T) {
 	rec := NewRecording(newTestGen(t, "ammp", 5))
 	rec.Record(200_000)
@@ -208,7 +209,7 @@ func TestRecordingLazy(t *testing.T) {
 type byteStream struct {
 	data    []byte
 	ctl, wd int
-	pc      uint64
+	pc, lin uint64
 }
 
 func (s *byteStream) Name() string { return "fuzz" }
@@ -223,7 +224,11 @@ func (s *byteStream) word() uint64 {
 }
 
 // Next decodes control byte b as: kind (b&0x0f) mod NumKinds, DepPrev
-// (0x10), Taken (0x20), and a PC jump by a word (0x40) rather than +4.
+// (0x10), Taken (0x20), and the PC. That is a jump by a word (0x40), else
+// a return to the straight line at its last PC + 4 (0x80), else +4. The
+// straight line is the last PC reached by +4 or a return, as a generator
+// falls back to it after a branch site, so arbitrary inputs reach every
+// mode of the recording's PC encoding.
 func (s *byteStream) Next(in *isa.Instr) {
 	b := s.data[s.ctl]
 	s.ctl = (s.ctl + 1) % len(s.data)
@@ -232,10 +237,15 @@ func (s *byteStream) Next(in *isa.Instr) {
 		DepPrev: b&0x10 != 0,
 		Taken:   b&0x20 != 0,
 	}
-	if b&0x40 != 0 {
+	switch {
+	case b&0x40 != 0:
 		s.pc += s.word()
-	} else {
+	case b&0x80 != 0:
+		s.pc = s.lin + 4
+		s.lin = s.pc
+	default:
 		s.pc += 4
+		s.lin = s.pc
 	}
 	in.PC = s.pc
 	switch in.Kind {
@@ -243,6 +253,103 @@ func (s *byteStream) Next(in *isa.Instr) {
 		in.Addr = addr.Addr(s.word())
 	case isa.KindReturn:
 		in.Target = s.word()
+	}
+}
+
+// pcModeSeeds are byteStream inputs that drive the recording's PC
+// encoding through its corner cases. Words are read from the start of the
+// same bytes, so each word's leading bytes double as control bytes.
+var pcModeSeeds = []struct {
+	name string
+	data []byte
+	hits []func(pcStep) bool // each holds for one of the first 64 steps
+}{
+	{
+		// +4, a jump, +4 (seq right after the out-of-line PC), a jump, a
+		// return to the straight line (resume right after it).
+		name: "seq and resume after out-of-line",
+		data: []byte{0x00, 0x40, 0x00, 0x40, 0x80, 0x01, 0x02, 0x03},
+		hits: []func(pcStep) bool{
+			func(s pcStep) bool { return s.prevOut && s.mode == metaPCSeq },
+			func(s pcStep) bool { return s.prevOut && s.mode == metaPCResume },
+		},
+	},
+	{
+		// Two jumps whose words sum to 4: the second lands on the linear
+		// PC + 4 (0 + 4), so a jump in the source is encoded as a resume.
+		name: "jump to the linear PC + 4",
+		data: []byte{0x40, 0x40, 0, 0, 0, 0, 0, 0, 0xbf, 0xc0, 0, 0, 0, 0, 0, 0x04},
+		hits: []func(pcStep) bool{
+			func(s pcStep) bool { return s.prevOut && s.mode == metaPCResume && s.pc == 4 },
+		},
+	},
+	{
+		// Jumps to 0x7f40<<48 and on by 0x9000<<48, which wraps past 2^64:
+		// the out-of-line delta is negative and takes a 10-byte varint.
+		name: "wrapping 10-byte delta",
+		data: []byte{0x7f, 0x40, 0, 0, 0, 0, 0, 0, 0x90, 0, 0, 0, 0, 0, 0, 0},
+		hits: []func(pcStep) bool{
+			func(s pcStep) bool { return s.mode == metaPCOut && s.varint == 10 && s.pc < s.prevOutPC },
+		},
+	},
+}
+
+// pcStep is one instruction's PC encoding, read back from a recording.
+type pcStep struct {
+	mode      byte   // metaPCOut, metaPCSeq or metaPCResume
+	varint    int    // PC varint length (out-of-line only)
+	pc        uint64 // decoded PC
+	prevOut   bool   // the previous instruction was out-of-line
+	prevOutPC uint64 // the out-of-line PC before this instruction
+}
+
+// pcSteps reads the PC encoding of rec's first n instructions from its
+// first chunk.
+func pcSteps(rec *Recording, n int) []pcStep {
+	buf := (*rec.chunks.Load())[0].buf
+	var steps []pcStep
+	var pc, lin, out uint64
+	prevOut := false
+	for off := 0; len(steps) < n; {
+		meta := buf[off]
+		off++
+		s := pcStep{mode: meta & metaPCMask, prevOut: prevOut, prevOutPC: out}
+		switch s.mode {
+		case metaPCOut:
+			d, o := uvarint(buf, off)
+			s.varint, off = o-off, o
+			out += zag(d)
+			pc = out
+		case metaPCSeq:
+			pc += 4
+			lin = pc
+		case metaPCResume:
+			lin += 4
+			pc = lin
+		}
+		s.pc = pc
+		prevOut = s.mode == metaPCOut
+		switch isa.Kind(meta & metaKindMask) {
+		case isa.KindLoad, isa.KindStore, isa.KindReturn:
+			_, off = uvarint(buf, off)
+		}
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+// TestPCModeSeedsHitTheirCase checks that each of FuzzRecordingRoundTrip's
+// PC-mode seeds reaches the encoding case it is named for.
+func TestPCModeSeedsHitTheirCase(t *testing.T) {
+	for _, seed := range pcModeSeeds {
+		rec := NewRecording(&byteStream{data: seed.data})
+		rec.Record(64)
+		steps := pcSteps(rec, 64)
+		for i, hit := range seed.hits {
+			if !slices.ContainsFunc(steps, hit) {
+				t.Errorf("seed %q: no instruction of the first 64 hits case %d", seed.name, i)
+			}
+		}
 	}
 }
 
@@ -263,6 +370,9 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x44, 0xff, 0x80, 0x00, 0x7f, 0x01, 0xfe})
 	f.Add([]byte{0x48, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x05, 0x31})
+	for _, seed := range pcModeSeeds {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -304,8 +414,12 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 	})
 }
 
-// BenchmarkReplayNext measures the replay decode hot path.
-func BenchmarkReplayNext(b *testing.B) {
+// benchPrefix is how many instructions the replay benchmarks record up
+// front; they decode it over and over, so no extension is timed.
+const benchPrefix = 1 << 20
+
+// benchRecording records benchPrefix instructions of ammp.
+func benchRecording(b *testing.B) *Recording {
 	prof, err := ByName("ammp")
 	if err != nil {
 		b.Fatal(err)
@@ -315,16 +429,45 @@ func BenchmarkReplayNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	rec := NewRecording(g)
-	rec.Record(int64(1_000_000))
-	rp := rec.Replay()
-	var in isa.Instr
+	rec.Record(benchPrefix)
+	return rec
+}
+
+// benchReplay times decoding b.N instructions of rec, one instruction per
+// op, with decode, which reads n instructions from a cursor. Opening the
+// cursors is not timed.
+func benchReplay(b *testing.B, rec *Recording, decode func(rp *Replay, n int)) {
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rp.Pos() >= 1_000_000 {
-			rp = rec.Replay() // stay inside the pre-recorded prefix
-		}
-		rp.Next(&in)
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		rp := rec.Replay()
+		b.StartTimer()
+		n := min(b.N-done, benchPrefix)
+		decode(rp, n)
+		done += n
 	}
+}
+
+// BenchmarkReplayNext times replay decode one instruction per Next call,
+// the path a cursor read through isa.Stream takes.
+func BenchmarkReplayNext(b *testing.B) {
+	var in isa.Instr
+	benchReplay(b, benchRecording(b), func(rp *Replay, n int) {
+		for i := 0; i < n; i++ {
+			rp.Next(&in)
+		}
+	})
+}
+
+// BenchmarkReplayNextBatch times replay decode in 256-instruction batches,
+// as the core model reads a replay.
+func BenchmarkReplayNextBatch(b *testing.B) {
+	buf := make([]isa.Instr, 256)
+	benchReplay(b, benchRecording(b), func(rp *Replay, n int) {
+		for n > 0 {
+			n -= rp.NextBatch(buf[:min(n, len(buf))])
+		}
+	})
 }
 
 // BenchmarkGeneratorNext measures live synthesis, one instruction per op,
