@@ -20,10 +20,9 @@
 //
 // Every sweep records each cell's instruction streams once and replays them
 // to the cell's schemes (cmp.StreamCache), bit-identical to live runs. The
-// ablation is one fixed comparison: it takes -cycles, -par, -cores,
-// -fullscale and the profile flags, and refuses the sweep flags (-classes,
-// -schemes, -scaling, -csv, -out, -resume, -salvage, -sync, -failpolicy,
-// -retries, -backoff, -inject) instead of ignoring them.
+// ablation is one fixed comparison: it reads -cycles, -par, -cores,
+// -fullscale, -quiet and the profile flags, and refuses any other flag
+// instead of ignoring it.
 //
 // On SIGINT/SIGTERM the sweep stops dispatching, drains and checkpoints
 // in-flight runs, prints a resume hint, and exits 130; a second signal
@@ -41,15 +40,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"snug/internal/cli"
 	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/experiments"
-	"snug/internal/faults"
 	"snug/internal/metrics"
-	"snug/internal/prof"
 	"snug/internal/report"
 	"snug/internal/sweep"
 )
@@ -85,49 +81,30 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sf := cli.NewSweepFlags(fs)
 	cycles := fs.Int64("cycles", 2_000_000, "cycles per simulation")
-	par := fs.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
-	reps := fs.Int("reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")
 	classes := fs.String("classes", "", "comma-separated class subset (C1..C6); empty = all")
 	schemes := fs.String("schemes", "", "comma-separated scheme subset (L2S,CC,DSR,SNUG); empty = all; L2P always runs")
 	cores := fs.String("cores", "4", "core count for the figures, or a comma-separated list for -scaling (e.g. 4,8,16)")
 	scaling := fs.Bool("scaling", false, "run the per-scheme scaling study across the -cores list instead of the figures")
 	csvDir := fs.String("csv", "", "directory for CSV output (empty = none)")
-	out := fs.String("out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
-	resume := fs.Bool("resume", false, "resume from -out, skipping runs already checkpointed")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
 	ablation := fs.Bool("ablation", false, "run the SNUG ablation sweep instead of the figures")
 	fullScale := fs.Bool("fullscale", false, "Table 4 full-size system (slow; default is the scaled test system)")
-	failpolicy := fs.String("failpolicy", "fast", "response to failed runs: \"fast\" stops at the first failure, \"continue\" runs every cell and aggregates failures (exit code 3)")
-	retries := fs.Int("retries", 0, "re-run a failed run up to this many times with the same seed (transient faults only; deterministic failures repeat)")
-	backoff := fs.Duration("backoff", 100*time.Millisecond, "initial delay before a retry, doubling per attempt (capped)")
-	salvage := fs.Bool("salvage", false, "open the -out checkpoint in salvage mode: quarantine corrupt lines to <out>.quarantine and rerun their jobs instead of refusing to resume")
-	syncEvery := fs.Int("sync", 0, "fsync the checkpoint every N completed runs (0 = leave durability to the OS)")
-	inject := fs.String("inject", "", "deterministic fault injection spec, e.g. \"panic:0.02,err:0.05,putfail:0.01\" (chaos testing; results are unaffected)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := sf.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
+	defer sf.Stop(&err)
 
 	cfg := config.TestScale()
 	if *fullScale {
 		cfg = config.Scaled(50)
-	}
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d: replicate count must be at least 1", *reps)
 	}
 	coreCounts, err := parseCores(*cores)
 	if err != nil {
@@ -136,10 +113,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	if *ablation {
 		// The ablation is one fixed comparison without a checkpoint: refuse
-		// the sweep flags it would otherwise silently drop.
+		// every flag it does not read instead of silently dropping it.
 		var unused []string
 		fs.Visit(func(f *flag.Flag) {
-			if ablationRejects[f.Name] {
+			switch f.Name {
+			case "ablation", "cycles", "par", "cores", "fullscale", "quiet", "cpuprofile", "memprofile":
+			default:
 				unused = append(unused, "-"+f.Name)
 			}
 		})
@@ -149,39 +128,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if len(coreCounts) != 1 {
 			return fmt.Errorf("the ablation runs at one core count (got -cores %s)", *cores)
 		}
-		if *reps > 1 {
-			return fmt.Errorf("the ablation does not support -reps yet; drop the flag for its single-seed comparison")
-		}
 		cfg, err := config.WithCores(cfg, coreCounts[0])
 		if err != nil {
 			return err
 		}
-		return runAblation(ctx, stdout, cfg, *cycles, *par)
-	}
-
-	policy, err := cli.ParseFailurePolicy(*failpolicy)
-	if err != nil {
-		return err
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries %d: retry count must be non-negative", *retries)
-	}
-	injectSpec, err := faults.ParseSpec(*inject)
-	if err != nil {
-		return err
-	}
-	if *salvage && *out == "" {
-		return fmt.Errorf("-salvage requires -out")
-	}
-	if *resume && *out == "" {
-		return fmt.Errorf("-resume requires -out")
-	}
-	if *out != "" && !*resume {
-		// Never silently destroy prior results: a completed checkpoint may
-		// represent hours of simulation.
-		if st, err := os.Stat(*out); err == nil && st.Size() > 0 {
-			return fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or delete it for a fresh sweep", *out)
-		}
+		return runAblation(ctx, stdout, cfg, *cycles, sf.Par)
 	}
 
 	var cls []string
@@ -198,15 +149,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	opt := experiments.Options{
-		Cfg: cfg, RunCycles: *cycles, Parallelism: *par, Classes: cls,
-		Schemes: sch, Checkpoint: *out, Progress: progress, Replicates: *reps,
-		FailurePolicy: policy, Retry: sweep.RetrySpec{Attempts: *retries, Backoff: *backoff},
-		Salvage: *salvage, Sync: *syncEvery, Faults: injectSpec,
+		Cfg: cfg, RunCycles: *cycles, Parallelism: sf.Par, Classes: cls,
+		Schemes: sch, Checkpoint: sf.Out, Progress: progress, Replicates: sf.Reps,
+		FailurePolicy: sf.Policy, Retry: sf.Retry,
+		Salvage: sf.Salvage, Sync: sf.Sync, Faults: sf.Faults,
 	}
 	if *scaling {
-		err := runScaling(ctx, stdout, opt, coreCounts, *csvDir)
-		cli.ResumeHint(err, stderr, "experiments", *out)
-		return cli.WrapCompleted(err, policy == sweep.ContinueOnError)
+		return sf.Finish(runScaling(ctx, stdout, opt, coreCounts, *csvDir), stderr)
 	}
 
 	if len(coreCounts) != 1 {
@@ -217,8 +166,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	ev, err := experiments.Evaluate(ctx, opt)
 	if err != nil {
-		cli.ResumeHint(err, stderr, "experiments", *out)
-		return cli.WrapCompleted(err, policy == sweep.ContinueOnError)
+		return sf.Finish(err, stderr)
 	}
 
 	for _, f := range figures {
@@ -293,13 +241,6 @@ func writeCSV(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ablationRejects are the sweep flags the ablation has no use for.
-var ablationRejects = map[string]bool{
-	"classes": true, "schemes": true, "scaling": true, "csv": true,
-	"out": true, "resume": true, "salvage": true, "sync": true,
-	"failpolicy": true, "retries": true, "backoff": true, "inject": true,
 }
 
 // runAblation compares SNUG variants on the C1 stress tests plus one mixed

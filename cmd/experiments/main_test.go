@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"snug/internal/cli"
 )
 
 // TestRunFiguresSmoke drives the full flag-to-table path on a tiny subset.
@@ -83,8 +86,9 @@ func TestRunFlagErrors(t *testing.T) {
 		"invalid width":      {"-cores", "6", "-cycles", "1000"},
 		"bad class":          {"-classes", "C9", "-cycles", "1000"},
 		"bad scheme":         {"-schemes", "NOPE", "-cycles", "1000"},
+		"huge reps":          {"-reps", "100000000000", "-cycles", "1000"},
 	}
-	// The ablation refuses every sweep flag it would otherwise ignore.
+	// The ablation refuses every flag it does not read.
 	for _, f := range [][]string{
 		{"-classes", "C1"}, {"-schemes", "SNUG"}, {"-scaling"}, {"-csv", t.TempDir()},
 		{"-out", filepath.Join(t.TempDir(), "abl.json")}, {"-resume"}, {"-salvage"},
@@ -97,6 +101,19 @@ func TestRunFlagErrors(t *testing.T) {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: run(%v) succeeded", name, args)
 		}
+	}
+
+	// A fresh -out onto a non-empty store is refused, bytes untouched.
+	store := filepath.Join(t.TempDir(), "prior.sweep.json")
+	if err := os.WriteFile(store, []byte("prior results\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"-classes", "C1", "-cycles", "1000", "-out", store}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("-out onto a non-empty store: err = %v, want the overwrite refusal", err)
+	}
+	if got, _ := os.ReadFile(store); string(got) != "prior results\n" {
+		t.Errorf("refused store changed to %q", got)
 	}
 }
 
@@ -120,5 +137,19 @@ func TestRunFiguresReps(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-ablation", "-reps", "2"}, io.Discard, io.Discard); err == nil {
 		t.Error("-ablation silently accepted -reps (no replication support there)")
+	}
+}
+
+// TestRunJobFailures: under -failpolicy continue a sweep whose every run
+// fails still finishes and exits with the job-failure code, for the
+// figures and the scaling study alike.
+func TestRunJobFailures(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-scaling", "-cores", "4,8"}} {
+		args := append([]string{"-classes", "C1", "-schemes", "SNUG", "-cycles", "1000", "-quiet",
+			"-failpolicy", "continue", "-inject", "err:1"}, extra...)
+		err := run(context.Background(), args, io.Discard, io.Discard)
+		if got := cli.ExitCode(err); got != cli.ExitJobFailures {
+			t.Errorf("run(%v): exit code %d (%v), want %d", args, got, err, cli.ExitJobFailures)
+		}
 	}
 }

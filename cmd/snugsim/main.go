@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,13 +43,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"snug/internal/cli"
 	"snug/internal/cmp"
 	"snug/internal/config"
-	"snug/internal/faults"
-	"snug/internal/prof"
 	"snug/internal/stats"
 	"snug/internal/sweep"
 	"snug/internal/trace"
@@ -77,42 +73,26 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("snugsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sf := cli.NewSweepFlags(fs)
 	scheme := fs.String("scheme", "SNUG",
 		"L2 scheme spec (L2P, L2S, CC, CC(75%), DSR or SNUG), or a comma-separated list to compare")
 	workload := fs.String("workload", "ammp,parser,swim,mesa",
 		"comma-separated benchmark per core, a Table 8 combo name, or Nx<bench>")
 	cycles := fs.Int64("cycles", 5_000_000, "cycles to simulate")
 	ccpct := fs.Int("ccpct", 100, "spill probability for bare \"CC\" specs, in percent (0,25,50,75,100)")
-	par := fs.Int("par", 0, "concurrent simulations when comparing schemes (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
-	reps := fs.Int("reps", 1, "independently-seeded replicates per scheme; >1 reports mean ±95% CI")
 	scale := fs.Bool("testscale", true, "use the scaled test system (64-set slices); false = full Table 4 system")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
-	out := fs.String("out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
-	resume := fs.Bool("resume", false, "resume from -out, skipping runs already checkpointed")
-	failpolicy := fs.String("failpolicy", "fast", "response to failed runs: \"fast\" stops at the first failure, \"continue\" runs every scheme and aggregates failures (exit code 3)")
-	retries := fs.Int("retries", 0, "re-run a failed run up to this many times with the same seed (transient faults only; deterministic failures repeat)")
-	backoff := fs.Duration("backoff", 100*time.Millisecond, "initial delay before a retry, doubling per attempt (capped)")
-	salvage := fs.Bool("salvage", false, "open the -out checkpoint in salvage mode: quarantine corrupt lines to <out>.quarantine and rerun their jobs instead of refusing to resume")
-	syncEvery := fs.Int("sync", 0, "fsync the checkpoint every N completed runs (0 = leave durability to the OS)")
-	inject := fs.String("inject", "", "deterministic fault injection spec, e.g. \"panic:0.02,err:0.05,putfail:0.01\" (chaos testing; results are unaffected)")
 	list := fs.Bool("list", false, "list benchmarks, combos and schemes, then exit")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := sf.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
+	defer sf.Stop(&err)
 
 	if *list {
 		fmt.Fprintln(stdout, "benchmarks:", strings.Join(trace.Names(), " "))
@@ -124,33 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d: replicate count must be at least 1", *reps)
-	}
-	policy, err := cli.ParseFailurePolicy(*failpolicy)
-	if err != nil {
-		return err
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries %d: retry count must be non-negative", *retries)
-	}
-	injectSpec, err := faults.ParseSpec(*inject)
-	if err != nil {
-		return err
-	}
-	if *resume && *out == "" {
-		return fmt.Errorf("-resume requires -out")
-	}
-	if *salvage && *out == "" {
-		return fmt.Errorf("-salvage requires -out")
-	}
-	if *out != "" && !*resume {
-		// Never silently destroy prior results (same contract as
-		// cmd/experiments).
-		if st, err := os.Stat(*out); err == nil && st.Size() > 0 {
-			return fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or delete it for a fresh sweep", *out)
-		}
-	}
 	cfg := config.Default()
 	if *scale {
 		cfg = config.TestScale()
@@ -191,38 +144,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			},
 		})
 	}
-	fp, err := storeFingerprint(cfg, bench, *cycles)
+	// Scheme specs are checkpoint keys, not fingerprint material: a store
+	// warmed with some schemes serves a later comparison adding more.
+	fp, err := sweep.Fingerprint("snugsim", *cycles, seedKey, cfg)
 	if err != nil {
 		return err
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
-		Parallelism: *par, BaseSeed: cfg.Seed, Replicates: *reps,
-		Checkpoint: *out, Salvage: *salvage, Sync: *syncEvery, Fingerprint: fp,
-		FailurePolicy: policy,
-		Retry:         sweep.RetrySpec{Attempts: *retries, Backoff: *backoff},
-		PutHook:       injectSpec.PutHook(cfg.Seed),
-	}, injectSpec.Wrap(cfg.Seed, jobs))
+		Parallelism: sf.Par, BaseSeed: cfg.Seed, Replicates: sf.Reps,
+		Checkpoint: sf.Out, Salvage: sf.Salvage, Sync: sf.Sync, Fingerprint: fp,
+		FailurePolicy: sf.Policy, Retry: sf.Retry,
+		PutHook: sf.Faults.PutHook(cfg.Seed),
+	}, sf.Faults.Wrap(cfg.Seed, jobs))
 	if err != nil {
-		cli.ResumeHint(err, stderr, "snugsim", *out)
-		return cli.WrapCompleted(err, policy == sweep.ContinueOnError)
+		return sf.Finish(err, stderr)
 	}
 
-	if *reps > 1 {
+	if sf.Reps > 1 {
 		// Replicated runs summarize to interval statistics: per-core detail
 		// of a single stream would misrepresent the sample.
 		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d reps=%d (mean ±95%% CI)\n",
-			*workload, len(bench), *cycles, *reps)
+			*workload, len(bench), *cycles, sf.Reps)
 		puts := make(map[string][]float64, len(specs))
 		for _, s := range specs {
-			puts[s] = make([]float64, *reps)
+			puts[s] = make([]float64, sf.Reps)
 			var spills, retrHits int64
-			for r := 0; r < *reps; r++ {
+			for r := 0; r < sf.Reps; r++ {
 				res := results[sweep.ReplicateKey(s, r)]
 				puts[s][r] = res.Throughput()
 				spills += res.Report.Spills
 				retrHits += res.Report.RetrievalHits
 			}
-			n := float64(*reps)
+			n := float64(sf.Reps)
 			fmt.Fprintf(stdout, "  %-9s throughput=%s avgSpills=%.1f avgRetrHits=%.1f\n",
 				s, stats.MeanCI(puts[s]), float64(spills)/n, float64(retrHits)/n)
 		}
@@ -264,21 +217,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		r.Bus.Count(0), r.Bus.Count(1), r.Bus.Count(2), r.Bus.BusyCycles, r.Bus.WaitCycles)
 	fmt.Fprintf(stdout, "dram: reads=%d writes=%d\n", r.DRAM.Reads, r.DRAM.Writes)
 	return nil
-}
-
-// storeFingerprint identifies everything that changes a run's stored
-// result — the system configuration (seed, geometry, spill percent), the
-// workload and the run length — so a -out checkpoint refuses to mix
-// results across configurations on -resume. Scheme specs are checkpoint
-// keys, not fingerprint material: a store warmed with some schemes serves
-// a later comparison adding more.
-func storeFingerprint(cfg config.System, bench []string, cycles int64) (string, error) {
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("fingerprint config: %w", err)
-	}
-	return fmt.Sprintf("snugsim/v1/cycles=%d/workload=%s/cfg=%016x",
-		cycles, strings.Join(bench, "+"), stats.HashString(string(cfgJSON))), nil
 }
 
 // splitSpecs splits a comma-separated scheme list into trimmed spec

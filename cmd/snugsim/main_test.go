@@ -7,11 +7,14 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"snug/internal/cli"
 	"snug/internal/config"
+	"snug/internal/sweep"
 )
 
 // TestRunSingleScheme drives one tiny simulation end to end.
@@ -146,11 +149,45 @@ func TestRunFlagErrors(t *testing.T) {
 		"bad scheme":      {"-scheme", "victim-cache", "-cycles", "1000"},
 		"bad benchmark":   {"-workload", "nope", "-cycles", "1000"},
 		"bad width":       {"-workload", "gzip,gzip", "-cycles", "1000"},
+		"huge reps":       {"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "1000", "-reps", "100000000000"},
 	}
 	for name, args := range cases {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: run(%v) succeeded", name, args)
 		}
+	}
+
+	// A fresh -out onto a non-empty store is refused, bytes untouched.
+	store := filepath.Join(t.TempDir(), "prior.jsonl")
+	if err := os.WriteFile(store, []byte("prior results\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "1000", "-out", store}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("-out onto a non-empty store: err = %v, want the overwrite refusal", err)
+	}
+	if got, _ := os.ReadFile(store); string(got) != "prior results\n" {
+		t.Errorf("refused store changed to %q", got)
+	}
+}
+
+// TestStoreHeader pins the header snugsim writes into a -out store, as
+// internal/experiments' TestCheckpointFingerprints pins Evaluate's and
+// ScalingStudy's, so a change to the fingerprint cannot silently orphan
+// existing stores.
+func TestStoreHeader(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "h.jsonl")
+	if err := run(context.Background(), []string{"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "50000", "-out", out},
+		io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sweep.OpenStore(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got, want := s.Fingerprint(), "snugsim/v1/cycles=50000/workload=gzip+gzip+gzip+gzip/cfg=ebba1b660fbe28ea"; got != want {
+		t.Errorf("store header %q, want %q", got, want)
 	}
 }
 
@@ -169,5 +206,15 @@ func TestRunReplicates(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-reps", "0"}, io.Discard, io.Discard); err == nil {
 		t.Error("-reps 0 accepted")
+	}
+}
+
+// TestRunJobFailures: under -failpolicy continue a sweep whose every run
+// fails still finishes and exits with the job-failure code.
+func TestRunJobFailures(t *testing.T) {
+	err := run(context.Background(), []string{"-scheme", "L2P,SNUG", "-workload", "4xgzip", "-cycles", "1000",
+		"-failpolicy", "continue", "-inject", "err:1"}, io.Discard, io.Discard)
+	if got := cli.ExitCode(err); got != cli.ExitJobFailures {
+		t.Errorf("exit code %d (%v), want %d", got, err, cli.ExitJobFailures)
 	}
 }

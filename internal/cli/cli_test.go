@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -47,51 +50,114 @@ func TestExitCode(t *testing.T) {
 
 func TestResumeHint(t *testing.T) {
 	var buf bytes.Buffer
-	ResumeHint(interruptedChain(), &buf, "experiments", "sweep.json")
-	if !strings.Contains(buf.String(), "-out sweep.json -resume") {
+	(&SweepFlags{name: "experiments", Out: "sweep.json"}).Finish(interruptedChain(), &buf)
+	if !strings.Contains(buf.String(), "experiments: interrupted") || !strings.Contains(buf.String(), "-out sweep.json -resume") {
 		t.Errorf("signal-interrupted run with a store printed %q, want a resume hint", buf.String())
 	}
-	for name, args := range map[string][2]interface{}{
+	for name, c := range map[string]struct {
+		err error
+		out string
+	}{
 		"no store":     {interruptedChain(), ""},
 		"not canceled": {errors.New("boom"), "sweep.json"},
 	} {
 		var b bytes.Buffer
-		err, _ := args[0].(error)
-		ResumeHint(err, &b, "experiments", args[1].(string))
+		(&SweepFlags{name: "experiments", Out: c.out}).Finish(c.err, &b)
 		if b.Len() != 0 {
-			t.Errorf("%s: ResumeHint printed %q, want nothing", name, b.String())
+			t.Errorf("%s: Finish printed %q, want nothing", name, b.String())
 		}
 	}
 }
 
 func TestWrapCompleted(t *testing.T) {
+	finish := func(err error, policy sweep.FailurePolicy) error {
+		return (&SweepFlags{Policy: policy}).Finish(err, io.Discard)
+	}
 	jobErr := &sweep.JobError{Key: "k", Err: errors.New("boom")}
-	if _, ok := WrapCompleted(jobErr, true).(*Completed); !ok {
+	if _, ok := finish(jobErr, sweep.ContinueOnError).(*Completed); !ok {
 		t.Error("job failure under ContinueOnError was not marked Completed")
 	}
-	if _, ok := WrapCompleted(jobErr, false).(*Completed); ok {
+	if _, ok := finish(jobErr, sweep.FailFast).(*Completed); ok {
 		t.Error("FailFast error was marked Completed")
 	}
 	canceled := fmt.Errorf("job failed before cancel: %w", errors.Join(jobErr, interruptedChain()))
-	if _, ok := WrapCompleted(canceled, true).(*Completed); ok {
+	if _, ok := finish(canceled, sweep.ContinueOnError).(*Completed); ok {
 		t.Error("interrupted sweep was marked Completed — it did not run everything")
 	}
-	if WrapCompleted(errors.New("setup"), true) == nil {
+	if finish(errors.New("setup"), sweep.ContinueOnError) == nil {
 		t.Error("setup error dropped")
+	}
+	if finish(nil, sweep.ContinueOnError) != nil {
+		t.Error("success became an error")
 	}
 }
 
-func TestParseFailurePolicy(t *testing.T) {
-	for in, want := range map[string]sweep.FailurePolicy{
-		"": sweep.FailFast, "fast": sweep.FailFast, "continue": sweep.ContinueOnError,
-	} {
-		got, err := ParseFailurePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFailurePolicy(%q) = %v, %v; want %v", in, got, err, want)
+// TestSweepFlags covers every rule the shared validator enforces, each
+// case through a fresh FlagSet as a command parses it, including the
+// no-overwrite guard on -out and the -failpolicy and -inject parses.
+func TestSweepFlags(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.json")
+	const stored = "{\"fingerprint\":\"evaluate/v1\"}\n"
+	if err := os.WriteFile(full, []byte(stored), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // "" = accepted
+		check   func(*SweepFlags) bool
+	}{
+		{"defaults", nil, "", func(f *SweepFlags) bool {
+			return f.Par == 0 && f.Reps == 1 && f.Policy == sweep.FailFast && f.Retry == sweep.RetrySpec{Backoff: 100 * time.Millisecond}
+		}},
+		{"reps 0", []string{"-reps", "0"}, "-reps 0", nil},
+		{"par -1", []string{"-par", "-1"}, "-par -1", nil},
+		{"sync -1", []string{"-sync", "-1", "-out", filepath.Join(dir, "s.json")}, "-sync -1", nil},
+		{"retries -1", []string{"-retries", "-1"}, "-retries -1", nil},
+		{"backoff -1s", []string{"-backoff", "-1s"}, "-backoff -1s", nil},
+		{"resume without out", []string{"-resume"}, "-resume requires -out", nil},
+		{"salvage without out", []string{"-salvage"}, "-salvage requires -out", nil},
+		{"failpolicy bogus", []string{"-failpolicy", "bogus"}, "-failpolicy", nil},
+		{"failpolicy empty", []string{"-failpolicy", ""}, "", func(f *SweepFlags) bool { return f.Policy == sweep.FailFast }},
+		{"failpolicy fast", []string{"-failpolicy", "fast"}, "", func(f *SweepFlags) bool { return f.Policy == sweep.FailFast }},
+		{"failpolicy continue", []string{"-failpolicy", "continue"}, "", func(f *SweepFlags) bool { return f.Policy == sweep.ContinueOnError }},
+		{"inject bogus", []string{"-inject", "panic:2"}, "bad probability", nil},
+		{"inject", []string{"-inject", "err:0.5"}, "", func(f *SweepFlags) bool { return f.Faults.Err == 0.5 }},
+		{"overwrite refused", []string{"-out", full}, "already exists", nil},
+		{"empty store accepted", []string{"-out", empty}, "", nil},
+		{"resume onto a store", []string{"-out", full, "-resume", "-salvage", "-sync", "2"}, "", func(f *SweepFlags) bool {
+			return f.Out == full && f.Resume && f.Salvage && f.Sync == 2
+		}},
+		{"bounds", []string{"-par", "3", "-reps", "4", "-retries", "5", "-backoff", "0s"}, "", func(f *SweepFlags) bool {
+			return f.Par == 3 && f.Reps == 4 && f.Retry == sweep.RetrySpec{Attempts: 5}
+		}},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := NewSweepFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%s: parse: %v", c.name, err)
+		}
+		err := f.Start()
+		if err == nil {
+			f.Stop(&err)
+		}
+		switch {
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: Start() = %v, want an error naming %q", c.name, err, c.wantErr)
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: Start() = %v, want success", c.name, err)
+		case err == nil && c.check != nil && !c.check(f):
+			t.Errorf("%s: parsed flags %+v", c.name, f)
 		}
 	}
-	if _, err := ParseFailurePolicy("bogus"); err == nil {
-		t.Error("ParseFailurePolicy accepted \"bogus\"")
+	if got, err := os.ReadFile(full); err != nil || string(got) != stored {
+		t.Errorf("refused store changed: %q, %v", got, err)
 	}
 }
 

@@ -27,7 +27,7 @@ func goldenDigest(r cmp.RunResult) string {
 // flattening) landed, so it guards the whole refactor: any change to what
 // the simulator computes — not just how fast — fails here. Bump the digest
 // only for an intentional model change, together with the checkpoint-store
-// fingerprint version in internal/experiments.
+// fingerprint version in internal/sweep.
 func TestGoldenSNUGDigest(t *testing.T) {
 	const want = "fb8ac38b40b7bdf7"
 	cfg := config.TestScale()
@@ -38,7 +38,7 @@ func TestGoldenSNUGDigest(t *testing.T) {
 	if got := goldenDigest(res); got != want {
 		t.Fatalf("golden SNUG digest = %s, want %s (seed %d)\n"+
 			"The simulator's output changed. If intentional, update the digest AND bump\n"+
-			"experiments.fingerprintVersion so stale checkpoint stores are refused.",
+			"sweep's fingerprintVersion so stale checkpoint stores are refused.",
 			got, want, cfg.Seed)
 	}
 }

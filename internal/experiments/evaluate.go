@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -78,39 +77,15 @@ type Options struct {
 	Faults faults.Spec
 }
 
-// ComboResult is the outcome for one workload combination: the L2P
-// baseline, every scheme's run, and the Table 5 comparisons. Baseline,
-// Runs, CCBestPct and Comparisons describe replicate 0 (the only replicate
-// of a single-run evaluation); the per-replicate comparisons behind the
-// figures' confidence intervals live in RepComparisons.
+// ComboResult is the outcome for one workload combination. Runs and
+// CCBestPct describe replicate 0 (the only replicate of a single-run
+// evaluation); RepComparisons holds every replicate's Table 5 comparisons,
+// RepComparisons[r] being replicate r's.
 type ComboResult struct {
-	Combo       workloads.Combo
-	Baseline    cmp.RunResult
-	Runs        map[string]cmp.RunResult      // keyed by scheme spec label
-	CCBestPct   int                           // spill probability behind CC(Best)
-	Comparisons map[string]metrics.Comparison // keyed by FigureSchemes labels
-
-	// RepComparisons holds every replicate's Table 5 comparisons;
-	// RepComparisons[0] equals Comparisons. Empty on hand-built fixtures,
-	// which Figure treats as a single replicate described by Comparisons.
-	RepComparisons []map[string]metrics.Comparison
-}
-
-// replicates returns the replicate count the combo carries data for.
-func (cr *ComboResult) replicates() int {
-	if len(cr.RepComparisons) > 0 {
-		return len(cr.RepComparisons)
-	}
-	return 1
-}
-
-// repComps returns replicate r's comparisons; fixtures without replicate
-// data serve replicate 0 from the legacy Comparisons field.
-func (cr *ComboResult) repComps(r int) map[string]metrics.Comparison {
-	if len(cr.RepComparisons) > 0 {
-		return cr.RepComparisons[r]
-	}
-	return cr.Comparisons
+	Combo          workloads.Combo
+	Runs           map[string]cmp.RunResult        // keyed by spec label, with L2P and the CC(Best) copy
+	CCBestPct      int                             // spill probability behind CC(Best)
+	RepComparisons []map[string]metrics.Comparison // keyed by FigureSchemes labels
 }
 
 // Evaluation is the full Figures 9–11 dataset.
@@ -178,32 +153,6 @@ func specsFor(selected []string) []schemes.Spec {
 	return specs
 }
 
-// fingerprintVersion tags checkpoint fingerprints with the results-schema
-// generation. Bump it when a release changes what any job computes (a
-// simulator or metrics change that alters stored results), so stale stores
-// are refused on resume instead of silently mixed with fresh runs.
-const fingerprintVersion = 1
-
-// fingerprint identifies everything that changes a run's result — the
-// results-schema version, the system configuration (which embeds the base
-// seed) and the run length — under kind ("evaluate" or "scaling"), so a
-// checkpoint store refuses to mix results across configurations, releases
-// or drivers. Classes, Schemes, Replicates and a study's core counts are
-// deliberately excluded: they select which jobs run, not what any job
-// computes (replicates only add keys), so a store warmed by a subset sweep
-// is reusable by a wider or replicated one. The second return lists
-// fingerprints of older releases whose results are still valid (the
-// pre-version-token format; v1 changed no results), accepted on resume.
-func fingerprint(kind string, cfg config.System, cycles int64) (fp string, legacy []string, err error) {
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return "", nil, fmt.Errorf("experiments: fingerprint config: %w", err)
-	}
-	h := fmt.Sprintf("%016x", stats.HashString(string(cfgJSON)))
-	return fmt.Sprintf("%s/v%d/cycles=%d/cfg=%s", kind, fingerprintVersion, cycles, h),
-		[]string{fmt.Sprintf("%s/cycles=%d/cfg=%s", kind, cycles, h)}, nil
-}
-
 // jobKey identifies one (combo, labelled run) pair in the sweep; it is also
 // the run's checkpoint key, so it must stay stable across releases. Labels
 // are canonical spec strings (schemes.Spec.String), giving keys like
@@ -233,8 +182,7 @@ func comboJobs(jobs []sweep.Job, cache *cmp.StreamCache, cfg config.System, comb
 
 // collect fills the combo's runs from the sweep results and finalizes the
 // comparisons for the selected scheme families, once per replicate.
-// Replicate 0 also populates the legacy Baseline/Runs/CCBestPct/Comparisons
-// fields, so single-replicate consumers are untouched.
+// Replicate 0 also fills Runs and CCBestPct.
 func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []string, reps int) error {
 	cr.RepComparisons = make([]map[string]metrics.Comparison, reps)
 	for r := 0; r < reps; r++ {
@@ -259,10 +207,8 @@ func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []stri
 		}
 		cr.RepComparisons[r] = comps
 		if r == 0 {
-			cr.Baseline = runs[baselineSpec.String()]
 			cr.Runs = runs
 			cr.CCBestPct = pct
-			cr.Comparisons = comps
 		}
 	}
 	return nil
@@ -319,23 +265,22 @@ func sweepPoints(ctx context.Context, kind string, opt Options, points []Scaling
 		}
 	}
 
-	fp, legacy, err := fingerprint(kind, opt.Cfg, opt.RunCycles)
+	fp, err := sweep.Fingerprint(kind, opt.RunCycles, "", opt.Cfg)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("experiments: %w", err)
 	}
 	results, err := sweep.Run(ctx, sweep.Options{
-		Parallelism:        opt.Parallelism,
-		BaseSeed:           opt.Cfg.Seed,
-		Checkpoint:         opt.Checkpoint,
-		Salvage:            opt.Salvage,
-		Sync:               opt.Sync,
-		Fingerprint:        fp,
-		AcceptFingerprints: legacy,
-		Replicates:         reps,
-		FailurePolicy:      opt.FailurePolicy,
-		Retry:              opt.Retry,
-		PutHook:            opt.Faults.PutHook(opt.Cfg.Seed),
-		OnProgress:         opt.Progress,
+		Parallelism:   opt.Parallelism,
+		BaseSeed:      opt.Cfg.Seed,
+		Checkpoint:    opt.Checkpoint,
+		Salvage:       opt.Salvage,
+		Sync:          opt.Sync,
+		Fingerprint:   fp,
+		Replicates:    reps,
+		FailurePolicy: opt.FailurePolicy,
+		Retry:         opt.Retry,
+		PutHook:       opt.Faults.PutHook(opt.Cfg.Seed),
+		OnProgress:    opt.Progress,
 	}, opt.Faults.Wrap(opt.Cfg.Seed, jobs))
 	if err != nil {
 		return 0, evalErr(err)
@@ -496,12 +441,12 @@ func (ev *Evaluation) Figure(metric metrics.MetricKind) (ClassSeries, error) {
 	for _, scheme := range FigureSchemes {
 		present := 0
 		for _, cr := range ev.Combos {
-			if cr.replicates() != reps {
+			if len(cr.RepComparisons) != reps {
 				return ClassSeries{}, fmt.Errorf(
 					"experiments: combo %s carries %d replicates, evaluation has %d",
-					cr.Combo.Name, cr.replicates(), reps)
+					cr.Combo.Name, len(cr.RepComparisons), reps)
 			}
-			if _, ok := cr.repComps(0)[scheme]; ok {
+			if _, ok := cr.RepComparisons[0][scheme]; ok {
 				present++
 			}
 		}
@@ -530,7 +475,7 @@ func (ev *Evaluation) Figure(metric metrics.MetricKind) (ClassSeries, error) {
 				var comps []metrics.Comparison
 				for _, cr := range ev.Combos {
 					if cr.Combo.Class == class {
-						comps = append(comps, cr.repComps(r)[scheme])
+						comps = append(comps, cr.RepComparisons[r][scheme])
 					}
 				}
 				vals[r] = metrics.ClassMean(metric, comps)

@@ -57,7 +57,7 @@ func liveSweep(t *testing.T, opt Options) map[string]cmp.RunResult {
 			})
 		}
 	}
-	fp, _, err := fingerprint("evaluate", opt.Cfg, opt.RunCycles)
+	fp, err := sweep.Fingerprint("evaluate", opt.RunCycles, "", opt.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

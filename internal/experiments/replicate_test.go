@@ -2,8 +2,6 @@ package experiments_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +11,6 @@ import (
 	"snug/internal/config"
 	"snug/internal/experiments"
 	"snug/internal/metrics"
-	"snug/internal/stats"
 	"snug/internal/sweep"
 )
 
@@ -69,9 +66,6 @@ func TestEvaluateReplicatesShape(t *testing.T) {
 		if len(cr.RepComparisons) != 3 {
 			t.Fatalf("combo %s has %d replicate comparisons, want 3", cr.Combo.Name, len(cr.RepComparisons))
 		}
-		if !reflect.DeepEqual(cr.RepComparisons[0], cr.Comparisons) {
-			t.Errorf("combo %s: RepComparisons[0] differs from the legacy Comparisons", cr.Combo.Name)
-		}
 		for r, comps := range cr.RepComparisons {
 			if _, ok := comps["SNUG"]; !ok {
 				t.Errorf("combo %s replicate %d missing SNUG comparison", cr.Combo.Name, r)
@@ -108,7 +102,7 @@ func TestEvaluateReplicatesShape(t *testing.T) {
 	// Replicate 0 IS the unreplicated run: means can differ (they average
 	// three streams), but the underlying replicate-0 comparisons match.
 	for i, cr := range single.Combos {
-		if !reflect.DeepEqual(cr.Comparisons, ev.Combos[i].RepComparisons[0]) {
+		if !reflect.DeepEqual(cr.RepComparisons, ev.Combos[i].RepComparisons[:1]) {
 			t.Errorf("combo %s: unreplicated run differs from replicate 0", cr.Combo.Name)
 		}
 	}
@@ -160,7 +154,7 @@ func TestEvaluateReplicatesResume(t *testing.T) {
 		t.Errorf("restored %d of %d runs, want the %d replicate-0 runs", last.Restored, last.Total, want)
 	}
 	for i, cr := range replicated.Combos {
-		if !reflect.DeepEqual(cr.Comparisons, single.Combos[i].Comparisons) {
+		if !reflect.DeepEqual(cr.RepComparisons[0], single.Combos[i].RepComparisons[0]) {
 			t.Errorf("combo %s: replicate 0 differs from the single-replicate store it restored", cr.Combo.Name)
 		}
 	}
@@ -197,42 +191,6 @@ func TestScalingReplicates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, run(4)) {
 		t.Error("replicated scaling series differs between Parallelism 1 and 4")
-	}
-}
-
-// TestEvaluateLegacyFingerprint: a store fingerprinted by the release
-// before the version token (plain "evaluate/cycles=.../cfg=..." header)
-// still resumes — v1 changed no results, so refusing it would force a
-// full re-simulation for nothing.
-func TestEvaluateLegacyFingerprint(t *testing.T) {
-	opt := repOpts()
-	opt.Replicates = 1
-	opt.Checkpoint = filepath.Join(t.TempDir(), "legacy.sweep.json")
-
-	// Build the pre-v1 fingerprint exactly as the old release did: no
-	// version token, cycle count, Mix64-FNV hash of the config JSON.
-	cfgJSON, err := json.Marshal(opt.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := fmt.Sprintf("evaluate/cycles=%d/cfg=%016x", opt.RunCycles, stats.HashString(string(cfgJSON)))
-	s, err := sweep.OpenStore(opt.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetFingerprint(legacy); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	if _, err := experiments.Evaluate(context.Background(), opt); err != nil {
-		t.Errorf("store with the pre-version-token fingerprint rejected: %v", err)
-	}
-
-	// A genuinely different configuration must still be refused.
-	opt.RunCycles *= 2
-	if _, err := experiments.Evaluate(context.Background(), opt); err == nil {
-		t.Error("store from a different RunCycles accepted via the legacy path")
 	}
 }
 

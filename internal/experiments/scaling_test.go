@@ -47,10 +47,10 @@ func TestScalingStudyShape(t *testing.T) {
 			if cr.Combo.Width() != want {
 				t.Errorf("point %d: combo %s is %d wide", i, cr.Combo.Name, cr.Combo.Width())
 			}
-			if cr.Baseline.Cycles == 0 {
+			if cr.Runs["L2P"].Cycles == 0 {
 				t.Errorf("point %d: combo %s has no baseline", i, cr.Combo.Name)
 			}
-			if _, ok := cr.Comparisons["SNUG"]; !ok {
+			if _, ok := cr.RepComparisons[0]["SNUG"]; !ok {
 				t.Errorf("point %d: combo %s missing SNUG comparison", i, cr.Combo.Name)
 			}
 		}

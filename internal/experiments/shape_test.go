@@ -333,12 +333,12 @@ func TestEvaluateCheckpointKeys(t *testing.T) {
 // it) based on the first combo alone.
 func TestFigureRaggedData(t *testing.T) {
 	full := experiments.ComboResult{
-		Combo:       workloads.Table8()[0],
-		Comparisons: map[string]metrics.Comparison{"SNUG": {Scheme: "SNUG", ThroughputNorm: 1.1}},
+		Combo:          workloads.Table8()[0],
+		RepComparisons: []map[string]metrics.Comparison{{"SNUG": {Scheme: "SNUG", ThroughputNorm: 1.1}}},
 	}
 	empty := experiments.ComboResult{
-		Combo:       workloads.Table8()[1],
-		Comparisons: map[string]metrics.Comparison{},
+		Combo:          workloads.Table8()[1],
+		RepComparisons: []map[string]metrics.Comparison{{}},
 	}
 
 	ev := &experiments.Evaluation{Combos: []experiments.ComboResult{full, empty}}
@@ -364,11 +364,11 @@ func TestEvaluateBaselineOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cr := range ev.Combos {
-		if cr.Baseline.Cycles == 0 {
+		if cr.Runs["L2P"].Cycles == 0 {
 			t.Errorf("combo %s has no baseline run", cr.Combo.Name)
 		}
-		if len(cr.Comparisons) != 0 {
-			t.Errorf("combo %s has comparisons %v without scheme runs", cr.Combo.Name, cr.Comparisons)
+		if len(cr.RepComparisons[0]) != 0 {
+			t.Errorf("combo %s has comparisons %v without scheme runs", cr.Combo.Name, cr.RepComparisons[0])
 		}
 	}
 	fig, err := ev.Figure(metrics.MetricThroughput)

@@ -80,12 +80,12 @@ func WriteFigureCSV(w io.Writer, cs experiments.ClassSeries) error {
 	return nil
 }
 
-// WriteCombos renders per-combo detail: normalized throughput per scheme
-// and the CC(Best) spill probability chosen.
+// WriteCombos renders per-combo detail of replicate 0: normalized
+// throughput per scheme and the CC(Best) spill probability chosen.
 func WriteCombos(w io.Writer, ev *experiments.Evaluation) error {
 	rows := [][]string{{"class", "combo", "L2S", "CC(Best)", "ccPct", "DSR", "SNUG"}}
 	norm := func(cr experiments.ComboResult, scheme string) string {
-		c, ok := cr.Comparisons[scheme]
+		c, ok := cr.RepComparisons[0][scheme]
 		if !ok {
 			return "-" // scheme not in this evaluation's subset
 		}

@@ -26,6 +26,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"snug/internal/cmp"
+	"snug/internal/config"
 	"snug/internal/stats"
 )
 
@@ -146,23 +148,20 @@ type Options struct {
 	// can cost; results are identical at every setting.
 	Sync int
 	// Fingerprint identifies the configuration behind this sweep's results
-	// (run length, system config, base seed — whatever changes them). It is
-	// written into a fresh checkpoint store and checked on resume: restoring
-	// results produced under a different configuration is an error, not a
-	// silent mix. Empty skips the check.
+	// (see the Fingerprint function). It is written into a fresh checkpoint
+	// store and checked on resume: restoring results produced under a
+	// different configuration is an error, not a silent mix. Empty skips
+	// the check.
 	Fingerprint string
-	// AcceptFingerprints lists additional stored fingerprints to treat as
-	// equivalent to Fingerprint on resume — for renames of the fingerprint
-	// format itself (e.g. introducing a version token) where the underlying
-	// results are unchanged. The store keeps its original header.
-	AcceptFingerprints []string
 	// Replicates expands every job into this many independently-seeded
 	// replicates (0 and 1 both mean a single run). Replicate 0 keeps the
 	// job's key and seed byte-identical to a non-replicated sweep, so
 	// existing checkpoint stores keep resuming; replicate r > 0 runs under
 	// key ReplicateKey(Key, r) ("key@r3") with a seed derived from the
 	// suffixed seed key, so jobs sharing a SeedKey stay paired within each
-	// replicate while replicates draw independent streams.
+	// replicate while replicates draw independent streams. The expanded
+	// sweep may hold at most 1<<20 jobs (maxJobs); Run refuses a larger
+	// one before allocating it.
 	Replicates int
 	// FailurePolicy selects the response to job failures (default FailFast).
 	FailurePolicy FailurePolicy
@@ -236,6 +235,39 @@ func JobErrors(err error) []*JobError {
 // combined with the hashed identity. Pure function of (base, seedKey).
 func JobSeed(base uint64, seedKey string) uint64 {
 	return stats.Mix64(base ^ stats.HashString(seedKey))
+}
+
+// maxJobs bounds a sweep's job count after replicate expansion, so a huge
+// Replicates is an error instead of an out-of-memory crash. It still
+// allows over 5,000 replicates of the 189-job Figure 9 matrix.
+const maxJobs = 1 << 20
+
+// fingerprintVersion is the results-schema generation every checkpoint
+// fingerprint carries. Bump it when a release changes what any job
+// computes (a simulator or metrics change that alters stored results), so
+// stale stores are refused on resume instead of silently mixed with fresh
+// runs.
+const fingerprintVersion = 1
+
+// Fingerprint is the checkpoint header of a sweep of kind ("evaluate",
+// "scaling", "snugsim") whose jobs run cycles cycles on cfg: it names the
+// results-schema version, the run length, the workload when the sweep has
+// one fixed benchmark list (snugsim; empty otherwise) and a hash of the
+// system configuration, which embeds the base seed. Everything that
+// selects which jobs run — classes, schemes, replicates, a study's core
+// counts — stays out, so a store warmed by a smaller sweep serves a wider
+// one. For example "evaluate/v1/cycles=20000/cfg=ebba1b660fbe28ea" or
+// "snugsim/v1/cycles=50000/workload=gzip+gzip+gzip+gzip/cfg=...".
+func Fingerprint(kind string, cycles int64, workload string, cfg config.System) (string, error) {
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		return "", fmt.Errorf("sweep: fingerprint config: %w", err)
+	}
+	fp := fmt.Sprintf("%s/v%d/cycles=%d", kind, fingerprintVersion, cycles)
+	if workload != "" {
+		fp += "/workload=" + workload
+	}
+	return fmt.Sprintf("%s/cfg=%016x", fp, stats.HashString(string(cfgJSON))), nil
 }
 
 // repSep introduces a replicate suffix in keys and seed keys. "@r0" never
@@ -335,9 +367,9 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]cmp.RunResul
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	reps := opts.Replicates
-	if reps < 1 {
-		reps = 1
+	reps := max(opts.Replicates, 1)
+	if len(jobs) > 0 && reps > maxJobs/len(jobs) {
+		return nil, fmt.Errorf("sweep: %d jobs × %d replicates exceeds the %d-job limit", len(jobs), reps, maxJobs)
 	}
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
@@ -382,7 +414,7 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]cmp.RunResul
 				if err := store.SetFingerprint(opts.Fingerprint); err != nil {
 					return nil, err
 				}
-			case fp != opts.Fingerprint && !slices.Contains(opts.AcceptFingerprints, fp):
+			case fp != opts.Fingerprint:
 				return nil, fmt.Errorf("sweep: checkpoint %s was produced under a different configuration (%s, want %s); refusing to mix results", opts.Checkpoint, fp, opts.Fingerprint)
 			}
 		}

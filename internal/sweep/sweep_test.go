@@ -215,20 +215,6 @@ func TestFingerprintGuard(t *testing.T) {
 		t.Errorf("matching resume restored %d, want 3", last.Restored)
 	}
 
-	// An old-format fingerprint listed in AcceptFingerprints resumes (a
-	// format rename, not a configuration change); others still fail.
-	var acc Progress
-	if _, err := Run(context.Background(), Options{Checkpoint: ckpt, Fingerprint: "cfg-a/v2", AcceptFingerprints: []string{"cfg-a"},
-		OnProgress: func(p Progress) { acc = p }}, fakeJobs(3)); err != nil {
-		t.Fatalf("accepted legacy fingerprint rejected: %v", err)
-	}
-	if acc.Restored != 3 {
-		t.Errorf("legacy-fingerprint resume restored %d, want 3", acc.Restored)
-	}
-	if _, err := Run(context.Background(), Options{Checkpoint: ckpt, Fingerprint: "cfg-a/v2", AcceptFingerprints: []string{"cfg-z"}}, fakeJobs(3)); err == nil {
-		t.Error("unlisted fingerprint accepted")
-	}
-
 	// A store with results but no header cannot prove its provenance.
 	legacy := filepath.Join(t.TempDir(), "legacy.json")
 	if _, err := Run(context.Background(), Options{Checkpoint: legacy}, fakeJobs(2)); err != nil {
@@ -457,6 +443,18 @@ func TestRunReplicates(t *testing.T) {
 	// expansion; reject it up front.
 	if _, err := Run(context.Background(), Options{Replicates: 2}, []Job{fakeJob("a@r1", "")}); err == nil {
 		t.Error("replicate-suffixed job key accepted under Replicates > 1")
+	}
+
+	// A replicate count whose expansion exceeds maxJobs, or overflows an
+	// int, fails before anything is allocated, run or checkpointed.
+	ckpt := filepath.Join(t.TempDir(), "huge.json")
+	for _, huge := range []int{maxJobs/2 + 1, 100_000_000_000, math.MaxInt} {
+		if _, err := Run(context.Background(), Options{Replicates: huge, Checkpoint: ckpt}, jobs); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("Replicates %d over 2 jobs: err = %v, want the job limit", huge, err)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("refused sweep touched its checkpoint: %v", err)
 	}
 }
 
