@@ -11,7 +11,7 @@ import (
 
 	"snug/internal/cmp"
 	"snug/internal/config"
-	"snug/internal/core"
+	"snug/internal/schemes"
 )
 
 func main() {
@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snug := sys.Controller().(*core.SNUG)
+	snug := sys.Controller().(*schemes.SNUG)
 
 	fmt.Println("epoch-by-epoch taker-set counts per core (vortex is phased):")
 	fmt.Printf("%-10s %-9s %8s %8s %8s %8s %10s\n",
@@ -39,11 +39,11 @@ func main() {
 			counts[i] = snug.Monitor(i).GT().TakerCount()
 		}
 		fmt.Printf("%-10d %-9s %8d %8d %8d %8d %10d\n",
-			t, snug.Stage(), counts[0], counts[1], counts[2], counts[3], snug.Stats().Spills)
+			t, snug.Stage(), counts[0], counts[1], counts[2], counts[3], snug.Report().Spills)
 		res = sys.Run(step)
 	}
 	fmt.Printf("\nfinal throughput: %.4f; stage switches: %d; stranded blocks dropped: %d\n",
-		res.Throughput(), snug.Stats().StageSwitches, snug.Stats().StrandedDropped)
+		res.Throughput(), snug.StageSwitches(), snug.Report().StrandedDropped)
 	fmt.Println("vortex's taker-set count shifts with its phases; the light")
 	fmt.Println("co-runners (gzip, mesa) stay almost entirely givers.")
 }

@@ -238,29 +238,5 @@ func (b *Bus) TryAcquire(now int64, k Kind) (doneAt int64, ok bool) {
 	return b.Acquire(now, k), true
 }
 
-// Pending returns the number of future reservations across both paths
-// (for tests).
-func (b *Bus) Pending() int { return len(b.addrPath.busy) + len(b.dataPath.busy) }
-
 // Stats returns a snapshot of activity counters.
 func (b *Bus) Stats() Stats { return b.stats }
-
-// Utilization returns busy cycles as a fraction of elapsed cycles (0 when
-// elapsed is 0).
-func (b *Bus) Utilization(elapsed int64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(b.stats.BusyCycles) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset clears occupancy and statistics.
-func (b *Bus) Reset() {
-	b.addrPath = calendar{}
-	b.dataPath = calendar{}
-	b.stats = Stats{}
-}

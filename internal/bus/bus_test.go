@@ -84,12 +84,8 @@ func TestUtilizationAndStats(t *testing.T) {
 	if st.Count(KindSnoop) != 1 || st.Count(KindData) != 1 || st.Count(KindWriteback) != 1 {
 		t.Fatalf("transaction counts %v", st.Transactions)
 	}
-	if u := b.Utilization(1000); u <= 0 || u > 1 {
-		t.Fatalf("utilization %v", u)
-	}
-	b.Reset()
-	if b.Stats().BusyCycles != 0 || b.Pending() != 0 {
-		t.Fatal("Reset left state behind")
+	if want := b.duration(KindSnoop) + b.duration(KindData) + b.duration(KindWriteback); st.BusyCycles != want {
+		t.Fatalf("busy cycles %d, want %d", st.BusyCycles, want)
 	}
 }
 

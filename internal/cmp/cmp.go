@@ -17,10 +17,6 @@ import (
 	"snug/internal/isa"
 	"snug/internal/schemes"
 	"snug/internal/trace"
-
-	// Link the SNUG controller: internal/core registers the "SNUG" family
-	// in the scheme-spec registry from its package init.
-	_ "snug/internal/core"
 )
 
 // NewController builds the controller for a scheme spec string — a

@@ -21,25 +21,38 @@ func goldenDigest(r cmp.RunResult) string {
 	return fmt.Sprintf("%016x", stats.HashString(fmt.Sprintf("%+v", r)))
 }
 
+// goldenDigests pins every scheme family's run of goldenBench at
+// goldenCycles on the default test-scale system.
+var goldenDigests = []struct{ scheme, digest string }{
+	{"L2P", "bb86a2a8ee966029"},
+	{"L2S", "c161acaa64527c8d"},
+	{"CC(75%)", "bebfa5e38d97f96e"},
+	{"DSR", "de94197dab418acb"},
+	{"SNUG", "fb8ac38b40b7bdf7"},
+}
+
 // TestGoldenSNUGDigest pins the exact simulation outcome of the default
-// test-scale SNUG run. The digest was captured before the record/replay
-// subsystem and the hot-path rework (LSQ heap, cache lookup split, memFunc
-// flattening) landed, so it guards the whole refactor: any change to what
-// the simulator computes — not just how fast — fails here. Bump the digest
-// only for an intentional model change, together with the checkpoint-store
-// fingerprint version in internal/sweep.
+// test-scale run under each scheme family. The SNUG digest was captured
+// before the record/replay subsystem and the hot-path rework (LSQ heap,
+// cache lookup split, memFunc flattening) landed, so it guards the whole
+// refactor; the other four pin the controllers that share SNUG's
+// below-L1 plumbing. Any change to what the simulator computes — not just
+// how fast — fails here. Bump a digest only for an intentional model
+// change, together with the checkpoint-store fingerprint version in
+// internal/sweep.
 func TestGoldenSNUGDigest(t *testing.T) {
-	const want = "fb8ac38b40b7bdf7"
 	cfg := config.TestScale()
-	res, err := cmp.RunWorkload(cfg, "SNUG", goldenBench, goldenCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := goldenDigest(res); got != want {
-		t.Fatalf("golden SNUG digest = %s, want %s (seed %d)\n"+
-			"The simulator's output changed. If intentional, update the digest AND bump\n"+
-			"sweep's fingerprintVersion so stale checkpoint stores are refused.",
-			got, want, cfg.Seed)
+	for _, g := range goldenDigests {
+		res, err := cmp.RunWorkload(cfg, g.scheme, goldenBench, goldenCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenDigest(res); got != g.digest {
+			t.Errorf("golden %s digest = %s, want %s (seed %d)\n"+
+				"The simulator's output changed. If intentional, update the digest AND bump\n"+
+				"sweep's fingerprintVersion so stale checkpoint stores are refused.",
+				g.scheme, got, g.digest, cfg.Seed)
+		}
 	}
 }
 
@@ -52,7 +65,8 @@ func TestReplayBitExact(t *testing.T) {
 		t.Skip("15 full simulations; skipped in -short (the -race job) — the full suite runs it")
 	}
 	cfg := config.TestScale()
-	for _, scheme := range []string{"L2P", "L2S", "CC(75%)", "DSR", "SNUG"} {
+	for _, g := range goldenDigests {
+		scheme := g.scheme
 		live, err := cmp.RunWorkload(cfg, scheme, goldenBench, goldenCycles)
 		if err != nil {
 			t.Fatal(err)

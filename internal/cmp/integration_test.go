@@ -149,6 +149,55 @@ func TestControllerFactory(t *testing.T) {
 	}
 }
 
+// TestNewSystemRefusesUnbuildableConfigs checks that each system the
+// constructors below cmp would panic on is refused by NewSystem with an
+// error, under every scheme family.
+func TestNewSystemRefusesUnbuildableConfigs(t *testing.T) {
+	base := config.TestScale()
+	streams, err := WorkloadStreams(base, []string{"ammp", "parser", "swim", "mesa"}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name string
+		mut  func(*config.System)
+	}{
+		{"SNUG.CounterBits=16", func(s *config.System) { s.SNUG.CounterBits = 16 }},
+		{"SNUG.ShadowWays=0", func(s *config.System) { s.SNUG.ShadowWays = 0 }},
+		{"SNUG.ShadowWays=32", func(s *config.System) { s.SNUG.ShadowWays = 32 }},
+		{"L1D.Ways=32", func(s *config.System) { s.Mem.L1D.Ways = 32 }},
+		{"L2Slice.Ways=32", func(s *config.System) { s.Mem.L2Slice.Ways = 32 }},
+		{"DSR.SampleSets=0", func(s *config.System) { s.DSR.SampleSets = 0 }},
+		{"DSR.PSELBits=0", func(s *config.System) { s.DSR.PSELBits = 0 }},
+		{"Core.RUUSize=0", func(s *config.System) { s.Core.RUUSize = 0 }},
+		{"Core.PredictorSize=0", func(s *config.System) { s.Core.PredictorSize = 0 }},
+		{"Core.BTBSets=0", func(s *config.System) { s.Core.BTBSets = 0 }},
+		{"Core.RASEntries=0", func(s *config.System) { s.Core.RASEntries = 0 }},
+		{"Mem.WriteBufEntries=0", func(s *config.System) { s.Mem.WriteBufEntries = 0 }},
+		{"Mem.BusWidthBytes=0", func(s *config.System) { s.Mem.BusWidthBytes = 0 }},
+		{"Core.BTBWays=0", func(s *config.System) { s.Core.BTBWays = 0 }},
+		{"Mem.BusSpeedRatio=0", func(s *config.System) { s.Mem.BusSpeedRatio = 0 }},
+		{"Mem.BusArbCycles=-1", func(s *config.System) { s.Mem.BusArbCycles = -1 }},
+		{"Mem.DRAMLat=0", func(s *config.System) { s.Mem.DRAMLat = 0 }},
+	}
+	for _, b := range bad {
+		cfg := base
+		b.mut(&cfg)
+		for _, scheme := range []string{"L2P", "L2S", "CC(75%)", "DSR", "SNUG"} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s under %s: NewSystem panicked: %v", b.name, scheme, r)
+					}
+				}()
+				if _, err := NewSystem(cfg, scheme, streams); err == nil {
+					t.Errorf("%s under %s: NewSystem accepted the system", b.name, scheme)
+				}
+			}()
+		}
+	}
+}
+
 // TestWorkloadStreams checks stream construction errors.
 func TestWorkloadStreams(t *testing.T) {
 	cfg := config.TestScale()

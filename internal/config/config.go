@@ -237,15 +237,27 @@ func Scaled(factor int64) System {
 	if factor <= 0 {
 		factor = 1
 	}
-	s.SNUG.StageICycles = maxI64(s.SNUG.StageICycles/factor, 2*s.Quantum)
-	s.SNUG.StageIICycles = maxI64(s.SNUG.StageIICycles/factor, 4*s.Quantum)
+	s.SNUG.StageICycles = max(s.SNUG.StageICycles/factor, 2*s.Quantum)
+	s.SNUG.StageIICycles = max(s.SNUG.StageIICycles/factor, 4*s.Quantum)
 	return s
 }
 
-// Validate reports configuration errors.
+// maxWays is the associativity limit of the cache model's rank-nibble LRU
+// (internal/cache).
+const maxWays = 16
+
+// Validate reports configuration errors: every system it accepts builds
+// under each scheme.
 func (s System) Validate() error {
 	if s.Cores <= 0 {
 		return fmt.Errorf("config: cores must be positive, got %d", s.Cores)
+	}
+	c := s.Core
+	if c.RUUSize <= 0 || c.RASEntries <= 0 || c.BTBWays <= 0 {
+		return fmt.Errorf("config: RUU size %d, RAS entries %d and BTB ways %d must be positive", c.RUUSize, c.RASEntries, c.BTBWays)
+	}
+	if !pow2(c.PredictorSize) || !pow2(c.BTBSets) {
+		return fmt.Errorf("config: predictor size %d and BTB sets %d must be positive powers of two", c.PredictorSize, c.BTBSets)
 	}
 	for _, g := range []struct {
 		name string
@@ -254,25 +266,38 @@ func (s System) Validate() error {
 		if g.g.SizeBytes <= 0 || g.g.Ways <= 0 || g.g.BlockBytes <= 0 {
 			return fmt.Errorf("config: %s geometry has non-positive field: %+v", g.name, g.g)
 		}
-		sets := g.g.Sets()
-		if sets <= 0 || sets&(sets-1) != 0 {
+		if g.g.Ways > maxWays {
+			return fmt.Errorf("config: %s associativity %d exceeds %d ways", g.name, g.g.Ways, maxWays)
+		}
+		if sets := g.g.Sets(); !pow2(sets) {
 			return fmt.Errorf("config: %s set count %d is not a power of two", g.name, sets)
 		}
 	}
-	if s.Mem.L2Slice.Ways&(s.Mem.L2Slice.Ways-1) != 0 {
+	if !pow2(s.Mem.L2Slice.Ways) {
 		return fmt.Errorf("config: L2 associativity %d is not a power of two (paper requires A_baseline to be one)", s.Mem.L2Slice.Ways)
 	}
-	if s.SNUG.CounterBits < 2 || s.SNUG.CounterBits > 16 {
-		return fmt.Errorf("config: SNUG counter width %d out of range [2,16]", s.SNUG.CounterBits)
+	m := s.Mem
+	if m.WriteBufEntries <= 0 || m.BusWidthBytes <= 0 || m.BusSpeedRatio <= 0 || m.BusArbCycles < 0 || m.DRAMLat <= 0 {
+		return fmt.Errorf("config: write buffer entries %d, bus width %d, bus speed ratio %d and DRAM latency %d must be positive, bus arbitration %d non-negative",
+			m.WriteBufEntries, m.BusWidthBytes, m.BusSpeedRatio, m.DRAMLat, m.BusArbCycles)
 	}
-	if s.SNUG.PDivisor <= 0 || s.SNUG.PDivisor&(s.SNUG.PDivisor-1) != 0 {
+	if s.SNUG.CounterBits < 2 || s.SNUG.CounterBits > 15 {
+		return fmt.Errorf("config: SNUG counter width %d out of range [2,15]", s.SNUG.CounterBits)
+	}
+	if !pow2(s.SNUG.PDivisor) {
 		return fmt.Errorf("config: SNUG p=%d must be a positive power of two", s.SNUG.PDivisor)
+	}
+	if s.SNUG.ShadowWays <= 0 || s.SNUG.ShadowWays > maxWays {
+		return fmt.Errorf("config: SNUG shadow associativity %d out of range [1,%d]", s.SNUG.ShadowWays, maxWays)
 	}
 	if s.SNUG.StageICycles <= 0 || s.SNUG.StageIICycles <= 0 {
 		return fmt.Errorf("config: SNUG stage lengths must be positive")
 	}
-	if s.DSR.SampleSets*2 >= s.Mem.L2Slice.Sets() {
-		return fmt.Errorf("config: DSR sample sets (2x%d) exceed L2 sets (%d)", s.DSR.SampleSets, s.Mem.L2Slice.Sets())
+	if s.DSR.SampleSets <= 0 || s.DSR.SampleSets*2 >= s.Mem.L2Slice.Sets() {
+		return fmt.Errorf("config: DSR needs 1 to %d sample sets of each kind, got %d", (s.Mem.L2Slice.Sets()-1)/2, s.DSR.SampleSets)
+	}
+	if s.DSR.PSELBits < 1 || s.DSR.PSELBits > 30 {
+		return fmt.Errorf("config: DSR PSEL width %d out of range [1,30]", s.DSR.PSELBits)
 	}
 	switch s.CC.SpillPercent {
 	case 0, 25, 50, 75, 100:
@@ -285,9 +310,5 @@ func (s System) Validate() error {
 	return nil
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }

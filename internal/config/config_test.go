@@ -183,6 +183,25 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(s *System) { s.DSR.SampleSets = 10_000 },
 		func(s *System) { s.CC.SpillPercent = 30 },
 		func(s *System) { s.Quantum = 0 },
+		// Each of these used to pass Validate and then panic while the
+		// system was built or run.
+		func(s *System) { s.SNUG.CounterBits = 16 },
+		func(s *System) { s.SNUG.ShadowWays = 0 },
+		func(s *System) { s.SNUG.ShadowWays = 32 },
+		func(s *System) { s.Mem.L1D.Ways = 32 },
+		func(s *System) { s.Mem.L2Slice.Ways = 32 },
+		func(s *System) { s.DSR.SampleSets = 0 },
+		func(s *System) { s.DSR.PSELBits = 0 },
+		func(s *System) { s.Core.RUUSize = 0 },
+		func(s *System) { s.Core.PredictorSize = 0 },
+		func(s *System) { s.Core.BTBSets = 0 },
+		func(s *System) { s.Core.RASEntries = 0 },
+		func(s *System) { s.Mem.WriteBufEntries = 0 },
+		func(s *System) { s.Mem.BusWidthBytes = 0 },
+		func(s *System) { s.Core.BTBWays = 0 },
+		func(s *System) { s.Mem.BusSpeedRatio = 0 },
+		func(s *System) { s.Mem.BusArbCycles = -1 },
+		func(s *System) { s.Mem.DRAMLat = 0 },
 	}
 	for i, mut := range cases {
 		s := Default()

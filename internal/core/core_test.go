@@ -118,44 +118,23 @@ func TestGTVectorSetIdempotentProperty(t *testing.T) {
 func TestClassifySpillCases(t *testing.T) {
 	gt := MustGTVector(8)
 	// Case 1: same index is giver.
-	pl := ClassifySpill(gt, 4, true)
-	if pl.Case != SpillSameIndex || pl.SetIdx != 4 || pl.Flipped {
-		t.Fatalf("case1 placement %+v", pl)
+	if set, f, ok := Place(gt, 4, true); !ok || set != 4 || f {
+		t.Fatalf("case1 placement %d %v %v", set, f, ok)
 	}
 	// Case 2: same index taker, flipped giver.
 	gt.Set(4, true)
-	pl = ClassifySpill(gt, 4, true)
-	if pl.Case != SpillFlippedIndex || pl.SetIdx != 5 || !pl.Flipped {
-		t.Fatalf("case2 placement %+v", pl)
+	if set, f, ok := Place(gt, 4, true); !ok || set != 5 || !f {
+		t.Fatalf("case2 placement %d %v %v", set, f, ok)
 	}
 	// Case 3: both takers.
 	gt.Set(5, true)
-	if pl = ClassifySpill(gt, 4, true); pl.Case != SpillNone {
-		t.Fatalf("case3 placement %+v", pl)
+	if _, _, ok := Place(gt, 4, true); ok {
+		t.Fatal("case3 placed the block")
 	}
 	// Flip disabled: case 2 degenerates to case 3.
 	gt.Set(5, false)
-	if pl = ClassifySpill(gt, 4, false); pl.Case != SpillNone {
-		t.Fatalf("no-flip placement %+v", pl)
-	}
-}
-
-func TestRetrieveMatchesSpillPlacement(t *testing.T) {
-	// Invariant: wherever ClassifySpill puts a block, ClassifyRetrieve must
-	// search, for every G/T configuration of the two candidate sets.
-	f := func(sameT, flipT, allowFlip bool) bool {
-		gt := MustGTVector(4)
-		gt.Set(2, sameT)
-		gt.Set(3, flipT)
-		sp := ClassifySpill(gt, 2, allowFlip)
-		if sp.Case == SpillNone {
-			return true
-		}
-		rt, ok := ClassifyRetrieve(gt, 2, allowFlip)
-		return ok && rt.SetIdx == sp.SetIdx && rt.Flipped == sp.Flipped
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if _, _, ok := Place(gt, 4, false); ok {
+		t.Fatal("no-flip placement used the flipped set")
 	}
 }
 
@@ -248,16 +227,6 @@ func TestMonitorLatch(t *testing.T) {
 	// Counters persist across latches (initialized once, Figure 7).
 	if !m.Counter(2).Taker() {
 		t.Fatal("counter reset by Latch; the paper initializes once")
-	}
-}
-
-func TestMonitorOnLocalFillExclusivity(t *testing.T) {
-	m, g := testMonitor(t)
-	a := g.Rebuild(11, 5)
-	m.OnLocalEvict(5, g.Tag(a))
-	m.OnLocalFill(a)
-	if m.OnMissCheck(a, true) {
-		t.Fatal("shadow entry survived a local fill (exclusivity violated)")
 	}
 }
 

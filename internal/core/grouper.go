@@ -2,87 +2,41 @@ package core
 
 import "snug/internal/addr"
 
-// SpillCase is the outcome of the index-bit-flipping placement decision
-// (paper Figure 8).
-type SpillCase uint8
-
-const (
-	// SpillSameIndex — Case 1: the peer set with exactly the same index is
-	// a giver; the block lands there with f=0.
-	SpillSameIndex SpillCase = iota
-	// SpillFlippedIndex — Case 2: the same-index peer set is a taker but
-	// the set with the last index bit flipped is a giver; the block lands
-	// there with f=1.
-	SpillFlippedIndex
-	// SpillNone — Case 3: both candidate sets are takers; the peer does not
-	// respond to the spill request.
-	SpillNone
-)
-
-// String names the case.
-func (c SpillCase) String() string {
-	switch c {
-	case SpillSameIndex:
-		return "case1-same-index"
-	case SpillFlippedIndex:
-		return "case2-flipped-index"
-	default:
-		return "case3-no-response"
-	}
-}
-
-// Placement is a resolved spill target.
-type Placement struct {
-	Case    SpillCase
-	SetIdx  uint32 // target set in the peer cache
-	Flipped bool   // value of the f bit to store
-}
-
-// ClassifySpill evaluates Figure 8's three cases for a spill of a block
-// with original set index idx against a peer's G/T vector. allowFlip
-// disables Case 2 for the no-flipping ablation.
-func ClassifySpill(gt *GTVector, idx uint32, allowFlip bool) Placement {
-	if gt.Giver(idx) {
-		return Placement{Case: SpillSameIndex, SetIdx: idx, Flipped: false}
-	}
-	if allowFlip {
-		if fl := addr.FlipLastIndexBit(idx); gt.Giver(fl) {
-			return Placement{Case: SpillFlippedIndex, SetIdx: fl, Flipped: true}
-		}
-	}
-	return Placement{Case: SpillNone}
-}
-
-// ClassifyRetrieve resolves where a peer would search for a block with
-// original set index idx (§3.2 retrieval): the same-index set if it is a
-// giver, otherwise the flipped set if that is a giver — at most one
-// unambiguous search. ok=false means the block cannot be cooperatively
-// cached in this peer.
+// Place evaluates Figure 8's three cases for a block with original set
+// index idx against a peer's G/T vector. It decides both where a spill
+// lands and where a retrieval searches (§3.2):
 //
-// Placement and retrieval consult the same (frozen) G/T vector within one
-// grouping stage, so a block spilled under Case 1/2 is always found by the
-// corresponding search path.
-func ClassifyRetrieve(gt *GTVector, idx uint32, allowFlip bool) (p Placement, ok bool) {
+//   - Case 1: the same-index set is a giver; the block goes there with f=0.
+//   - Case 2: the same-index set is a taker but the set with the last index
+//     bit flipped is a giver; the block goes there with f=1. allowFlip=false
+//     disables this case for the no-flipping ablation.
+//   - Case 3: both candidate sets are takers; ok is false, and the peer
+//     neither takes the spill nor searches.
+//
+// Spill and retrieval consult the same frozen G/T vector within one
+// grouping stage, so a block spilled under Case 1 or 2 is found by exactly
+// one set search.
+func Place(gt *GTVector, idx uint32, allowFlip bool) (set uint32, flipped, ok bool) {
 	if gt.Giver(idx) {
-		return Placement{Case: SpillSameIndex, SetIdx: idx, Flipped: false}, true
+		return idx, false, true
 	}
 	if allowFlip {
 		if fl := addr.FlipLastIndexBit(idx); gt.Giver(fl) {
-			return Placement{Case: SpillFlippedIndex, SetIdx: fl, Flipped: true}, true
+			return fl, true, true
 		}
 	}
-	return Placement{Case: SpillNone}, false
+	return 0, false, false
 }
 
 // Reachable reports whether a cooperative block residing in set residence
-// with flip state f would still be found by ClassifyRetrieve under gt.
-// Used at G/T re-latch time to drop stranded blocks (a design decision the
-// paper leaves open; see DESIGN.md).
+// with flip state flipped would still be found by Place under gt. Used at
+// G/T re-latch time to drop stranded blocks (a design decision the paper
+// leaves open; see DESIGN.md).
 func Reachable(gt *GTVector, residence uint32, flipped bool, allowFlip bool) bool {
 	orig := residence
 	if flipped {
 		orig = addr.FlipLastIndexBit(residence)
 	}
-	p, ok := ClassifyRetrieve(gt, orig, allowFlip)
-	return ok && p.SetIdx == residence && p.Flipped == flipped
+	set, f, ok := Place(gt, orig, allowFlip)
+	return ok && set == residence && f == flipped
 }

@@ -80,13 +80,6 @@ func (m *Monitor) OnLocalEvict(setIdx uint32, tag uint64) {
 	m.stats.ShadowInserts++
 }
 
-// OnLocalFill enforces exclusivity when a local block enters the real set
-// through any path that bypassed OnMiss (e.g. a direct read from the write
-// buffer).
-func (m *Monitor) OnLocalFill(a addr.Addr) {
-	m.shadow.Invalidate(a)
-}
-
 // Latch copies every counter's MSB into the G/T vector — the Stage I → II
 // transition of Figure 5. It returns the number of taker sets latched.
 //

@@ -1,16 +1,19 @@
-// Package core implements the paper's contribution: the SNUG
-// (Set-level Non-Uniformity identifier and Grouper) L2 cache design of §3.
+// Package core implements the building blocks of the paper's contribution,
+// the SNUG (Set-level Non-Uniformity identifier and Grouper) L2 cache
+// design of §3, and its storage-overhead model (Tables 2 and 3).
 //
 // Per L2 set, SNUG keeps a shadow tag array (same associativity as the
 // real set) recording locally evicted blocks, and a k-bit saturating
 // counter estimating σ = shadowHits / (realHits + shadowHits) — the hit-rate
 // gain available from doubling the set's capacity (§3.1.2). The counter's
 // MSB classifies the set as a Giver or Taker; the G/T bits of all sets form
-// the G/T vector (§3.1.3). During the Sets-Grouping stage, taker sets spill
+// the G/T vector (§3.1.3). Monitor holds one slice's shadow array,
+// counters and vector. During the Sets-Grouping stage, taker sets spill
 // clean victims to peer giver sets selected by the index-bit-flipping
 // scheme (§3.2), and misses broadcast retrievals resolved with at most one
-// unambiguous peer-set search. Coherence follows §3.3: only clean blocks
-// spill, and a forwarded cooperative block is invalidated at its host.
+// unambiguous peer-set search; Place makes both decisions. The controller
+// that drives them, SNUG, lives in internal/schemes beside the other four
+// schemes, whose cooperative access path it shares.
 package core
 
 import "fmt"

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"snug/internal/addr"
 	"snug/internal/cache"
 	"snug/internal/config"
@@ -109,12 +107,4 @@ func FigureFor(bench string) int {
 		}
 	}
 	return 0
-}
-
-// CharacterizeError wraps option validation problems.
-func (o CharacterizeOptions) Validate() error {
-	if o.Benchmark == "" {
-		return fmt.Errorf("experiments: characterization needs a benchmark")
-	}
-	return nil
 }

@@ -93,11 +93,3 @@ func (d *DRAM) access(now int64, a addr.Addr) int64 {
 
 // Stats returns a snapshot of the counters.
 func (d *DRAM) Stats() DRAMStats { return d.stats }
-
-// Reset clears bank occupancy and statistics.
-func (d *DRAM) Reset() {
-	d.stats = DRAMStats{}
-	for i := range d.busyTo {
-		d.busyTo[i] = 0
-	}
-}

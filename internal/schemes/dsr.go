@@ -1,11 +1,6 @@
 package schemes
 
-import (
-	"snug/internal/addr"
-	"snug/internal/bus"
-	"snug/internal/cache"
-	"snug/internal/config"
-)
+import "snug/internal/config"
 
 // setCategory classifies a set for DSR's set dueling.
 type setCategory uint8
@@ -28,31 +23,24 @@ const (
 // fixes — is that the taker/giver decision is uniform across all 1024 sets
 // of a cache even when demand varies set by set.
 type DSR struct {
-	h        *Hierarchy
+	coop
+	sameIndex
 	cat      [][]setCategory // [core][set]
 	psel     []int           // per-core selector
 	pselMax  int
 	pselInit int
-	nextHost []int
-
-	spills       int64
-	spillNoTaker int64
-	retrievals   int64
-	retrievalHit int64
 }
 
 // NewDSR builds the DSR controller.
 func NewDSR(cfg config.System) *DSR {
-	h := NewHierarchy(cfg)
 	sets := cfg.Mem.L2Slice.Sets()
 	d := &DSR{
-		h:        h,
 		cat:      make([][]setCategory, cfg.Cores),
 		psel:     make([]int, cfg.Cores),
 		pselMax:  (1 << cfg.DSR.PSELBits) - 1,
 		pselInit: 1 << (cfg.DSR.PSELBits - 1),
-		nextHost: make([]int, cfg.Cores),
 	}
+	d.coop = newCoop(cfg, "DSR", d, cfg.Mem.RemoteLat)
 	stride := sets / cfg.DSR.SampleSets
 	for c := 0; c < cfg.Cores; c++ {
 		d.psel[c] = d.pselInit
@@ -65,13 +53,9 @@ func NewDSR(cfg config.System) *DSR {
 			d.cat[c][spill] = catSpillSample
 			d.cat[c][recv] = catRecvSample
 		}
-		d.nextHost[c] = (c + 1) % cfg.Cores
 	}
 	return d
 }
-
-// Name implements Controller.
-func (d *DSR) Name() string { return "DSR" }
 
 // isSpiller reports the follower policy of core: spill when the
 // spiller-sample sets suffered clearly fewer off-chip misses. The dead
@@ -83,8 +67,8 @@ func (d *DSR) isSpiller(core int) bool {
 	return d.psel[core] < d.pselInit-deadZone
 }
 
-// shouldSpill reports whether an eviction from (core, set) spills.
-func (d *DSR) shouldSpill(core int, set uint32) bool {
+// spillsFrom reports whether an eviction from (core, set) spills.
+func (d *DSR) spillsFrom(core int, set uint32) bool {
 	switch d.cat[core][set] {
 	case catSpillSample:
 		return true
@@ -95,20 +79,20 @@ func (d *DSR) shouldSpill(core int, set uint32) bool {
 	}
 }
 
-// canReceive reports whether (host, set) accepts a foreign spill.
-func (d *DSR) canReceive(host int, set uint32) bool {
+// place accepts a spill at the same index when (host, set) receives.
+func (d *DSR) place(host int, set uint32) (uint32, bool, bool) {
 	switch d.cat[host][set] {
 	case catSpillSample:
-		return false
+		return set, false, false
 	case catRecvSample:
-		return true
+		return set, false, true
 	default:
-		return !d.isSpiller(host)
+		return set, false, !d.isSpiller(host)
 	}
 }
 
-// train updates PSEL on an off-chip miss in (core, set).
-func (d *DSR) train(core int, set uint32) {
+// offChip trains PSEL on an off-chip miss in (core, set).
+func (d *DSR) offChip(core int, set uint32) {
 	switch d.cat[core][set] {
 	case catSpillSample:
 		if d.psel[core] < d.pselMax {
@@ -119,104 +103,4 @@ func (d *DSR) train(core int, set uint32) {
 			d.psel[core]--
 		}
 	}
-}
-
-// Access implements Controller.
-func (d *DSR) Access(core int, now int64, a addr.Addr, write bool) int64 {
-	h := d.h
-	l2Lat := int64(h.Cfg.Mem.L2Lat)
-	if h.Slices[core].Lookup(a, write) {
-		h.Record(core, SrcLocalL2)
-		return now + l2Lat
-	}
-	if ok, done := h.DirectReadProbe(core, now, a); ok {
-		v := h.Slices[core].Insert(a, cache.Block{Dirty: true, Owner: int8(core)})
-		d.handleVictim(core, now, v, h.Geom.Index(a))
-		h.Record(core, SrcWriteBuffer)
-		return done
-	}
-
-	d.retrievals++
-	reqDone := h.Bus.Acquire(now+l2Lat, bus.KindSnoop)
-	idx := h.Geom.Index(a)
-	tag := h.Geom.Tag(a)
-	for off := 1; off < h.Cfg.Cores; off++ {
-		peer := (core + off) % h.Cfg.Cores
-		if found, way := h.Slices[peer].FindCC(idx, tag, false); found {
-			blk := h.Slices[peer].InvalidateWay(idx, way)
-			d.retrievalHit++
-			dataAt := h.Bus.Acquire(now+l2Lat, bus.KindData)
-			done := maxI64(now+l2Lat+int64(h.Cfg.Mem.RemoteLat), dataAt)
-			v := h.Slices[core].Insert(a, cache.Block{Dirty: write || blk.Dirty, Owner: int8(core)})
-			d.handleVictim(core, now, v, idx)
-			h.Record(core, SrcRemoteL2)
-			return done
-		}
-	}
-
-	// Off-chip miss: train the duel.
-	d.train(core, idx)
-	done := h.FetchDRAMAfterSnoop(reqDone, a)
-	v := h.Slices[core].Insert(a, cache.Block{Dirty: write, Owner: int8(core)})
-	d.handleVictim(core, now, v, idx)
-	h.Record(core, SrcDRAM)
-	return done
-}
-
-// handleVictim applies the spill-receive policy to an evicted block.
-func (d *DSR) handleVictim(core int, now int64, v cache.Block, setIdx uint32) {
-	if !v.Valid {
-		return
-	}
-	if v.CC || v.Dirty {
-		d.h.RetireVictim(core, now, v, setIdx)
-		return
-	}
-	if !d.shouldSpill(core, setIdx) {
-		return
-	}
-	h := d.h
-	start := d.nextHost[core]
-	for off := 0; off < h.Cfg.Cores-1; off++ {
-		host := (start + off) % h.Cfg.Cores
-		if host == core {
-			host = (host + 1) % h.Cfg.Cores
-		}
-		if !d.canReceive(host, setIdx) {
-			continue
-		}
-		d.nextHost[core] = (host + 1) % h.Cfg.Cores
-		h.Bus.Acquire(now, bus.KindSnoop)
-		h.Bus.Acquire(now, bus.KindData)
-		hv := h.Slices[host].InsertAt(setIdx, cache.Block{
-			Tag: v.Tag, CC: true, F: false, Owner: v.Owner,
-		})
-		d.spills++
-		if hv.Valid && hv.Dirty && !hv.CC {
-			h.PostWriteback(host, now, h.VictimAddr(hv, setIdx))
-		}
-		return
-	}
-	d.spillNoTaker++
-}
-
-// WritebackL1 implements Controller.
-func (d *DSR) WritebackL1(core int, now int64, a addr.Addr) {
-	d.h.MarkDirtyOrBuffer(core, now, a)
-}
-
-// Tick implements Controller.
-func (d *DSR) Tick(now int64) { d.h.DrainWriteBuffers(now) }
-
-// PSEL exposes the per-core selector values for tests and reporting.
-func (d *DSR) PSEL() []int { return append([]int(nil), d.psel...) }
-
-// Report implements Controller.
-func (d *DSR) Report() Report {
-	r := d.h.BaseReport(d.Name())
-	r.Spills = d.spills
-	r.SpillNoTaker = d.spillNoTaker
-	r.Retrievals = d.retrievals
-	r.RetrievalHits = d.retrievalHit
-	return r
 }

@@ -1,9 +1,11 @@
 // Package schemes implements the last-level-cache management schemes the
 // paper compares: the private baseline (L2P), the shared organization
 // (L2S), eviction-driven Cooperative Caching at fixed spill probabilities
-// (CC, Chang & Sohi [7]), and Dynamic Spill-Receive (DSR, Qureshi [8]).
-// The SNUG controller lives in internal/core (it is the paper's
-// contribution) and implements the same Controller interface.
+// (CC, Chang & Sohi [7]), Dynamic Spill-Receive (DSR, Qureshi [8]), and
+// SNUG, the paper's contribution, built from the demand monitor and
+// placement function of internal/core. The three cooperative schemes share
+// one access path (coop) and differ only in their policy: which clean
+// victims spill, where a peer takes them, and where a retrieval searches.
 //
 // A Controller owns everything below the private L1s: the L2 slices or
 // banks, the snoop bus, the write-back buffers and the DRAM. The multi-core
@@ -115,142 +117,126 @@ func (r Report) OffChip() int64 {
 	return t
 }
 
-// Hierarchy is the shared below-L1 plumbing: per-core L2 slices (for the
-// private-cache schemes), the snoop bus, write buffers and DRAM. Scheme
-// controllers embed it.
-type Hierarchy struct {
-	Cfg    config.System
-	Geom   addr.Geometry
-	Slices []*cache.Cache
-	WB     []*mem.WriteBuffer
-	Bus    *bus.Bus
-	DRAM   *mem.DRAM
+// hierarchy is the below-L1 plumbing every controller builds on: per-core
+// L2 slices (L2S's banks), the snoop bus, one write buffer per slice, and
+// DRAM.
+type hierarchy struct {
+	cfg    config.System
+	geom   addr.Geometry
+	slices []*cache.Cache
+	wb     []*mem.WriteBuffer
+	bus    *bus.Bus
+	dram   *mem.DRAM
 
-	PerCore []CoreAccessStats
+	perCore []CoreAccessStats
 }
 
-// NewHierarchy builds the private-slice hierarchy for cfg.
-func NewHierarchy(cfg config.System) *Hierarchy {
+// newHierarchy builds the private-slice hierarchy for cfg.
+func newHierarchy(cfg config.System) *hierarchy {
 	g := addr.MustGeometry(cfg.Mem.L2Slice.BlockBytes, cfg.Mem.L2Slice.Sets())
-	h := &Hierarchy{
-		Cfg:     cfg,
-		Geom:    g,
-		Slices:  make([]*cache.Cache, cfg.Cores),
-		WB:      make([]*mem.WriteBuffer, cfg.Cores),
-		Bus:     bus.MustNew(cfg.Mem.BusWidthBytes, cfg.Mem.BusSpeedRatio, cfg.Mem.BusArbCycles, cfg.Mem.L2Slice.BlockBytes),
-		DRAM:    mem.MustDRAM(int64(cfg.Mem.DRAMLat), 0, cfg.Mem.L2Slice.BlockBytes),
-		PerCore: make([]CoreAccessStats, cfg.Cores),
+	h := &hierarchy{
+		cfg:     cfg,
+		geom:    g,
+		slices:  make([]*cache.Cache, cfg.Cores),
+		wb:      make([]*mem.WriteBuffer, cfg.Cores),
+		bus:     bus.MustNew(cfg.Mem.BusWidthBytes, cfg.Mem.BusSpeedRatio, cfg.Mem.BusArbCycles, cfg.Mem.L2Slice.BlockBytes),
+		dram:    mem.MustDRAM(int64(cfg.Mem.DRAMLat), 0, cfg.Mem.L2Slice.BlockBytes),
+		perCore: make([]CoreAccessStats, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		h.Slices[i] = cache.MustNew(g, cfg.Mem.L2Slice.Ways)
-		h.WB[i] = mem.MustWriteBuffer(cfg.Mem.WriteBufEntries)
+		h.slices[i] = cache.MustNew(g, cfg.Mem.L2Slice.Ways)
+		h.wb[i] = mem.MustWriteBuffer(cfg.Mem.WriteBufEntries)
 	}
 	return h
 }
 
-// Record counts an access served from src for core.
-func (h *Hierarchy) Record(core int, src Source) {
-	h.PerCore[core].BySource[src]++
+// record counts an access served from src for core.
+func (h *hierarchy) record(core int, src Source) {
+	h.perCore[core].BySource[src]++
 }
 
-// FetchDRAM models a demand fetch: request beat on the address path, DRAM
+// fetchDRAM models a demand fetch: request beat on the address path, DRAM
 // access, data beats back. Returns the data-available cycle.
-func (h *Hierarchy) FetchDRAM(now int64, a addr.Addr) int64 {
-	t := h.Bus.Acquire(now, bus.KindSnoop)
-	t = h.DRAM.Read(t, a)
-	return h.Bus.Acquire(t, bus.KindData)
-}
-
-// FetchDRAMAfterSnoop is FetchDRAM for the cooperative schemes, whose
-// retrieval broadcast already carried the address: the memory controller
-// snoops the same beat, so no second request beat is charged.
-func (h *Hierarchy) FetchDRAMAfterSnoop(reqDone int64, a addr.Addr) int64 {
-	t := h.DRAM.Read(reqDone, a)
-	return h.Bus.Acquire(t, bus.KindData)
+func (h *hierarchy) fetchDRAM(now int64, a addr.Addr) int64 {
+	t := h.bus.Acquire(now, bus.KindSnoop)
+	t = h.dram.Read(t, a)
+	return h.bus.Acquire(t, bus.KindData)
 }
 
 // issueWriteback is the write-buffer drain path: bus transfer then DRAM
 // write.
-func (h *Hierarchy) issueWriteback(start int64, block addr.Addr) int64 {
-	t := h.Bus.Acquire(start, bus.KindWriteback)
-	return h.DRAM.Write(t, block)
+func (h *hierarchy) issueWriteback(start int64, block addr.Addr) int64 {
+	t := h.bus.Acquire(start, bus.KindWriteback)
+	return h.dram.Write(t, block)
 }
 
-// PostWriteback queues a dirty block into core's write buffer at cycle now
-// and returns the cycle the caller may proceed (delayed only when the
-// buffer is full).
-func (h *Hierarchy) PostWriteback(core int, now int64, block addr.Addr) int64 {
-	return h.WB[core].Insert(now, block, h.issueWriteback)
+// postWriteback queues a dirty block into slice's write buffer at cycle now.
+func (h *hierarchy) postWriteback(slice int, now int64, block addr.Addr) {
+	h.wb[slice].Insert(now, block, h.issueWriteback)
 }
 
-// DrainWriteBuffers opportunistically retires pending write-backs up to
+// drainWriteBuffers opportunistically retires pending write-backs up to
 // cycle now. Called from Tick.
-func (h *Hierarchy) DrainWriteBuffers(now int64) {
-	for _, wb := range h.WB {
+func (h *hierarchy) drainWriteBuffers(now int64) {
+	for _, wb := range h.wb {
 		wb.Drain(now, h.issueWriteback)
 	}
 }
 
-// VictimAddr reconstructs a victim block's address from its residence set.
+// victimAddr reconstructs a victim block's address from its residence set.
 // Cooperative blocks stored with a flipped index (F set) recover their
 // original index by flipping the bit back.
-func (h *Hierarchy) VictimAddr(v cache.Block, setIdx uint32) addr.Addr {
+func (h *hierarchy) victimAddr(v cache.Block, setIdx uint32) addr.Addr {
 	idx := setIdx
 	if v.CC && v.F {
 		idx = addr.FlipLastIndexBit(setIdx)
 	}
-	return h.Geom.Rebuild(v.Tag, idx)
+	return h.geom.Rebuild(v.Tag, idx)
 }
 
-// RetireVictim performs the scheme-independent part of victim handling:
-// dirty blocks enter the owner's write buffer (dirty blocks are never
-// cooperative — only clean blocks are spilled), clean blocks vanish.
-// It returns the cycle the caller may proceed.
-func (h *Hierarchy) RetireVictim(core int, now int64, v cache.Block, setIdx uint32) int64 {
-	if !v.Valid || !v.Dirty {
-		return now
+// retire drains a dirty victim evicted from slice's set setIdx through the
+// slice's write buffer; clean victims vanish.
+func (h *hierarchy) retire(slice int, now int64, v cache.Block, setIdx uint32) {
+	if v.Valid && v.Dirty {
+		h.postWriteback(slice, now, h.victimAddr(v, setIdx))
 	}
-	return h.PostWriteback(core, now, h.VictimAddr(v, setIdx))
 }
 
-// DirectReadProbe checks core's write buffer for a's block and, on a hit,
-// removes the pending entry (the block re-enters the cache, making the
-// cached copy newest again). The caller is responsible for installing the
-// block — still dirty — into the slice and handling the victim, so that
-// scheme-specific bookkeeping (shadow exclusivity, spilling) stays
-// consistent. Returns whether it hit and the data-available cycle.
-func (h *Hierarchy) DirectReadProbe(core int, now int64, a addr.Addr) (bool, int64) {
-	block := h.Geom.Block(a)
-	if !h.WB[core].ReadHit(block) {
-		return false, 0
+// takeBack checks core's write buffer for a's block and, on a hit, removes
+// the pending entry: the block re-enters the slice, still dirty, and the
+// caller installs it and retires the victim.
+func (h *hierarchy) takeBack(core int, a addr.Addr) bool {
+	block := h.geom.Block(a)
+	if !h.wb[core].ReadHit(block) {
+		return false
 	}
-	h.WB[core].TakeBack(block)
-	return true, now + int64(h.Cfg.Mem.L2Lat) + 1
+	h.wb[core].TakeBack(block)
+	return true
 }
 
-// MarkDirtyOrBuffer handles an L1 dirty victim: sets the dirty bit if the
-// block is resident in the slice, otherwise posts it straight to the write
+// writebackL1 handles an L1 dirty victim: sets the dirty bit if the block
+// is resident in the slice, otherwise posts it straight to the write
 // buffer.
-func (h *Hierarchy) MarkDirtyOrBuffer(core int, now int64, a addr.Addr) {
-	if h.Slices[core].Lookup(a, true) {
+func (h *hierarchy) writebackL1(core int, now int64, a addr.Addr) {
+	if h.slices[core].Lookup(a, true) {
 		return
 	}
 	// Not resident (non-inclusive corner): post the block to memory.
-	h.PostWriteback(core, now, h.Geom.Block(a))
+	h.postWriteback(core, now, h.geom.Block(a))
 }
 
-// BaseReport assembles the fields every scheme shares.
-func (h *Hierarchy) BaseReport(scheme string) Report {
+// report assembles the fields every scheme shares.
+func (h *hierarchy) report(scheme string) Report {
 	r := Report{
 		Scheme:  scheme,
-		PerCore: append([]CoreAccessStats(nil), h.PerCore...),
-		Bus:     h.Bus.Stats(),
-		DRAM:    h.DRAM.Stats(),
+		PerCore: append([]CoreAccessStats(nil), h.perCore...),
+		Bus:     h.bus.Stats(),
+		DRAM:    h.dram.Stats(),
 	}
-	for _, s := range h.Slices {
+	for _, s := range h.slices {
 		r.Slices = append(r.Slices, s.Stats())
 	}
-	for _, wb := range h.WB {
+	for _, wb := range h.wb {
 		r.WB = append(r.WB, wb.Stats())
 	}
 	return r

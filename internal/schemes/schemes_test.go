@@ -98,9 +98,9 @@ func TestL2SSharedCapacity(t *testing.T) {
 	}
 	hits := 0
 	for i := 0; i < blocks; i++ {
-		before := s.perCore[0].BySource[SrcDRAM]
+		before := s.h.perCore[0].BySource[SrcDRAM]
 		s.Access(0, 200, addr.ForCore(0, addr.Addr(i*64)), false)
-		if s.perCore[0].BySource[SrcDRAM] == before {
+		if s.h.perCore[0].BySource[SrcDRAM] == before {
 			hits++
 		}
 	}
@@ -122,9 +122,9 @@ func TestCCSpillAndRetrieve(t *testing.T) {
 	if c.spills == 0 {
 		t.Fatal("no spills at 100% probability")
 	}
-	before := c.retrievalHit
+	before := c.retrievalHits
 	done := c.Access(0, 5000, addrs[0], false)
-	if c.retrievalHit != before+1 {
+	if c.retrievalHits != before+1 {
 		t.Fatal("retrieval missed the spilled block")
 	}
 	if done < 5000+int64(cfg.Mem.L2Lat+cfg.Mem.RemoteLat) {
@@ -180,17 +180,17 @@ func TestDSRSampleSetsAndPolicy(t *testing.T) {
 	for s := uint32(0); s < uint32(cfg.Mem.L2Slice.Sets()); s++ {
 		switch d.cat[0][s] {
 		case catSpillSample:
-			if !d.shouldSpill(0, s) {
+			if !d.spillsFrom(0, s) {
 				t.Fatal("spiller sample refused to spill")
 			}
-			if d.canReceive(0, s) {
+			if _, _, ok := d.place(0, s); ok {
 				t.Fatal("spiller sample accepted a spill")
 			}
 		case catRecvSample:
-			if d.shouldSpill(0, s) {
+			if d.spillsFrom(0, s) {
 				t.Fatal("receiver sample spilled")
 			}
-			if !d.canReceive(0, s) {
+			if _, _, ok := d.place(0, s); !ok {
 				t.Fatal("receiver sample refused a spill")
 			}
 		}
@@ -209,12 +209,12 @@ func TestDSRTraining(t *testing.T) {
 			break
 		}
 	}
-	before := d.PSEL()[0]
+	before := d.psel[0]
 	for i := 0; i < 10; i++ {
-		d.train(0, spill)
+		d.offChip(0, spill)
 	}
-	if d.PSEL()[0] != before+10 {
-		t.Fatalf("PSEL %d -> %d, want +10", before, d.PSEL()[0])
+	if d.psel[0] != before+10 {
+		t.Fatalf("PSEL %d -> %d, want +10", before, d.psel[0])
 	}
 	// Follower misses never train.
 	var follower uint32
@@ -224,26 +224,26 @@ func TestDSRTraining(t *testing.T) {
 			break
 		}
 	}
-	mid := d.PSEL()[0]
-	d.train(0, follower)
-	if d.PSEL()[0] != mid {
+	mid := d.psel[0]
+	d.offChip(0, follower)
+	if d.psel[0] != mid {
 		t.Fatal("follower miss trained PSEL")
 	}
 }
 
 func TestHierarchyVictimAddr(t *testing.T) {
 	cfg := testCfg()
-	h := NewHierarchy(cfg)
-	g := h.Geom
+	h := newHierarchy(cfg)
+	g := h.geom
 	orig := g.Rebuild(99, 6)
 	// A flipped cooperative block residing in set 7 recovers index 6.
 	v := cache.Block{Tag: g.Tag(orig), Valid: true, CC: true, F: true}
-	if got := h.VictimAddr(v, 7); got != orig {
-		t.Fatalf("VictimAddr = %#x, want %#x", got, orig)
+	if got := h.victimAddr(v, 7); got != orig {
+		t.Fatalf("victimAddr = %#x, want %#x", got, orig)
 	}
 	// A local block in set 6 rebuilds directly.
 	v = cache.Block{Tag: g.Tag(orig), Valid: true}
-	if got := h.VictimAddr(v, 6); got != orig {
-		t.Fatalf("local VictimAddr = %#x, want %#x", got, orig)
+	if got := h.victimAddr(v, 6); got != orig {
+		t.Fatalf("local victimAddr = %#x, want %#x", got, orig)
 	}
 }

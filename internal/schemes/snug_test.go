@@ -1,4 +1,4 @@
-package core
+package schemes
 
 import (
 	"testing"
@@ -16,7 +16,18 @@ func snugUnderTest(t *testing.T) (*SNUG, config.System) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return New(cfg), cfg
+	return NewSNUG(cfg), cfg
+}
+
+// peerCC counts the cooperative blocks of original set idx that core 0's
+// peers hold: Case 1 placements at idx itself, Case 2 ones in the flipped
+// set.
+func peerCC(s *SNUG, idx uint32) (same, flipped int64) {
+	for peer := 1; peer < len(s.mon); peer++ {
+		same += int64(s.h.slices[peer].CCCount(idx, false))
+		flipped += int64(s.h.slices[peer].CCCount(addr.FlipLastIndexBit(idx), true))
+	}
+	return same, flipped
 }
 
 func TestSNUGStageSchedule(t *testing.T) {
@@ -32,7 +43,7 @@ func TestSNUGStageSchedule(t *testing.T) {
 	if s.Stage() != StageIdentify {
 		t.Fatal("Stage II did not end on schedule")
 	}
-	if got := s.Stats().StageSwitches; got != 2 {
+	if got := s.StageSwitches(); got != 2 {
 		t.Fatalf("StageSwitches = %d, want 2", got)
 	}
 }
@@ -45,8 +56,8 @@ func TestSNUGNoSpillsDuringStageI(t *testing.T) {
 		a := addr.ForCore(0, geom.Rebuild(tag, 0))
 		s.Access(0, 10, a, false)
 	}
-	if s.Stats().Spills != 0 {
-		t.Fatalf("%d spills during Stage I; the paper allows none", s.Stats().Spills)
+	if s.spills != 0 {
+		t.Fatalf("%d spills during Stage I; the paper allows none", s.spills)
 	}
 }
 
@@ -67,16 +78,16 @@ func TestSNUGSpillAndRetrieve(t *testing.T) {
 		addrs = append(addrs, a)
 		s.Access(0, 100, a, false)
 	}
-	st := s.Stats()
-	if st.Spills == 0 || st.SpillsCase1 != st.Spills {
-		t.Fatalf("spill stats %+v, want only Case 1 spills", st)
+	same, flipped := peerCC(s, 0)
+	if s.spills == 0 || same != s.spills || flipped != 0 {
+		t.Fatalf("%d spills, %d held at the same index and %d flipped; want only Case 1 spills", s.spills, same, flipped)
 	}
 
 	// Re-access the first (evicted, spilled) block: the retrieval must hit
 	// a peer, forward the block home, and invalidate the cooperative copy.
-	before := s.Stats().RetrievalHits
+	before := s.retrievalHits
 	done := s.Access(0, 200, addrs[0], false)
-	if s.Stats().RetrievalHits != before+1 {
+	if s.retrievalHits != before+1 {
 		t.Fatal("retrieval did not hit the spilled block")
 	}
 	wantMin := int64(200) + int64(cfg.Mem.L2Lat) + int64(cfg.Mem.SNUGRemote)
@@ -86,7 +97,7 @@ func TestSNUGSpillAndRetrieve(t *testing.T) {
 	// The copy must be gone from every peer now (invalidate-on-forward).
 	tag := geom.Tag(addrs[0])
 	for peer := 1; peer < cfg.Cores; peer++ {
-		if found, _ := s.h.Slices[peer].FindCC(0, tag, false); found {
+		if found, _ := s.h.slices[peer].FindCC(0, tag, false); found {
 			t.Fatalf("peer %d still holds the forwarded block", peer)
 		}
 	}
@@ -115,14 +126,14 @@ func TestSNUGFlippedSpill(t *testing.T) {
 		}
 		s.Access(0, 100, a, false)
 	}
-	st := s.Stats()
-	if st.SpillsCase2 == 0 || st.SpillsCase1 != 0 {
-		t.Fatalf("spill stats %+v, want only Case 2 (flipped) spills", st)
+	same, flipped := peerCC(s, 0)
+	if s.spills == 0 || flipped != s.spills || same != 0 {
+		t.Fatalf("%d spills, %d held at the same index and %d flipped; want only Case 2 (flipped) spills", s.spills, same, flipped)
 	}
 	// Retrieval must find the block in the flipped set.
-	before := s.Stats().RetrievalHits
+	before := s.retrievalHits
 	s.Access(0, 200, first, false)
-	if s.Stats().RetrievalHits != before+1 {
+	if s.retrievalHits != before+1 {
 		t.Fatal("flipped-index retrieval failed")
 	}
 }
@@ -137,10 +148,10 @@ func TestSNUGDirtyVictimsNeverSpill(t *testing.T) {
 		a := addr.ForCore(0, geom.Rebuild(tag, 2))
 		s.Access(0, 100, a, true) // stores: every block dirty
 	}
-	if s.Stats().Spills != 0 {
-		t.Fatalf("%d dirty blocks spilled; §3.3 allows only clean blocks", s.Stats().Spills)
+	if s.spills != 0 {
+		t.Fatalf("%d dirty blocks spilled; §3.3 allows only clean blocks", s.spills)
 	}
-	if s.h.WB[0].Stats().Inserts == 0 {
+	if s.h.wb[0].Stats().Inserts == 0 {
 		t.Fatal("dirty victims did not reach the write buffer")
 	}
 }
@@ -154,7 +165,7 @@ func TestSNUGStrandedDropOnLatch(t *testing.T) {
 	for tag := uint64(1); tag <= uint64(ways+4); tag++ {
 		s.Access(0, 100, addr.ForCore(0, geom.Rebuild(tag, 0)), false)
 	}
-	if s.Stats().Spills == 0 {
+	if s.spills == 0 {
 		t.Fatal("setup produced no spills")
 	}
 	// Force the hosts' counters to classify set 0 as taker at the next
@@ -166,11 +177,11 @@ func TestSNUGStrandedDropOnLatch(t *testing.T) {
 		}
 	}
 	s.latch()
-	if s.Stats().StrandedDropped == 0 {
+	if s.strandedDropped == 0 {
 		t.Fatal("stranded cooperative blocks not dropped at re-latch")
 	}
 	for peer := 1; peer < cfg.Cores; peer++ {
-		if n := s.h.Slices[peer].DropWhere(0, func(b cache.Block) bool { return b.CC }); n != 0 {
+		if n := s.h.slices[peer].DropWhere(0, func(b cache.Block) bool { return b.CC }); n != 0 {
 			t.Fatalf("peer %d kept %d unreachable cooperative blocks in set 0", peer, n)
 		}
 	}

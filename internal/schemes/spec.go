@@ -225,4 +225,5 @@ func init() {
 		},
 	})
 	Register(Family{Name: "DSR", New: noArgFactory(func(cfg config.System) Controller { return NewDSR(cfg) })})
+	Register(Family{Name: "SNUG", New: noArgFactory(func(cfg config.System) Controller { return NewSNUG(cfg) })})
 }

@@ -22,6 +22,7 @@ var (
 		{"CC(0)", "CC(0%)"},
 		{"CC(100%)", "CC(100%)"},
 		{"DSR", "DSR"},
+		{"SNUG", "SNUG"},
 	}
 	badSpecs = []string{
 		"", "victim-cache", "CC(", "CC()", "CC(,)", "CC(25,50)", "CC(no)",
@@ -90,6 +91,7 @@ func TestSpecBuild(t *testing.T) {
 		"L2S":     "L2S",
 		"CC(25%)": "CC(25%)",
 		"DSR":     "DSR",
+		"SNUG":    "SNUG",
 	} {
 		c, err := Build(spec, cfg)
 		if err != nil {
@@ -129,7 +131,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestNamesSorted(t *testing.T) {
 	names := Names()
-	want := []string{"CC", "DSR", "L2P", "L2S"}
+	want := []string{"CC", "DSR", "L2P", "L2S", "SNUG"}
 	for _, w := range want {
 		found := false
 		for _, n := range names {

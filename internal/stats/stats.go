@@ -1,46 +1,14 @@
-// Package stats provides the counting, histogramming and aggregation
-// primitives used throughout the simulator: plain counters, fixed-bucket
-// histograms, interval samplers for the paper's characterization experiments
-// (Figures 1–3), and the geometric/harmonic means used by the evaluation
-// metrics (Table 5).
+// Package stats provides the histogramming and aggregation primitives used
+// throughout the simulator: fixed-bucket histograms and interval series for
+// the paper's characterization experiments (Figures 1–3), the geometric
+// mean of the per-class results, the confidence intervals of the replicated
+// figures, and the deterministic RNG and hashes behind every seed.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Counter is a monotonically increasing event counter. The zero value is
-// ready to use.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta (which must be non-negative).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("stats: Counter.Add with negative delta")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns c / (c + other), or 0 when both are zero. It is the shape of
-// the paper's σ = shadowHits / (realHits + shadowHits) measurement.
-func Ratio(num, denomExtra int64) float64 {
-	d := num + denomExtra
-	if d == 0 {
-		return 0
-	}
-	return float64(num) / float64(d)
-}
 
 // Histogram is a fixed-width bucket histogram over the integer range
 // [1, max]. Values below 1 clamp to the first bucket; values above max clamp
@@ -108,14 +76,6 @@ func (h *Histogram) Fractions() []float64 {
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Reset clears all buckets.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.total = 0
-}
-
 // BucketLabel formats the value range of bucket i, e.g. "1~4" or ">=29".
 func (h *Histogram) BucketLabel(i int) string {
 	width := h.max / len(h.buckets)
@@ -141,23 +101,6 @@ func GeoMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// HarmonicMean returns the harmonic mean of xs, the shape of the fair
-// speedup metric. It panics on non-positive inputs and returns 0 for an
-// empty slice.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: HarmonicMean of non-positive value %g", x))
-		}
-		sum += 1 / x
-	}
-	return float64(len(xs)) / sum
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -288,26 +231,4 @@ func (s *Series) WindowMean(from, to int) float64 {
 		return 0
 	}
 	return Mean(s.Values[from:to])
-}
-
-// Distribution summarizes a float slice: used by tests asserting workload
-// model shapes.
-type Distribution struct {
-	Min, Max, Mean, P50 float64
-}
-
-// Summarize computes a Distribution for xs (zero value for empty input).
-func Summarize(xs []float64) Distribution {
-	if len(xs) == 0 {
-		return Distribution{}
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	return Distribution{
-		Min:  c[0],
-		Max:  c[len(c)-1],
-		Mean: Mean(c),
-		P50:  c[len(c)/2],
-	}
 }
