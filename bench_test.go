@@ -15,7 +15,7 @@
 // and crossovers are the reproduction target — see DESIGN.md.
 //
 // The remaining benchmarks time the simulator's parts for profiling work:
-// per-scheme and 8-core runs, replayed 4- and 16-core SNUG runs, the sweep
+// per-scheme and 8-core runs, 4- and 16-core SNUG runs over tapes, the sweep
 // engine's per-job overhead, and the cache and bus layout
 // microbenchmarks. Nothing gates their numbers; perfbench (BENCHMARK.json)
 // is the repository's benchmark.
@@ -36,7 +36,6 @@ import (
 	"snug/internal/experiments"
 	"snug/internal/metrics"
 	"snug/internal/sweep"
-	"snug/internal/trace"
 )
 
 // benchCycles keeps individual simulations short enough for -bench runs
@@ -236,27 +235,22 @@ func BenchmarkSweepEngine(b *testing.B) {
 	}
 }
 
-// replayedSNUG times a SNUG run of mix on cfg over recorded-and-replayed
-// instruction streams — the sweep engine's steady-state shape, where every
-// scheme after the first replays the combo's recording — and reports
-// simulated cycles per wall-clock second. Each iteration assembles a fresh
-// system and replays the same recordings; the recording itself is
-// captured before the timer starts.
+// replayedSNUG times SNUG runs of mix on cfg through a cmp.StreamCache, as
+// Evaluate runs every scheme of a cell after the first: over the cell's
+// op tapes, recorded by an untimed first run. It reports simulated cycles
+// per wall-clock second. Each iteration assembles a fresh system over
+// fresh cursors of the same tapes.
 func replayedSNUG(b *testing.B, cfg config.System, mix []string) {
 	b.Helper()
-	streams, err := cmp.WorkloadStreams(cfg, mix, cmp.PhaseRefs(benchCycles))
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := trace.RecordAll(streams)
-	// One untimed replayed run extends the recordings to everything the
-	// timed iterations will consume, so they measure pure replay.
-	if _, err := cmp.RunStreams(cfg, "SNUG", trace.Replays(recs), benchCycles); err != nil {
+	sc, uses := cmp.NewStreamCache(), 1+b.N
+	// The untimed run records the tapes to everything the timed runs
+	// will read, so they measure pure tape runs.
+	if _, err := sc.Run(cfg, "SNUG", mix, benchCycles, uses); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cmp.RunStreams(cfg, "SNUG", trace.Replays(recs), benchCycles); err != nil {
+		if _, err := sc.Run(cfg, "SNUG", mix, benchCycles, uses); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,11 +258,11 @@ func replayedSNUG(b *testing.B, cfg config.System, mix []string) {
 }
 
 // BenchmarkSimulatorSpeed measures raw simulation throughput in simulated
-// cycles per wall-clock second over the representative mix, replayed.
+// cycles per wall-clock second over the representative mix's tapes.
 // perfbench's live4 workload measures the same run over live generators.
 func BenchmarkSimulatorSpeed(b *testing.B) { replayedSNUG(b, config.TestScale(), bench.MixBench) }
 
-// BenchmarkSNUG16Core tracks replayed 16-core scale-out throughput — the
+// BenchmarkSNUG16Core tracks 16-core scale-out throughput over tapes — the
 // shape where the CC occupancy index collapses the per-miss broadcast from
 // O(cores × ways) set scans to a counter check per peer.
 func BenchmarkSNUG16Core(b *testing.B) {

@@ -18,8 +18,9 @@
 //	experiments -inject panic:0.02,err:0.05       # deterministic chaos testing
 //	experiments -ablation               # SNUG design-choice ablations
 //
-// Every sweep records each cell's instruction streams once and replays them
-// to the cell's schemes (cmp.StreamCache), bit-identical to live runs. The
+// Every sweep runs each cell's instruction streams through the cores' front
+// ends once and replays the outcomes to the cell's schemes
+// (cmp.StreamCache), bit-identical to live runs. The
 // ablation is one fixed comparison: it reads -cycles, -par, -cores,
 // -fullscale, -quiet and the profile flags, and refuses any other flag
 // instead of ignoring it.
@@ -81,8 +82,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	sf := cli.NewSweepFlags(fs)
-	cycles := fs.Int64("cycles", 2_000_000, "cycles per simulation")
+	sf := cli.NewSweepFlags(fs, 2_000_000)
 	classes := fs.String("classes", "", "comma-separated class subset (C1..C6); empty = all")
 	schemes := fs.String("schemes", "", "comma-separated scheme subset (L2S,CC,DSR,SNUG); empty = all; L2P always runs")
 	cores := fs.String("cores", "4", "core count for the figures, or a comma-separated list for -scaling (e.g. 4,8,16)")
@@ -132,7 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
-		return runAblation(ctx, stdout, cfg, *cycles, sf.Par)
+		return runAblation(ctx, stdout, cfg, sf.Cycles, sf.Par)
 	}
 
 	var cls []string
@@ -149,7 +149,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	opt := experiments.Options{
-		Cfg: cfg, RunCycles: *cycles, Parallelism: sf.Par, Classes: cls,
+		Cfg: cfg, RunCycles: sf.Cycles, Parallelism: sf.Par, Classes: cls,
 		Schemes: sch, Checkpoint: sf.Out, Progress: progress, Replicates: sf.Reps,
 		FailurePolicy: sf.Policy, Retry: sf.Retry,
 		Salvage: sf.Salvage, Sync: sf.Sync, Faults: sf.Faults,
@@ -243,6 +243,22 @@ func writeCSV(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// ablationVariants are the SNUG variants the ablation compares, each a
+// change to the SNUG parameters alone.
+var ablationVariants = []struct {
+	name string
+	mut  func(*config.System)
+}{
+	{"SNUG (paper config)", func(c *config.System) {}},
+	{"no index-bit flipping", func(c *config.System) { c.SNUG.IndexFlip = false }},
+	{"keep stranded CC blocks", func(c *config.System) { c.SNUG.DropOnFlip = false }},
+	{"p=4 (threshold 1/4)", func(c *config.System) { c.SNUG.PDivisor = 4 }},
+	{"p=16 (threshold 1/16)", func(c *config.System) { c.SNUG.PDivisor = 16 }},
+	{"k=3 counter", func(c *config.System) { c.SNUG.CounterBits = 3 }},
+	{"shadow 8-way", func(c *config.System) { c.SNUG.ShadowWays = 8 }},
+	{"stage I x2", func(c *config.System) { c.SNUG.StageICycles *= 2 }},
+}
+
 // runAblation compares SNUG variants on the C1 stress tests plus one mixed
 // combo per class — the design choices DESIGN.md calls out.
 func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par int) error {
@@ -254,26 +270,13 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 			bench = append(bench, b)
 		}
 	}
-	type variant struct {
-		name string
-		mut  func(*config.System)
-	}
-	variants := []variant{
-		{"SNUG (paper config)", func(c *config.System) {}},
-		{"no index-bit flipping", func(c *config.System) { c.SNUG.IndexFlip = false }},
-		{"keep stranded CC blocks", func(c *config.System) { c.SNUG.DropOnFlip = false }},
-		{"p=4 (threshold 1/4)", func(c *config.System) { c.SNUG.PDivisor = 4 }},
-		{"p=16 (threshold 1/16)", func(c *config.System) { c.SNUG.PDivisor = 16 }},
-		{"k=3 counter", func(c *config.System) { c.SNUG.CounterBits = 3 }},
-		{"shadow 8-way", func(c *config.System) { c.SNUG.ShadowWays = 8 }},
-		{"stage I x2", func(c *config.System) { c.SNUG.StageICycles *= 2 }},
-	}
 	// All jobs share one seed key so every variant sees the same instruction
 	// streams as the L2P baseline it is normalized against; the variants
-	// mutate only controller parameters, never the seed or the L2 geometry
-	// the streams derive from, so one recording serves them all.
+	// mutate only controller parameters, never the seed, the L2 geometry
+	// the streams derive from or the cores' front ends, so one cell of
+	// tapes serves them all.
 	seedKey := "ablation/" + strings.Join(bench, "+")
-	cache, uses := cmp.NewStreamCache(), 1+len(variants)
+	cache, uses := cmp.NewStreamCache(), 1+len(ablationVariants)
 	job := func(key, scheme string, mut func(*config.System)) sweep.Job {
 		return sweep.Job{Key: key, SeedKey: seedKey, Run: func(seed uint64) (cmp.RunResult, error) {
 			cfg := base
@@ -283,7 +286,7 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 		}}
 	}
 	jobs := []sweep.Job{job("L2P", "L2P", func(*config.System) {})}
-	for _, v := range variants {
+	for _, v := range ablationVariants {
 		jobs = append(jobs, job(v.name, "SNUG", v.mut))
 	}
 	results, err := sweep.Run(ctx, sweep.Options{Parallelism: par, BaseSeed: base.Seed}, jobs)
@@ -292,7 +295,7 @@ func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycl
 	}
 	baseline := results["L2P"]
 	fmt.Fprintf(stdout, "SNUG ablations on %v (normalized throughput vs L2P %.4f):\n", bench, baseline.Throughput())
-	for _, v := range variants {
+	for _, v := range ablationVariants {
 		r := results[v.name]
 		fmt.Fprintf(stdout, "  %-26s %.4f  (spills=%d retrHits=%d)\n",
 			v.name, r.Throughput()/baseline.Throughput(),

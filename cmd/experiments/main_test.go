@@ -6,10 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"snug/internal/cli"
+	"snug/internal/cmp"
+	"snug/internal/config"
 )
 
 // TestRunFiguresSmoke drives the full flag-to-table path on a tiny subset.
@@ -75,6 +78,36 @@ func TestRunAblationCores(t *testing.T) {
 	}
 }
 
+// TestAblationSharesOneCell checks that the stream cache serves every
+// ablation variant from the cell the L2P baseline's run records: the
+// variants change only SNUG's parameters, below the cores' front ends, so
+// none is refused for another cell, and each gives RunWorkload's result.
+func TestAblationSharesOneCell(t *testing.T) {
+	const cycles = 20_000
+	base := config.TestScale()
+	bench := []string{"ammp", "parser", "swim", "mesa"}
+	sc, uses := cmp.NewStreamCache(), 1+len(ablationVariants)
+	if _, err := sc.Run(base, "L2P", bench, cycles, uses); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ablationVariants {
+		cfg := base
+		v.mut(&cfg)
+		got, err := sc.Run(cfg, "SNUG", bench, cycles, uses)
+		if err != nil {
+			t.Errorf("%s: %v", v.name, err)
+			continue
+		}
+		want, err := cmp.RunWorkload(cfg, "SNUG", bench, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run over the shared tapes differs from RunWorkload", v.name)
+		}
+	}
+}
+
 // TestRunFlagErrors covers option validation through the CLI surface.
 func TestRunFlagErrors(t *testing.T) {
 	cases := map[string][]string{
@@ -100,6 +133,14 @@ func TestRunFlagErrors(t *testing.T) {
 	for name, args := range cases {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: run(%v) succeeded", name, args)
+		}
+	}
+
+	// A run length that is not positive is refused before anything runs,
+	// by the ablation too, which does not go through Evaluate.
+	for _, args := range [][]string{{"-ablation", "-cycles", "0"}, {"-classes", "C1", "-cycles", "-5"}} {
+		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-cycles") {
+			t.Errorf("run(%v) = %v, want the -cycles refusal", args, err)
 		}
 	}
 

@@ -22,10 +22,10 @@
 //	snugsim ... -inject panic:0.02,err:0.05,putfail:0.01  # deterministic chaos testing
 //	snugsim -list
 //
-// Scheme comparisons record the workload's instruction streams once per
-// replicate and replay them to every scheme (cmp.StreamCache) — the same
-// streams the live generators would produce, so results are bit-identical
-// to separate single-scheme runs.
+// Scheme comparisons run the workload's instruction streams through the
+// cores' front ends once per replicate and replay the outcomes to every
+// scheme (cmp.StreamCache), so results are bit-identical to separate
+// single-scheme runs.
 //
 // On SIGINT/SIGTERM the sweep stops dispatching, drains and checkpoints
 // in-flight runs, prints a resume hint, and exits 130; a second signal
@@ -73,12 +73,11 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("snugsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	sf := cli.NewSweepFlags(fs)
+	sf := cli.NewSweepFlags(fs, 5_000_000)
 	scheme := fs.String("scheme", "SNUG",
 		"L2 scheme spec (L2P, L2S, CC, CC(75%), DSR or SNUG), or a comma-separated list to compare")
 	workload := fs.String("workload", "ammp,parser,swim,mesa",
 		"comma-separated benchmark per core, a Table 8 combo name, or Nx<bench>")
-	cycles := fs.Int64("cycles", 5_000_000, "cycles to simulate")
 	ccpct := fs.Int("ccpct", 100, "spill probability for bare \"CC\" specs, in percent (0,25,50,75,100)")
 	scale := fs.Bool("testscale", true, "use the scaled test system (64-set slices); false = full Table 4 system")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
@@ -129,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	seedKey := strings.Join(bench, "+") // one stream per workload, shared by every scheme
 
 	// Every scheme of one replicate sees the same seed (shared SeedKey), so
-	// the cache synthesizes each replicate's streams once and replays them.
+	// the cache records each replicate's tapes once and replays them.
 	cache := cmp.NewStreamCache()
 	var jobs []sweep.Job
 	for _, s := range specs {
@@ -140,13 +139,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			Run: func(jobSeed uint64) (cmp.RunResult, error) {
 				c := cfg
 				c.Seed = jobSeed
-				return cache.Run(c, s, bench, *cycles, len(specs))
+				return cache.Run(c, s, bench, sf.Cycles, len(specs))
 			},
 		})
 	}
 	// Scheme specs are checkpoint keys, not fingerprint material: a store
 	// warmed with some schemes serves a later comparison adding more.
-	fp, err := sweep.Fingerprint("snugsim", *cycles, seedKey, cfg)
+	fp, err := sweep.Fingerprint("snugsim", sf.Cycles, seedKey, cfg)
 	if err != nil {
 		return err
 	}
@@ -164,7 +163,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		// Replicated runs summarize to interval statistics: per-core detail
 		// of a single stream would misrepresent the sample.
 		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d reps=%d (mean ±95%% CI)\n",
-			*workload, len(bench), *cycles, sf.Reps)
+			*workload, len(bench), sf.Cycles, sf.Reps)
 		puts := make(map[string][]float64, len(specs))
 		for _, s := range specs {
 			puts[s] = make([]float64, sf.Reps)
@@ -193,7 +192,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	if len(specs) > 1 {
-		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d\n", *workload, len(bench), *cycles)
+		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d\n", *workload, len(bench), sf.Cycles)
 		for _, s := range specs {
 			r := results[s]
 			fmt.Fprintf(stdout, "  %-9s throughput=%.4f spills=%-7d retrHits=%-7d dram=%d\n",

@@ -157,6 +157,17 @@ func TestRunFlagErrors(t *testing.T) {
 		}
 	}
 
+	// A run length that is not positive is refused before anything runs,
+	// for one scheme and for a comparison written to a store.
+	for _, args := range [][]string{
+		{"-scheme", "SNUG", "-workload", "ammp,parser,swim,mesa", "-cycles", "0"},
+		{"-scheme", "L2P,SNUG", "-workload", "4xgzip", "-cycles", "-5", "-out", filepath.Join(t.TempDir(), "x.jsonl")},
+	} {
+		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-cycles") {
+			t.Errorf("run(%v) = %v, want the -cycles refusal", args, err)
+		}
+	}
+
 	// A fresh -out onto a non-empty store is refused, bytes untouched.
 	store := filepath.Join(t.TempDir(), "prior.jsonl")
 	if err := os.WriteFile(store, []byte("prior results\n"), 0o644); err != nil {

@@ -102,6 +102,7 @@ func ExitCode(err error) int {
 // profiles, Stop writes the profiles, and Finish turns a sweep's error
 // into the command's.
 type SweepFlags struct {
+	Cycles  int64           // -cycles: simulated cycles per run
 	Par     int             // -par: concurrent simulations (0 = GOMAXPROCS)
 	Reps    int             // -reps: independently-seeded replicates per run
 	Out     string          // -out: checkpoint store ("" = none)
@@ -119,9 +120,10 @@ type SweepFlags struct {
 }
 
 // NewSweepFlags registers the sweep and profile flags on fs, whose name
-// is the command's.
-func NewSweepFlags(fs *flag.FlagSet) *SweepFlags {
+// is the command's; cycles is the command's default run length.
+func NewSweepFlags(fs *flag.FlagSet, cycles int64) *SweepFlags {
 	f := &SweepFlags{name: fs.Name()}
+	fs.Int64Var(&f.Cycles, "cycles", cycles, "cycles to simulate per run")
 	fs.IntVar(&f.Par, "par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
 	fs.IntVar(&f.Reps, "reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")
 	fs.StringVar(&f.Out, "out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
@@ -158,6 +160,8 @@ func (f *SweepFlags) Stop(err *error) {
 
 func (f *SweepFlags) validate() error {
 	switch {
+	case f.Cycles <= 0:
+		return fmt.Errorf("-cycles %d: run length must be positive", f.Cycles)
 	case f.Par < 0:
 		return fmt.Errorf("-par %d: worker count must be non-negative (0 = GOMAXPROCS)", f.Par)
 	case f.Reps < 1:

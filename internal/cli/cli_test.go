@@ -113,8 +113,10 @@ func TestSweepFlags(t *testing.T) {
 		check   func(*SweepFlags) bool
 	}{
 		{"defaults", nil, "", func(f *SweepFlags) bool {
-			return f.Par == 0 && f.Reps == 1 && f.Policy == sweep.FailFast && f.Retry == sweep.RetrySpec{Backoff: 100 * time.Millisecond}
+			return f.Cycles == 1000 && f.Par == 0 && f.Reps == 1 && f.Policy == sweep.FailFast && f.Retry == sweep.RetrySpec{Backoff: 100 * time.Millisecond}
 		}},
+		{"cycles 0", []string{"-cycles", "0"}, "-cycles 0", nil},
+		{"cycles -5", []string{"-cycles", "-5"}, "-cycles -5", nil},
 		{"reps 0", []string{"-reps", "0"}, "-reps 0", nil},
 		{"par -1", []string{"-par", "-1"}, "-par -1", nil},
 		{"sync -1", []string{"-sync", "-1", "-out", filepath.Join(dir, "s.json")}, "-sync -1", nil},
@@ -139,7 +141,7 @@ func TestSweepFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := NewSweepFlags(fs)
+		f := NewSweepFlags(fs, 1000)
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatalf("%s: parse: %v", c.name, err)
 		}

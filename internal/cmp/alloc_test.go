@@ -5,6 +5,7 @@ import (
 
 	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/cpu"
 	"snug/internal/isa"
 	"snug/internal/trace"
 )
@@ -23,10 +24,10 @@ const (
 // allocations. An allocation per instruction, access or tick shows up as a
 // count that grows with the run length.
 //
-// Both stream paths are covered: live generators, and replays of recorded
-// streams. A recording extends itself lazily, allocating chunks by design,
-// so an untimed run first extends it past everything the measurement will
-// consume.
+// All three core paths are covered: live generators, replays of recorded
+// streams, and tapes. A recording or a tape extends itself lazily,
+// allocating chunks by design, so an untimed run first extends it past
+// everything the measurement will consume.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
@@ -44,21 +45,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 		return streams
 	}
 	recs := trace.RecordAll(live())
+	var tapes []*cpu.Tape
+	for i, s := range live() {
+		tapes = append(tapes, cpu.NewTape(cfg, i, s))
+	}
 	for _, scheme := range conservationSchemes {
-		// A run is a pure function of its streams, so this untimed run
-		// consumes exactly the prefix the measured replay will.
-		if _, err := cmp.RunStreams(cfg, scheme, trace.Replays(recs), cycles); err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range []struct {
-			name    string
-			streams []isa.Stream
+		paths := []struct {
+			name string
+			sys  func() (*cmp.System, error)
 		}{
-			{"live", live()},
-			{"replay", trace.Replays(recs)},
-		} {
-			sys, err := cmp.NewSystem(cfg, scheme, path.streams)
+			{"live", func() (*cmp.System, error) { return cmp.NewSystem(cfg, scheme, live()) }},
+			{"replay", func() (*cmp.System, error) { return cmp.NewSystem(cfg, scheme, trace.Replays(recs)) }},
+			{"tape", func() (*cmp.System, error) { return cmp.NewTapeSystem(cfg, scheme, tapes) }},
+		}
+		for _, path := range paths {
+			sys, err := path.sys()
 			if err != nil {
+				t.Fatal(err)
+			}
+			// A run is a pure function of its streams, so this untimed run
+			// consumes exactly the prefix the measured one will, and
+			// extends a recording or tape past it.
+			sys.Run(cycles)
+			if sys, err = path.sys(); err != nil {
 				t.Fatal(err)
 			}
 			sys.Run(allocWarmup)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"snug/internal/addr"
-	"snug/internal/cache"
 	"snug/internal/config"
 	"snug/internal/cpu"
 	"snug/internal/isa"
@@ -66,58 +65,81 @@ func (r RunResult) Throughput() float64 {
 	return t
 }
 
-// System is an assembled CMP ready to run.
+// System is an assembled CMP ready to run. A live system steps each core
+// over its instruction stream, through its L1 (the core's MemFunc). A tape
+// system steps each core over a tape cursor, whose ops already carry the
+// core's L1 and branch outcomes; only StreamCache builds one.
 type System struct {
-	cfg     config.System
-	ctrl    schemes.Controller
-	cores   []*cpu.Core
-	l1      []*cache.Cache
-	paths   []corePath
-	mem     []cpu.MemFunc // per-core hierarchy path, built once
+	cfg   config.System
+	ctrl  schemes.Controller
+	l2    cpu.L2 // ctrl, converted once
+	cores []*cpu.Core
+	names []string
+	clock int64
+
+	// Live systems only.
 	streams []isa.Stream
-	names   []string
-	clock   int64
+	l1      []*cpu.L1
+	mem     []cpu.MemFunc // l1[i].Access, bound once
+
+	tapes []*cpu.TapeCursor // tape systems only
 }
 
-// NewSystem assembles a CMP running the named scheme with one instruction
-// stream per core.
-func NewSystem(cfg config.System, scheme string, streams []isa.Stream) (*System, error) {
+// newSystem assembles the cores and the scheme controller, one core per
+// name; the callers attach each core's instruction source.
+func newSystem(cfg config.System, scheme string, names []string) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(streams) != cfg.Cores {
-		return nil, fmt.Errorf("cmp: %d streams for %d cores", len(streams), cfg.Cores)
+	if len(names) != cfg.Cores {
+		return nil, fmt.Errorf("cmp: %d streams for %d cores", len(names), cfg.Cores)
 	}
 	ctrl, err := NewController(scheme, cfg)
 	if err != nil {
 		return nil, err
 	}
-	l1Geom := addr.MustGeometry(cfg.Mem.L1D.BlockBytes, cfg.Mem.L1D.Sets())
-	s := &System{
-		cfg:     cfg,
-		ctrl:    ctrl,
-		cores:   make([]*cpu.Core, cfg.Cores),
-		l1:      make([]*cache.Cache, cfg.Cores),
-		streams: streams,
-		names:   make([]string, cfg.Cores),
-	}
-	for i := 0; i < cfg.Cores; i++ {
+	s := &System{cfg: cfg, ctrl: ctrl, l2: ctrl, cores: make([]*cpu.Core, cfg.Cores), names: names}
+	for i := range s.cores {
 		s.cores[i] = cpu.NewCore(cfg.Core)
-		s.l1[i] = cache.MustNew(l1Geom, cfg.Mem.L1D.Ways)
-		s.names[i] = streams[i].Name()
 	}
-	s.paths = make([]corePath, cfg.Cores)
+	return s, nil
+}
+
+// NewSystem assembles a CMP running the named scheme with one instruction
+// stream per core.
+func NewSystem(cfg config.System, scheme string, streams []isa.Stream) (*System, error) {
+	names := make([]string, len(streams))
+	for i, st := range streams {
+		names[i] = st.Name()
+	}
+	s, err := newSystem(cfg, scheme, names)
+	if err != nil {
+		return nil, err
+	}
+	s.streams = streams
+	s.l1 = make([]*cpu.L1, cfg.Cores)
 	s.mem = make([]cpu.MemFunc, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		s.paths[i] = corePath{
-			ctrl:  ctrl,
-			l1:    s.l1[i],
-			geom:  l1Geom,
-			core:  i,
-			base:  addr.ForCore(i, 0),
-			l1Lat: int64(cfg.Mem.L1Lat),
-		}
-		s.mem[i] = s.paths[i].access
+	for i := range s.l1 {
+		s.l1[i] = cpu.NewL1(cfg, i, s.l2)
+		s.mem[i] = s.l1[i].Access
+	}
+	return s, nil
+}
+
+// newTapeSystem assembles a CMP running the named scheme over one tape per
+// core, each read by a fresh cursor.
+func newTapeSystem(cfg config.System, scheme string, tapes []*cpu.Tape) (*System, error) {
+	names := make([]string, len(tapes))
+	for i, t := range tapes {
+		names[i] = t.Name()
+	}
+	s, err := newSystem(cfg, scheme, names)
+	if err != nil {
+		return nil, err
+	}
+	s.tapes = make([]*cpu.TapeCursor, len(tapes))
+	for i, t := range tapes {
+		s.tapes[i] = t.Cursor()
 	}
 	return s, nil
 }
@@ -125,47 +147,24 @@ func NewSystem(cfg config.System, scheme string, streams []isa.Stream) (*System,
 // Controller exposes the scheme controller (tests, reporting).
 func (s *System) Controller() schemes.Controller { return s.ctrl }
 
-// corePath is one core's flattened path into the hierarchy: private-address
-// rebasing, L1 lookup, then the scheme controller. The rebase offset, L1
-// hit latency and writeback geometry are precomputed at assembly so the
-// per-access path dereferences one struct instead of walking a closure
-// chain back through the System.
-type corePath struct {
-	ctrl  schemes.Controller
-	l1    *cache.Cache
-	geom  addr.Geometry // L1 geometry, hoisted for the writeback rebuild
-	core  int
-	base  addr.Addr // addr.ForCore(core, 0): OR-able private-space rebase
-	l1Lat int64
-}
-
-// access resolves one data-memory access; it is the core's cpu.MemFunc.
-func (p *corePath) access(now int64, a addr.Addr, write bool) int64 {
-	pa := a | p.base
-	if p.l1.Lookup(pa, write) {
-		return now + p.l1Lat
-	}
-	done := p.ctrl.Access(p.core, now+p.l1Lat, pa, write)
-	v := p.l1.Insert(pa, cache.Block{Dirty: write, Owner: int8(p.core)})
-	if v.Valid && v.Dirty {
-		p.ctrl.WritebackL1(p.core, now, p.geom.Rebuild(v.Tag, p.geom.Index(pa)))
-	}
-	return done
-}
-
-// Run advances the system by cycles and returns the result. It may be
-// called repeatedly; results are cumulative from construction. Each
-// quantum steps the cores in index order and then ticks the controller.
+// Run advances the system by cycles and returns the result, cumulative from
+// construction. Each quantum steps the cores in index order and then ticks
+// the controller. Run may be called repeatedly, but a run split into calls
+// equals the whole run only when every call's cycles is a multiple of
+// cfg.Quantum: a call that ends inside a quantum ticks the controller
+// there, which re-interleaves the cores' controller calls.
 func (s *System) Run(cycles int64) RunResult {
 	end := s.clock + cycles
 	q := s.cfg.Quantum
+	l1Lat := int64(s.cfg.Mem.L1Lat)
 	for s.clock < end {
-		boundary := s.clock + q
-		if boundary > end {
-			boundary = end
-		}
+		boundary := min(s.clock+q, end)
 		for i, c := range s.cores {
-			c.Run(boundary, s.streams[i], s.mem[i])
+			if s.tapes != nil {
+				c.RunTape(boundary, s.tapes[i], s.l2, l1Lat)
+			} else {
+				c.Run(boundary, s.streams[i], s.mem[i])
+			}
 		}
 		s.ctrl.Tick(boundary)
 		s.clock = boundary
@@ -183,14 +182,20 @@ func (s *System) result() RunResult {
 	}
 	for i, c := range s.cores {
 		st := c.Stats()
-		l1 := s.l1[i].Stats()
+		var hits, misses int64
+		if s.tapes != nil {
+			hits, misses = s.tapes[i].L1()
+		} else {
+			l1 := s.l1[i].Stats()
+			hits, misses = l1.Hits, l1.Misses
+		}
 		r.Cores[i] = CoreResult{
 			Benchmark:    s.names[i],
 			Instructions: st.Instructions,
 			Cycles:       s.clock,
 			IPC:          float64(st.Instructions) / float64(s.clock),
-			L1Hits:       l1.Hits,
-			L1Misses:     l1.Misses,
+			L1Hits:       hits,
+			L1Misses:     misses,
 			CPUStats:     st,
 		}
 	}
@@ -239,13 +244,26 @@ func PhaseRefs(cycles int64) int64 {
 }
 
 // RunStreams assembles the system under scheme over pre-built streams
-// (live generators or trace replays) and runs it for cycles.
+// (live generators or trace replays) and runs it for cycles, which must be
+// positive.
 func RunStreams(cfg config.System, scheme string, streams []isa.Stream, cycles int64) (RunResult, error) {
+	if err := checkCycles(cycles); err != nil {
+		return RunResult{}, err
+	}
 	sys, err := NewSystem(cfg, scheme, streams)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return sys.Run(cycles), nil
+}
+
+// checkCycles refuses a run length that is not positive, whose result
+// would report NaN IPCs.
+func checkCycles(cycles int64) error {
+	if cycles <= 0 {
+		return fmt.Errorf("cmp: run length %d cycles is not positive", cycles)
+	}
+	return nil
 }
 
 // RunWorkload is the one-call convenience used by the CLI tools, examples

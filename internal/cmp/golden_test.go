@@ -2,10 +2,13 @@ package cmp_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/cpu"
+	"snug/internal/isa"
 	"snug/internal/stats"
 	"snug/internal/trace"
 )
@@ -57,12 +60,15 @@ func TestGoldenSNUGDigest(t *testing.T) {
 }
 
 // TestReplayBitExact is the record/replay correctness bar: simulating over
-// recorded-and-replayed streams must produce results identical to the live
-// generators, for every scheme family (schemes consume different stream
-// prefixes, exercising lazy extension at different depths).
+// recorded streams must produce results identical to the live generators,
+// for every scheme family (schemes consume different stream prefixes,
+// exercising lazy extension at different depths). It covers both kinds of
+// recording: plain trace replays, and the op tapes every sweep runs, as
+// Evaluate runs them — a cell of three StreamCache runs, the first
+// recording the tapes and the other two reading them concurrently.
 func TestReplayBitExact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("15 full simulations; skipped in -short (the -race job) — the full suite runs it")
+		t.Skip("25 full simulations; skipped in -short (the -race job) — the full suite runs it")
 	}
 	cfg := config.TestScale()
 	for _, g := range goldenDigests {
@@ -71,26 +77,88 @@ func TestReplayBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := goldenDigest(live)
 		streams, err := cmp.WorkloadStreams(cfg, goldenBench, cmp.PhaseRefs(goldenCycles))
 		if err != nil {
 			t.Fatal(err)
 		}
 		recs := trace.RecordAll(streams)
-		replayed, err := cmp.RunStreams(cfg, scheme, trace.Replays(recs), goldenCycles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lg, rg := goldenDigest(live), goldenDigest(replayed); lg != rg {
-			t.Errorf("%s: replay digest %s != live digest %s", scheme, rg, lg)
-		}
 		// A second set of cursors over the same recordings must reproduce
 		// the run again (cursor independence at system level).
-		again, err := cmp.RunStreams(cfg, scheme, trace.Replays(recs), goldenCycles)
+		for _, pass := range []string{"replay", "second replay"} {
+			replayed, err := cmp.RunStreams(cfg, scheme, trace.Replays(recs), goldenCycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := goldenDigest(replayed); got != want {
+				t.Errorf("%s: %s digest %s != live digest %s", scheme, pass, got, want)
+			}
+		}
+
+		sc := cmp.NewStreamCache()
+		var runs [3]cmp.RunResult
+		var errs [3]error
+		runs[0], errs[0] = sc.Run(cfg, scheme, goldenBench, goldenCycles, len(runs))
+		var wg sync.WaitGroup
+		for i := 1; i < len(runs); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				runs[i], errs[i] = sc.Run(cfg, scheme, goldenBench, goldenCycles, len(runs))
+			}(i)
+		}
+		wg.Wait()
+		for i, r := range runs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got := goldenDigest(r); got != want {
+				t.Errorf("%s: tape run %d of the cell: digest %s != live digest %s", scheme, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRunInQuantumChunks pins System.Run's precondition from the side that
+// holds: for every scheme family, on the live path and on the tape path,
+// twelve Run calls of 100,000 cycles — a multiple of the quantum — give the
+// digest of one 1.2M-cycle run.
+func TestRunInQuantumChunks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10 full simulations; the full suite runs it")
+	}
+	const chunk = 100_000
+	cfg := config.TestScale()
+	streams := func() []isa.Stream {
+		s, err := cmp.WorkloadStreams(cfg, goldenBench, cmp.PhaseRefs(goldenCycles))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if goldenDigest(again) != goldenDigest(live) {
-			t.Errorf("%s: second replay diverged", scheme)
+		return s
+	}
+	for _, g := range goldenDigests {
+		var tapes []*cpu.Tape
+		for i, s := range streams() {
+			tapes = append(tapes, cpu.NewTape(cfg, i, s))
+		}
+		for _, path := range []struct {
+			name string
+			sys  func() (*cmp.System, error)
+		}{
+			{"live", func() (*cmp.System, error) { return cmp.NewSystem(cfg, g.scheme, streams()) }},
+			{"tape", func() (*cmp.System, error) { return cmp.NewTapeSystem(cfg, g.scheme, tapes) }},
+		} {
+			sys, err := path.sys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r cmp.RunResult
+			for done := int64(0); done < goldenCycles; done += chunk {
+				r = sys.Run(chunk)
+			}
+			if got := goldenDigest(r); got != g.digest {
+				t.Errorf("%s on the %s path in %d-cycle Runs: digest %s, want %s", g.scheme, path.name, chunk, got, g.digest)
+			}
 		}
 	}
 }

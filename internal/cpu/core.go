@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"math"
 
 	"snug/internal/addr"
@@ -35,12 +36,11 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// Core is the out-of-order timing model. It is advanced in quanta by Run;
-// cross-core structures are consulted only through the MemFunc.
+// Core is the out-of-order timing model. It is advanced in quanta by Run
+// or RunTape; cross-core structures are consulted only through the MemFunc
+// or the L2.
 type Core struct {
-	pred *Predictor
-	btb  *BTB
-	ras  *RAS
+	branch branchUnit
 
 	// Per-kind latencies and queue bounds, widened once at construction so
 	// the per-instruction path does no int64 conversions or config loads.
@@ -89,9 +89,7 @@ type Core struct {
 // NewCore builds a core with the given configuration.
 func NewCore(cfg config.Core) *Core {
 	c := &Core{
-		pred:          NewPredictor(cfg.PredictorSize, cfg.HistoryLength),
-		btb:           NewBTB(cfg.BTBSets, cfg.BTBWays),
-		ras:           NewRAS(cfg.RASEntries),
+		branch:        newBranchUnit(cfg),
 		commitRing:    make([]int64, cfg.RUUSize),
 		lsq:           make([]int64, 0, cfg.LSQSize),
 		aluLat:        int64(cfg.ALULat),
@@ -207,7 +205,7 @@ func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
 				complete = start + 1 // posted through the store buffer
 			default:
 				complete = start + c.aluLat
-				if c.mispredicted(in) {
+				if c.branch.redirects(in) {
 					mispredicts++
 					fetchAvail = max(fetchAvail, complete+c.branchPenalty)
 				}
@@ -225,6 +223,99 @@ func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
 		c.kindCount[kind&15]++
 	}
 	c.pendHead, c.pendLen = head, n
+	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt
+	c.commitAt, c.commitCnt = commitAt, commitCnt
+	c.robIdx, c.prevComplete = robIdx, prevComplete
+	c.stats.ROBStall += robStall
+	c.stats.DepStall += depStall
+	c.stats.BranchMispredicts += mispredicts
+	c.stats.Instructions += count
+	return count
+}
+
+// RunTape is Run over a tape: it steps the instructions t reads with the
+// front-end outcomes recorded for them, so it consults no predictor and no
+// L1. A fetch redirect costs the branch penalty. A load or store that hit
+// in the L1 takes l1Lat; one that missed goes to l2 l1Lat after its issue
+// and then writes back its dirty victim, the calls L1.Access makes for the
+// same miss. The loop is runBatch's, rule for rule, reading the tape's op
+// bytes in place; the L1 counts go to the cursor.
+func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
+	buf, off, used := t.buf, t.off, t.used
+	core, miss := t.tape.core, t.miss
+	ring := c.commitRing
+	clock, fetchAvail, issuedCnt := c.clock, c.fetchAvail, c.issuedCnt
+	commitAt, commitCnt := c.commitAt, c.commitCnt
+	robIdx, prevComplete := c.robIdx, c.prevComplete
+	var robStall, depStall, mispredicts, count, hits, misses int64
+	for clock < until {
+		if off >= used {
+			t.off = off
+			t.refill()
+			buf, off, used = t.buf, t.off, t.used
+		}
+		op := buf[off]
+		off++
+
+		e := max(clock, fetchAvail)
+		robFree := ring[robIdx]
+		robStall += max(robFree-e, 0)
+		e = max(e, robFree)
+		kind := isa.Kind(op & opKind)
+		if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
+			e = c.reserveLSQ(e)
+		}
+		clock, issuedCnt = slot(e, clock, issuedCnt, c.issueWidth)
+
+		dep := depDelay(prevComplete, clock, op&opDepPrev != 0)
+		depStall += dep
+		start := clock + dep
+		var complete int64
+		if kind < isa.KindLoad {
+			complete = start + c.simpleLat[kind]
+		} else if kind <= isa.KindStore {
+			now := start + c.loadLat
+			done := now + l1Lat
+			if op&opOutcome == 0 {
+				hits++
+			} else {
+				misses++
+				d, n := binary.Varint(buf[off:])
+				off += n
+				miss += addr.Addr(d)
+				done = l2.Access(core, done, miss, kind == isa.KindStore)
+				if op&opVictim != 0 {
+					d, n := binary.Varint(buf[off:])
+					off += n
+					l2.WritebackL1(core, now, miss+addr.Addr(d))
+				}
+			}
+			c.pushLSQ(done)
+			complete = done
+			if kind == isa.KindStore {
+				complete = start + 1 // posted through the store buffer
+			}
+		} else {
+			complete = start + c.aluLat
+			if op&opOutcome != 0 {
+				mispredicts++
+				fetchAvail = max(fetchAvail, complete+c.branchPenalty)
+			}
+		}
+		prevComplete = complete
+
+		commitAt, commitCnt = slot(complete, commitAt, commitCnt, c.commitWidth)
+		ring[robIdx] = commitAt
+		robIdx++
+		if robIdx == len(ring) {
+			robIdx = 0
+		}
+		count++
+		c.kindCount[kind&15]++
+	}
+	t.off, t.miss = off, miss
+	t.hits += hits
+	t.misses += misses
 	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt
 	c.commitAt, c.commitCnt = commitAt, commitCnt
 	c.robIdx, c.prevComplete = robIdx, prevComplete
@@ -268,7 +359,7 @@ func (c *Core) step(in *isa.Instr, mem MemFunc) {
 			complete = start + 1 // posted through the store buffer
 		default:
 			complete = start + c.aluLat
-			if c.mispredicted(in) {
+			if c.branch.redirects(in) {
 				c.stats.BranchMispredicts++
 				c.fetchAvail = max(c.fetchAvail, complete+c.branchPenalty)
 			}
@@ -321,27 +412,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// mispredicted trains the predictors on a control-flow instruction
-// (branch, call or return) and reports whether fetch must be redirected:
-// a mispredicted direction, a taken branch or a call missing in the BTB,
-// or a return whose target the RAS did not hold.
-func (c *Core) mispredicted(in *isa.Instr) bool {
-	switch in.Kind {
-	case isa.KindBranch:
-		mispred := c.pred.Update(in.PC, in.Taken)
-		if in.Taken && !c.btb.LookupInsert(in.PC) {
-			mispred = true
-		}
-		return mispred
-	case isa.KindCall:
-		c.ras.Push(in.PC + 4)
-		return !c.btb.LookupInsert(in.PC)
-	case isa.KindReturn:
-		return !c.ras.Pop(in.Target)
-	}
-	return false
 }
 
 // reserveLSQ frees completed LSQ entries as of cycle e and, if the queue is

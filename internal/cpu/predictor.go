@@ -9,6 +9,11 @@
 // transfer function the paper's evaluation depends on.
 package cpu
 
+import (
+	"snug/internal/config"
+	"snug/internal/isa"
+)
+
 // Predictor is a 2-level adaptive (GAp-style) direction predictor: a global
 // history register indexes a table of 2-bit saturating counters, XOR-folded
 // with the branch PC (gshare variant).
@@ -197,4 +202,43 @@ func (r *RAS) Accuracy() float64 {
 		return 1
 	}
 	return float64(r.correct) / float64(t)
+}
+
+// branchUnit is a core's branch prediction front end: the direction
+// predictor, the BTB and the RAS. A live core owns one and so does a
+// tape's recorder (tape.go); both train it through redirects, the one
+// redirect rule.
+type branchUnit struct {
+	pred *Predictor
+	btb  *BTB
+	ras  *RAS
+}
+
+func newBranchUnit(cfg config.Core) branchUnit {
+	return branchUnit{
+		pred: NewPredictor(cfg.PredictorSize, cfg.HistoryLength),
+		btb:  NewBTB(cfg.BTBSets, cfg.BTBWays),
+		ras:  NewRAS(cfg.RASEntries),
+	}
+}
+
+// redirects trains the predictors on a control-flow instruction (branch,
+// call or return) and reports whether fetch must be redirected: a
+// mispredicted direction, a taken branch or a call missing in the BTB,
+// or a return whose target the RAS did not hold.
+func (b *branchUnit) redirects(in *isa.Instr) bool {
+	switch in.Kind {
+	case isa.KindBranch:
+		mispred := b.pred.Update(in.PC, in.Taken)
+		if in.Taken && !b.btb.LookupInsert(in.PC) {
+			mispred = true
+		}
+		return mispred
+	case isa.KindCall:
+		b.ras.Push(in.PC + 4)
+		return !b.btb.LookupInsert(in.PC)
+	case isa.KindReturn:
+		return !b.ras.Pop(in.Target)
+	}
+	return false
 }

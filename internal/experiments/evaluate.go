@@ -162,7 +162,7 @@ func jobKey(combo, label string) string { return combo + "/" + label }
 // comboJobs appends one combo's runs — the L2P baseline plus every spec —
 // to jobs. All of a combo's runs share its name as SeedKey, so every scheme
 // sees identical instruction streams (paired comparisons), which cache
-// synthesizes once per (combo, replicate) cell and replays to every scheme.
+// records once per (combo, replicate) cell and replays to every scheme.
 func comboJobs(jobs []sweep.Job, cache *cmp.StreamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64) []sweep.Job {
 	all := append([]schemes.Spec{baselineSpec}, specs...)
 	for _, spec := range all {

@@ -9,7 +9,10 @@
 // simulation timing (the generator takes no feedback from the core or the
 // caches), so the expensive synthesis work — RNG draws, phase bookkeeping,
 // set and stack-distance selection — can be paid once per stream and
-// amortized across every scheme that replays it.
+// amortized across every scheme that replays it. The sweeps themselves
+// share op tapes (cpu.Tape), which also strip what the cores' front ends
+// resolve; recordings keep the whole stream, for perfbench's traced mode
+// and the tests.
 //
 // A Recording wraps a live source stream and memoizes its output into
 // fixed-size chunks of a byte-oriented struct-of-arrays encoding:
