@@ -156,7 +156,7 @@ func BenchmarkSchemeSNUG(b *testing.B) { schemeOnMix(b, "SNUG") }
 // unit of work, tracking the new width axis next to the quad-core numbers.
 func scheme8Core(b *testing.B, scheme string) {
 	b.Helper()
-	cfg, err := config.TestScaleN(8)
+	cfg, err := config.WithCores(config.TestScale(), 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func BenchmarkSimulatorSpeed(b *testing.B) { replayedSNUG(b, config.TestScale(),
 // shape where the CC occupancy index collapses the per-miss broadcast from
 // O(cores × ways) set scans to a counter check per peer.
 func BenchmarkSNUG16Core(b *testing.B) {
-	cfg, err := config.TestScaleN(16)
+	cfg, err := config.WithCores(config.TestScale(), 16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkCacheOps(b *testing.B) {
 
 // BenchmarkBusContention is the calendar-placement microbenchmark behind
 // the binary-search insertion in bus.place: current-time snoops racing
-// far-future data phases and opportunistic write-back drains, reporting
+// far-future data phases and write-back drains, reporting
 // raw ops/s.
 func BenchmarkBusContention(b *testing.B) {
 	bu := bus.MustNew(16, 4, 1, 64)
@@ -332,7 +332,7 @@ func BenchmarkBusContention(b *testing.B) {
 			bu.Acquire(skew, bus.KindData)
 		}
 		if i%4 == 0 {
-			bu.TryAcquire(now, bus.KindWriteback)
+			bu.Acquire(now, bus.KindWriteback)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")

@@ -49,12 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	// The library treats 0 as "paper default" (1000 x 100K); from the CLI
-	// that silent upgrade would be surprising, so require explicit values.
-	if *intervals <= 0 || *accesses <= 0 {
-		return fmt.Errorf("-intervals and -accesses must be positive")
-	}
-
 	opt := experiments.CharacterizeOptions{
 		Benchmark:           *bench,
 		Cfg:                 config.Default(),

@@ -39,6 +39,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"positional args": {"extra"},
 		"bad benchmark":   {"-bench", "nope", "-intervals", "2", "-accesses", "100"},
 		"zero intervals":  {"-intervals", "0"},
+		"zero accesses":   {"-accesses", "0"},
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard, io.Discard); err == nil {

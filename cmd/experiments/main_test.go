@@ -118,6 +118,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"figures core list":  {"-cores", "4,8"},
 		"invalid width":      {"-cores", "6", "-cycles", "1000"},
 		"bad class":          {"-classes", "C9", "-cycles", "1000"},
+		"one bad class":      {"-classes", "C1,C9", "-cycles", "1000"},
 		"bad scheme":         {"-schemes", "NOPE", "-cycles", "1000"},
 		"huge reps":          {"-reps", "100000000000", "-cycles", "1000"},
 	}

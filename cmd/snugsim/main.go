@@ -5,7 +5,9 @@
 // scheme numbers are paired — even across separate invocations.
 //
 // Schemes are full spec strings (see schemes.Parse): "SNUG", "L2P" or
-// parameterized specs like "CC(75%)". Workloads are a per-core benchmark
+// parameterized specs like "CC(75%)". Every spec is parsed before anything
+// runs, and its canonical form labels the run and keys its store line, so
+// "CC(75)" and "CC(75%)" are one scheme. Workloads are a per-core benchmark
 // list, a Table 8 combo name, or "Nx<bench>" for an N-core stress test; the
 // system widens to the workload's core count automatically.
 //
@@ -41,12 +43,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"snug/internal/cli"
 	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/schemes"
 	"snug/internal/stats"
 	"snug/internal/sweep"
 	"snug/internal/trace"
@@ -95,7 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	if *list {
 		fmt.Fprintln(stdout, "benchmarks:", strings.Join(trace.Names(), " "))
-		fmt.Fprintln(stdout, "schemes:   ", strings.Join(cmp.SchemeNames(), " "))
+		fmt.Fprintln(stdout, "schemes:   ", strings.Join(schemes.Names(), " "))
 		fmt.Fprintln(stdout, "combos (Table 8):")
 		for _, c := range workloads.Table8() {
 			fmt.Fprintf(stdout, "  %-3s %s\n", c.Class, c.Name)
@@ -123,8 +127,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return fmt.Errorf("workload %q: %w", *workload, err)
 		}
 	}
-
-	specs := splitSpecs(*scheme)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	specs, err := parseSpecs(*scheme)
+	if err != nil {
+		return err
+	}
 	seedKey := strings.Join(bench, "+") // one stream per workload, shared by every scheme
 
 	// Every scheme of one replicate sees the same seed (shared SeedKey), so
@@ -216,6 +225,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		r.Bus.Count(0), r.Bus.Count(1), r.Bus.Count(2), r.Bus.BusyCycles, r.Bus.WaitCycles)
 	fmt.Fprintf(stdout, "dram: reads=%d writes=%d\n", r.DRAM.Reads, r.DRAM.Writes)
 	return nil
+}
+
+// parseSpecs parses a comma-separated scheme list into canonical spec
+// strings (schemes.Spec.String), which key, label and build each job, so
+// "CC(75)" and "CC(75%)" name one run and one store line. It refuses a
+// malformed or unknown spec and a scheme named twice.
+func parseSpecs(list string) ([]string, error) {
+	var out []string
+	for _, text := range splitSpecs(list) {
+		spec, err := schemes.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		s := spec.String()
+		if slices.Contains(out, s) {
+			return nil, fmt.Errorf("-scheme %q names %s twice", list, s)
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // splitSpecs splits a comma-separated scheme list into trimmed spec

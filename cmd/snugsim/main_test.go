@@ -180,6 +180,55 @@ func TestRunFlagErrors(t *testing.T) {
 	if got, _ := os.ReadFile(store); string(got) != "prior results\n" {
 		t.Errorf("refused store changed to %q", got)
 	}
+
+	// Bad scheme or configuration input is refused before any job runs or
+	// any store is written, even under -failpolicy continue, which would
+	// otherwise run the sweep and report each job's failure.
+	for name, args := range map[string][]string{
+		"unknown scheme in a list": {"-scheme", "L2P,victim"},
+		"empty spec":               {"-scheme", "L2P,"},
+		"scheme named twice":       {"-scheme", "CC(75),CC(75%)"},
+		"bad spill percent":        {"-scheme", "L2P", "-ccpct", "33"},
+	} {
+		out := filepath.Join(t.TempDir(), "s.jsonl")
+		args = append(args, "-failpolicy", "continue", "-workload", "4xgzip", "-cycles", "50000", "-out", out)
+		if err := run(context.Background(), args, io.Discard, io.Discard); cli.ExitCode(err) != 1 {
+			t.Errorf("%s: exit code %d (%v), want 1", name, cli.ExitCode(err), err)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: store created (stat: %v)", name, err)
+		}
+	}
+}
+
+// TestResumeAcrossSpellings: jobs are keyed by the canonical spec, so a
+// store written with "CC(75)" serves a resume spelled "CC(75%)" without
+// running the scheme again, and both runs print the same bytes.
+func TestResumeAcrossSpellings(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "s.jsonl")
+	args := []string{"-workload", "4xgzip", "-cycles", "50000", "-par", "1", "-out", out}
+	var first, second bytes.Buffer
+	if err := run(context.Background(), append([]string{"-scheme", "L2P,CC(75)"}, args...), &first, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), append([]string{"-scheme", "L2P,CC(75%)", "-resume"}, args...), &second, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(written, []byte("\n")); n != 3 || !bytes.Equal(resumed, written) {
+		t.Errorf("store went from %d to %d lines, want 3 (header and two runs) both times",
+			n, bytes.Count(resumed, []byte("\n")))
+	}
+	if first.String() != second.String() || !strings.Contains(first.String(), "CC(75%)") {
+		t.Errorf("resumed output differs or lacks the canonical label:\n%s\n---\n%s", first.String(), second.String())
+	}
 }
 
 // TestStoreHeader pins the header snugsim writes into a -out store, as

@@ -27,11 +27,6 @@ func ForCore(core int, a Addr) Addr {
 	return a | Addr(core+1)<<coreShift
 }
 
-// Core extracts the core ID encoded by ForCore, or -1 if none.
-func Core(a Addr) int {
-	return int(a>>coreShift) - 1
-}
-
 // Geometry describes the address mapping of one cache array: block size and
 // number of sets. It precomputes shift/mask values so the hot-path methods
 // are branch-free.
@@ -70,9 +65,6 @@ func MustGeometry(blockBytes, sets int) Geometry {
 	}
 	return g
 }
-
-// BlockBytes returns the block size in bytes.
-func (g Geometry) BlockBytes() int { return g.blockBytes }
 
 // Sets returns the number of sets.
 func (g Geometry) Sets() int { return g.sets }

@@ -49,8 +49,8 @@ func TestForCoreDisjointAddressSpaces(t *testing.T) {
 	seenTags := map[uint64]bool{}
 	for core := 0; core < 4; core++ {
 		pa := ForCore(core, a)
-		if Core(pa) != core {
-			t.Errorf("Core(ForCore(%d, a)) = %d", core, Core(pa))
+		if got := int(pa>>coreShift) - 1; got != core {
+			t.Errorf("ForCore(%d, a) encodes core %d", core, got)
 		}
 		// The set index must be unaffected; the tag must be unique per core.
 		if g.Index(pa) != g.Index(a) {

@@ -216,27 +216,5 @@ func (c *calendar) prune(now int64) {
 	}
 }
 
-// hasGap reports whether the calendar is free for dur cycles at exactly t:
-// the first interval ending after t either starts beyond the window or
-// overlaps it.
-func (c *calendar) hasGap(t, dur int64) bool {
-	i := sort.Search(len(c.busy), func(k int) bool { return c.busy[k].end > t })
-	return i == len(c.busy) || c.busy[i].start >= t+dur
-}
-
-// TryAcquire schedules a transaction only if its path has an immediate gap
-// at now, returning ok=false otherwise. Write-buffer drains use it to
-// steal idle cycles without delaying demand traffic.
-func (b *Bus) TryAcquire(now int64, k Kind) (doneAt int64, ok bool) {
-	c := b.path(k)
-	if now < c.horizon {
-		now = c.horizon
-	}
-	if !c.hasGap(now, b.duration(k)) {
-		return 0, false
-	}
-	return b.Acquire(now, k), true
-}
-
 // Stats returns a snapshot of activity counters.
 func (b *Bus) Stats() Stats { return b.stats }

@@ -62,19 +62,6 @@ func TestAddressAndDataPathsIndependent(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	b := table4Bus()
-	if _, ok := b.TryAcquire(0, KindWriteback); !ok {
-		t.Fatal("TryAcquire failed on an idle bus")
-	}
-	if _, ok := b.TryAcquire(0, KindWriteback); ok {
-		t.Fatal("TryAcquire succeeded while the data path is busy")
-	}
-	if _, ok := b.TryAcquire(0, KindSnoop); !ok {
-		t.Fatal("TryAcquire on the free address path failed")
-	}
-}
-
 func TestUtilizationAndStats(t *testing.T) {
 	b := table4Bus()
 	b.Acquire(0, KindSnoop)

@@ -48,11 +48,6 @@ func (c *refCalendar) prune(now int64) {
 	c.busy = c.busy[:w]
 }
 
-func (c *refCalendar) hasGap(t, dur int64) bool {
-	i := sort.Search(len(c.busy), func(k int) bool { return c.busy[k].end > t })
-	return i == len(c.busy) || c.busy[i].start >= t+dur
-}
-
 // refBus is Bus over refCalendars; it takes its durations from b, whose
 // duration method reads only the bus parameters.
 type refBus struct {
@@ -81,19 +76,8 @@ func (r *refBus) Acquire(now int64, k Kind) int64 {
 	return start + dur
 }
 
-func (r *refBus) TryAcquire(now int64, k Kind) (int64, bool) {
-	c := r.path(k)
-	if now < c.horizon {
-		now = c.horizon
-	}
-	if !c.hasGap(now, r.b.duration(k)) {
-		return 0, false
-	}
-	return r.Acquire(now, k), true
-}
-
 // TestCalendarMatchesReference drives Bus and refBus through identical
-// random Acquire/TryAcquire sequences whose timestamps drift forward but
+// random Acquire sequences whose timestamps drift forward but
 // regress within a quantum, and now and then by more than the prune
 // slack. Every return, the stats, both horizons and both calendars must
 // agree after every call.
@@ -113,13 +97,7 @@ func TestCalendarMatchesReference(t *testing.T) {
 				now -= 6000 // past the slack: clamped to the horizon
 			}
 			k := Kind(rng.Intn(int(numKinds)))
-			if rng.Intn(3) == 0 {
-				got, gotOK := b.TryAcquire(now, k)
-				want, wantOK := ref.TryAcquire(now, k)
-				if got != want || gotOK != wantOK {
-					t.Fatalf("seed %d op %d: TryAcquire(%d, %v) = %d, %v; reference %d, %v", seed, op, now, k, got, gotOK, want, wantOK)
-				}
-			} else if got, want := b.Acquire(now, k), ref.Acquire(now, k); got != want {
+			if got, want := b.Acquire(now, k), ref.Acquire(now, k); got != want {
 				t.Fatalf("seed %d op %d: Acquire(%d, %v) = %d; reference %d", seed, op, now, k, got, want)
 			}
 			if b.Stats() != ref.stats {

@@ -41,7 +41,7 @@
 // counter check per peer; SNUG's stranded-block sweep (ForEachCCSet) visits
 // only sets that hold cooperative blocks. The counts are exact, not
 // conservative: every path that installs or removes a block (Fill,
-// Invalidate, InvalidateWay, DropWhere, Flush) adjusts them, so a zero
+// Invalidate, InvalidateWay, DropWhere) adjusts them, so a zero
 // count proves the set holds no matching cooperative block.
 package cache
 
@@ -106,9 +106,7 @@ type Stats struct {
 // Cache is a set-associative array with true-LRU replacement, stored as a
 // packed struct-of-arrays (see the package comment for the layout).
 type Cache struct {
-	geom addr.Geometry
 	ways int
-	sets int
 
 	tags   []uint64 // sets×ways row-major: dense tag memory
 	owners []int8   // sets×ways row-major
@@ -133,12 +131,11 @@ type Cache struct {
 	// Precomputed way-window masks: waySel selects bit 0 of every real
 	// way's meta nibble; lruShift is the LRU-rank nibble's bit position.
 	waySel   uint64
-	lruInit  uint64 // identity rank permutation (nibble r = r)
 	lruShift uint
 
 	// Single-entry hit memo: the (set, tag, way) of the last tag-match
 	// scan that hit. It is valid only while the memoized set is untouched
-	// — Fill, invalidation and Flush clear it — so a memo hit provably
+	// — Fill and invalidation clear it — so a memo hit provably
 	// resolves to the same way a fresh scan would, duplicate tags
 	// included. Repeated accesses to a hot block (the dominant L1
 	// pattern) skip the scan entirely.
@@ -158,9 +155,7 @@ func New(geom addr.Geometry, ways int) (*Cache, error) {
 	}
 	sets := geom.Sets()
 	c := &Cache{
-		geom:     geom,
 		ways:     ways,
-		sets:     sets,
 		tags:     make([]uint64, sets*ways),
 		owners:   make([]int8, sets*ways),
 		meta:     make([]uint64, sets),
@@ -172,12 +167,13 @@ func New(geom addr.Geometry, ways int) (*Cache, error) {
 		idxMask:  uint64(sets - 1),
 		lruShift: uint(ways-1) * 4,
 	}
+	var lruInit uint64 // identity rank permutation (nibble r = r)
 	for w := 0; w < ways; w++ {
 		c.waySel |= uint64(1) << (uint(w) * 4)
-		c.lruInit |= uint64(w) << (uint(w) * 4)
+		lruInit |= uint64(w) << (uint(w) * 4)
 	}
 	for s := range c.lru {
-		c.lru[s] = c.lruInit
+		c.lru[s] = lruInit
 	}
 	return c, nil
 }
@@ -190,15 +186,6 @@ func MustNew(geom addr.Geometry, ways int) *Cache {
 	}
 	return c
 }
-
-// Geometry returns the cache's address mapping.
-func (c *Cache) Geometry() addr.Geometry { return c.geom }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -231,7 +218,7 @@ func (c *Cache) blockAt(s uint32, way int) Block {
 
 // matchWay returns the way of set s holding tag at its original index
 // (local lines and CC blocks with F==false), or -1. It is the tag-match
-// scan shared by Lookup, Probe, Peek and Invalidate: the per-set meta word
+// scan shared by Lookup and Invalidate: the per-set meta word
 // yields the eligible ways (valid && !(CC && F)) in one mask expression,
 // and only their tags — dense, row-major — are compared, in way order.
 func (c *Cache) matchWay(s uint32, tag uint64) int {
@@ -272,7 +259,6 @@ func promote(order uint64, w int) uint64 {
 // original index (local lines and CC blocks with F==false). On a hit the
 // block is promoted to MRU, the dirty bit is set for writes, and hit
 // statistics are updated. On a miss only the miss counter is updated.
-// Use Peek to inspect a resident block's state without side effects.
 func (c *Cache) Lookup(a addr.Addr, write bool) bool {
 	s := uint32((uint64(a) >> c.offBits) & c.idxMask)
 	tag := uint64(a) >> c.tagShift
@@ -294,22 +280,6 @@ func (c *Cache) Lookup(a addr.Addr, write bool) bool {
 	}
 	c.stats.Misses++
 	return false
-}
-
-// Probe reports whether a's tag is present at its original index, without
-// updating LRU state or statistics.
-func (c *Cache) Probe(a addr.Addr) bool {
-	return c.matchWay(c.Index(a), c.Tag(a)) >= 0
-}
-
-// Peek returns the block holding a's tag at its original index, without
-// updating LRU state or statistics. found is false when absent.
-func (c *Cache) Peek(a addr.Addr) (blk Block, found bool) {
-	s := c.Index(a)
-	if w := c.matchWay(s, c.Tag(a)); w >= 0 {
-		return c.blockAt(s, w), true
-	}
-	return Block{}, false
 }
 
 // ccInc counts a cooperative block entering set s with flip state flipped.
@@ -395,13 +365,6 @@ func (c *Cache) victimWay(s uint32) int {
 		return bits.TrailingZeros64(inv) >> 2
 	}
 	return int(c.lru[s]>>c.lruShift) & nibbleMask
-}
-
-// Victim selects the fill target in set setIdx: an invalid way if one
-// exists, otherwise the LRU way. It does not modify the set.
-func (c *Cache) Victim(setIdx uint32) (way int, evicted Block) {
-	w := c.victimWay(setIdx)
-	return w, c.blockAt(setIdx, w)
 }
 
 // Fill installs a block into (setIdx, way) at MRU position, returning the
@@ -493,16 +456,6 @@ func (c *Cache) Invalidate(a addr.Addr) (old Block, found bool) {
 	return Block{}, false
 }
 
-// SetView calls fn for each valid block of set setIdx, in way order. fn may
-// not mutate the cache. It exists for the scheme controllers and tests to
-// inspect set contents (e.g. dropping stranded CC blocks on a G/T flip).
-func (c *Cache) SetView(setIdx uint32, fn func(way int, b Block)) {
-	for v := c.meta[setIdx] & c.waySel; v != 0; v &= v - 1 {
-		w := bits.TrailingZeros64(v) >> 2
-		fn(w, c.blockAt(setIdx, w))
-	}
-}
-
 // DropWhere invalidates every block in set setIdx matched by pred and
 // returns how many were dropped.
 func (c *Cache) DropWhere(setIdx uint32, pred func(b Block) bool) int {
@@ -515,39 +468,4 @@ func (c *Cache) DropWhere(setIdx uint32, pred func(b Block) bool) int {
 		}
 	}
 	return n
-}
-
-// LRUOrder returns the ways of set setIdx ordered from MRU to LRU,
-// considering only valid lines — a read of the rank word. Used by tests
-// asserting exact-LRU behaviour and by the stack-distance cross-checks.
-func (c *Cache) LRUOrder(setIdx uint32) []int {
-	m := c.meta[setIdx]
-	order := c.lru[setIdx]
-	out := make([]int, 0, c.ways)
-	for r := 0; r < c.ways; r++ {
-		w := int(order>>(uint(r)*4)) & nibbleMask
-		if m>>(uint(w)*4)&bValid != 0 {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// ValidCount returns the number of valid lines in set setIdx.
-func (c *Cache) ValidCount(setIdx uint32) int {
-	return bits.OnesCount64(c.meta[setIdx] & c.waySel)
-}
-
-// Flush invalidates every line (without write-back side effects) and is
-// used between characterization warm-up and measurement windows.
-func (c *Cache) Flush() {
-	for s := range c.meta {
-		c.meta[s] = 0
-		c.lru[s] = c.lruInit
-		c.ccCnt[s] = 0
-	}
-	for i := range c.ccSets {
-		c.ccSets[i] = 0
-	}
-	c.memoOK = false
 }

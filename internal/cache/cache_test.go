@@ -224,20 +224,6 @@ func TestHitsNeverDecreaseWithAssociativity(t *testing.T) {
 	}
 }
 
-func TestFlushEmptiesCache(t *testing.T) {
-	c := testCache(t, 4, 2)
-	g := c.Geometry()
-	for s := uint32(0); s < 4; s++ {
-		c.Insert(mkAddr(g, 1, s), Block{})
-	}
-	c.Flush()
-	for s := uint32(0); s < 4; s++ {
-		if c.ValidCount(s) != 0 {
-			t.Fatalf("set %d not empty after flush", s)
-		}
-	}
-}
-
 func TestRejectsNonPositiveWays(t *testing.T) {
 	if _, err := New(addr.MustGeometry(64, 4), 0); err == nil {
 		t.Fatal("0-way cache accepted")

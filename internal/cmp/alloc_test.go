@@ -55,7 +55,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			sys  func() (*cmp.System, error)
 		}{
 			{"live", func() (*cmp.System, error) { return cmp.NewSystem(cfg, scheme, live()) }},
-			{"replay", func() (*cmp.System, error) { return cmp.NewSystem(cfg, scheme, trace.Replays(recs)) }},
+			{"replay", func() (*cmp.System, error) { return cmp.NewSystem(cfg, scheme, replays(recs)) }},
 			{"tape", func() (*cmp.System, error) { return cmp.NewTapeSystem(cfg, scheme, tapes) }},
 		}
 		for _, path := range paths {

@@ -18,16 +18,6 @@ import (
 	"snug/internal/trace"
 )
 
-// NewController builds the controller for a scheme spec string — a
-// registered scheme name with optional parameters, e.g. "L2P", "SNUG" or
-// "CC(75%)" (see schemes.Parse for the grammar).
-func NewController(spec string, cfg config.System) (schemes.Controller, error) {
-	return schemes.Build(spec, cfg)
-}
-
-// SchemeNames returns the registered scheme family names, sorted.
-func SchemeNames() []string { return schemes.Names() }
-
 // CoreResult summarizes one core's execution.
 type CoreResult struct {
 	Benchmark    string
@@ -94,7 +84,7 @@ func newSystem(cfg config.System, scheme string, names []string) (*System, error
 	if len(names) != cfg.Cores {
 		return nil, fmt.Errorf("cmp: %d streams for %d cores", len(names), cfg.Cores)
 	}
-	ctrl, err := NewController(scheme, cfg)
+	ctrl, err := schemes.Build(scheme, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type conservationRun struct {
 // drawConservationRuns draws the suite's configurations from a fixed-seed
 // generator, so the suite is reproducible: per scheme, one short run of
 // 100k-150k cycles and one 1.2M-cycle run, long enough for SNUG to latch
-// its giver/taker sets and spill. Core counts are the widths TestScaleN
+// its giver/taker sets and spill. Core counts are the widths WithCores
 // accepts.
 func drawConservationRuns() []conservationRun {
 	rng := rand.New(rand.NewSource(0x5eed_e90c))
@@ -75,7 +75,7 @@ func TestConservationLaws(t *testing.T) {
 		if r.cycles == goldenCycles && testing.Short() {
 			continue
 		}
-		cfg, err := config.TestScaleN(r.cores)
+		cfg, err := config.WithCores(config.TestScale(), r.cores)
 		if err != nil {
 			t.Fatal(err)
 		}

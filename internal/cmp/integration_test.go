@@ -134,17 +134,18 @@ func TestStressTestNoSpills(t *testing.T) {
 	}
 }
 
-// TestControllerFactory checks name resolution.
+// TestControllerFactory checks that the five families resolve by name and
+// an unknown name is refused.
 func TestControllerFactory(t *testing.T) {
 	cfg := config.TestScale()
 	for _, name := range []string{"L2P", "L2S", "CC", "DSR", "SNUG"} {
-		c, err := NewController(name, cfg)
+		c, err := schemes.Build(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var _ schemes.Controller = c
 	}
-	if _, err := NewController("victim-cache", cfg); err == nil {
+	if _, err := schemes.Build("victim-cache", cfg); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }

@@ -1,7 +1,7 @@
 // Package config defines the simulated system's configuration — the
 // quad-core CMP of the paper's Table 4 — plus scaled presets used by the
 // test suite and the benchmark harness, and N-core scale-out variants
-// (WithCores, DefaultN, TestScaleN) behind the scaling study. Every
+// (WithCores) behind the scaling study. Every
 // latency, size and epoch constant in the simulator is sourced from here so
 // that experiments can be scaled coherently.
 package config
@@ -9,16 +9,22 @@ package config
 import "fmt"
 
 // Core holds the out-of-order core parameters (Table 4, left column).
+//
+// FetchQueue, IntALUs, FPALUs and MultDiv record Table 4's values, but the
+// core model reads none of them: it has no fetch queue and no functional-
+// unit contention, only the latencies below. They stay because every
+// checkpoint fingerprint hashes the whole configuration, so dropping a
+// field would orphan every existing store.
 type Core struct {
 	IssueWidth  int // instructions dispatched per cycle (8)
 	CommitWidth int // instructions committed per cycle (8)
-	FetchQueue  int // I-fetch queue entries (8)
+	FetchQueue  int // I-fetch queue entries (8); not modelled
 	LSQSize     int // load/store queue entries (64)
 	RUUSize     int // register update unit / window entries (128)
 
-	IntALUs int // 4
-	FPALUs  int // 4
-	MultDiv int // 1 multiplier + 1 divider
+	IntALUs int // 4; not modelled
+	FPALUs  int // 4; not modelled
+	MultDiv int // 1 multiplier + 1 divider; not modelled
 	ALULat  int // integer op latency
 	FPLat   int // floating-point op latency
 	MultLat int // multiply latency
@@ -218,15 +224,6 @@ func WithCores(s System, n int) (System, error) {
 	s.Mem.BusWidthBytes = width
 	return s, nil
 }
-
-// DefaultN returns the Table 4 configuration widened to n cores; n = 4 is
-// Default() itself.
-func DefaultN(n int) (System, error) { return WithCores(Default(), n) }
-
-// TestScaleN returns the scaled test configuration widened to n cores, the
-// preset behind the 8- and 16-core test scenarios and the scaling study at
-// test scale.
-func TestScaleN(n int) (System, error) { return WithCores(TestScale(), n) }
 
 // Scaled returns the Table 4 configuration with SNUG stage lengths divided
 // by factor, for runs shorter than the paper's 3-billion-cycle simulations.

@@ -112,36 +112,36 @@ func TestWithCoresScaleOut(t *testing.T) {
 		{32, 64, 2}, // width caps at the 64 B block; clock ratio steps down
 	}
 	for _, c := range cases {
-		s, err := DefaultN(c.cores)
+		s, err := WithCores(Default(), c.cores)
 		if err != nil {
-			t.Fatalf("DefaultN(%d): %v", c.cores, err)
+			t.Fatalf("WithCores(Default(), %d): %v", c.cores, err)
 		}
 		if err := s.Validate(); err != nil {
-			t.Errorf("DefaultN(%d) invalid: %v", c.cores, err)
+			t.Errorf("WithCores(Default(), %d) invalid: %v", c.cores, err)
 		}
 		if s.Cores != c.cores {
-			t.Errorf("DefaultN(%d).Cores = %d", c.cores, s.Cores)
+			t.Errorf("WithCores(Default(), %d).Cores = %d", c.cores, s.Cores)
 		}
 		if s.Mem.BusWidthBytes != c.busWidth || s.Mem.BusSpeedRatio != c.busRatio {
-			t.Errorf("DefaultN(%d) bus %dB ratio %d, want %dB ratio %d",
+			t.Errorf("WithCores(Default(), %d) bus %dB ratio %d, want %dB ratio %d",
 				c.cores, s.Mem.BusWidthBytes, s.Mem.BusSpeedRatio, c.busWidth, c.busRatio)
 		}
 		// Per-core structures are untouched by widening.
 		if s.Mem.L2Slice != Default().Mem.L2Slice || s.Mem.WriteBufEntries != Default().Mem.WriteBufEntries {
-			t.Errorf("DefaultN(%d) changed per-core geometry", c.cores)
+			t.Errorf("WithCores(Default(), %d) changed per-core geometry", c.cores)
 		}
 	}
 
 	for _, n := range []int{8, 16} {
-		s, err := TestScaleN(n)
+		s, err := WithCores(TestScale(), n)
 		if err != nil {
-			t.Fatalf("TestScaleN(%d): %v", n, err)
+			t.Fatalf("WithCores(TestScale(), %d): %v", n, err)
 		}
 		if err := s.Validate(); err != nil {
-			t.Errorf("TestScaleN(%d) invalid: %v", n, err)
+			t.Errorf("WithCores(TestScale(), %d) invalid: %v", n, err)
 		}
 		if s.Cores != n || s.Mem.L2Slice.Sets() != 64 {
-			t.Errorf("TestScaleN(%d): cores %d, sets %d", n, s.Cores, s.Mem.L2Slice.Sets())
+			t.Errorf("WithCores(TestScale(), %d): cores %d, sets %d", n, s.Cores, s.Mem.L2Slice.Sets())
 		}
 	}
 
@@ -153,7 +153,7 @@ func TestWithCoresScaleOut(t *testing.T) {
 
 	// The bus scaling is quad-relative: widening an already-widened system
 	// would compound it, so only a 4-core base is accepted.
-	wide, err := DefaultN(8)
+	wide, err := WithCores(Default(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestWithCoresScaleOut(t *testing.T) {
 	// Beyond 64 cores neither the bus width (capped at the block size) nor
 	// the 4:1 clock ratio can keep per-core bandwidth constant: refuse
 	// rather than silently under-provision.
-	if s, err := DefaultN(64); err != nil || s.Mem.BusSpeedRatio != 1 {
-		t.Errorf("DefaultN(64) = ratio %d, %v; want ratio 1", s.Mem.BusSpeedRatio, err)
+	if s, err := WithCores(Default(), 64); err != nil || s.Mem.BusSpeedRatio != 1 {
+		t.Errorf("WithCores(Default(), 64) = ratio %d, %v; want ratio 1", s.Mem.BusSpeedRatio, err)
 	}
-	if _, err := DefaultN(128); err == nil {
-		t.Error("DefaultN(128) accepted despite an unmeetable bus-bandwidth invariant")
+	if _, err := WithCores(Default(), 128); err == nil {
+		t.Error("WithCores(Default(), 128) accepted despite an unmeetable bus-bandwidth invariant")
 	}
 }
 

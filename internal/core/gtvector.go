@@ -9,7 +9,6 @@ import "fmt"
 // §4.1) to resolve spill placement and retrieval searches.
 type GTVector struct {
 	bits []uint64
-	n    int
 }
 
 // NewGTVector builds a vector for n sets, all initialized to giver.
@@ -17,7 +16,7 @@ func NewGTVector(n int) (*GTVector, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: G/T vector size must be positive, got %d", n)
 	}
-	return &GTVector{bits: make([]uint64, (n+63)/64), n: n}, nil
+	return &GTVector{bits: make([]uint64, (n+63)/64)}, nil
 }
 
 // MustGTVector is NewGTVector but panics on error.
@@ -28,9 +27,6 @@ func MustGTVector(n int) *GTVector {
 	}
 	return v
 }
-
-// Len returns the number of sets tracked.
-func (v *GTVector) Len() int { return v.n }
 
 // Taker reports whether set s is marked as a taker.
 func (v *GTVector) Taker(s uint32) bool {

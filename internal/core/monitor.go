@@ -44,9 +44,6 @@ func (m *Monitor) GT() *GTVector { return m.gt }
 // Stats returns a snapshot of monitoring counters.
 func (m *Monitor) Stats() MonitorStats { return m.stats }
 
-// Shadow exposes the shadow array (tests and reporting).
-func (m *Monitor) Shadow() *cache.Cache { return m.shadow }
-
 // Counter returns set s's saturating counter value (tests and reporting).
 func (m *Monitor) Counter(s uint32) *SatCounter { return &m.counters[s] }
 

@@ -28,14 +28,6 @@ type Stats struct {
 	BranchMispredicts int64 // direction + BTB + RAS redirects applied
 }
 
-// IPC returns committed instructions per cycle (0 when no cycles elapsed).
-func (s Stats) IPC() float64 {
-	if s.Cycles <= 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 // Core is the out-of-order timing model. It is advanced in quanta by Run
 // or RunTape; cross-core structures are consulted only through the MemFunc
 // or the L2.

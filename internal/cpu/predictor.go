@@ -21,13 +21,10 @@ type Predictor struct {
 	historyBits uint
 	history     uint64
 	table       []uint8 // 2-bit counters, weakly-not-taken initialized
-
-	lookups    int64
-	mispredict int64
 }
 
-// NewPredictor builds a predictor with 2^tableBits... no: tableSize entries
-// (power of two) and historyBits of global history.
+// NewPredictor builds a predictor with tableSize entries (a power of two)
+// and historyBits of global history.
 func NewPredictor(tableSize int, historyBits int) *Predictor {
 	if tableSize <= 0 || tableSize&(tableSize-1) != 0 {
 		panic("cpu: predictor table size must be a positive power of two")
@@ -39,23 +36,11 @@ func NewPredictor(tableSize int, historyBits int) *Predictor {
 	return &Predictor{historyBits: uint(historyBits), table: t}
 }
 
-// Predict returns the predicted direction for the branch at pc.
-func (p *Predictor) Predict(pc uint64) bool {
-	idx := p.index(pc)
-	p.lookups++
-	return p.table[idx] >= 2
-}
-
 // Update predicts, trains with the actual outcome, and reports whether the
-// pre-update prediction was wrong. It counts as a lookup.
+// pre-update prediction was wrong.
 func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
 	idx := p.index(pc)
-	p.lookups++
-	pred := p.table[idx] >= 2
-	mispredicted = pred != taken
-	if mispredicted {
-		p.mispredict++
-	}
+	mispredicted = (p.table[idx] >= 2) != taken
 	c := p.table[idx]
 	if taken {
 		if c < 3 {
@@ -74,18 +59,6 @@ func (p *Predictor) index(pc uint64) uint64 {
 	return (pc>>2 ^ p.history) & uint64(len(p.table)-1)
 }
 
-// Accuracy returns the fraction of correct predictions (1.0 when no
-// branches have been seen).
-func (p *Predictor) Accuracy() float64 {
-	if p.lookups == 0 {
-		return 1
-	}
-	return 1 - float64(p.mispredict)/float64(p.lookups)
-}
-
-// Lookups returns the number of predictions made.
-func (p *Predictor) Lookups() int64 { return p.lookups }
-
 // b2u is the branchless bool-to-bit conversion the history shift uses.
 func b2u(b bool) uint64 {
 	if b {
@@ -102,8 +75,6 @@ type BTB struct {
 	tags       []uint64 // sets*ways, 0 = empty
 	use        []uint64
 	tick       uint64
-	hits       int64
-	misses     int64
 }
 
 // NewBTB builds a BTB with the given sets and ways.
@@ -125,7 +96,6 @@ func (b *BTB) LookupInsert(pc uint64) bool {
 	for i := base; i < base+b.ways; i++ {
 		if b.tags[i] == key {
 			b.use[i] = b.tick
-			b.hits++
 			return true
 		}
 		if b.use[i] < lruUse {
@@ -134,17 +104,7 @@ func (b *BTB) LookupInsert(pc uint64) bool {
 	}
 	b.tags[lru] = key
 	b.use[lru] = b.tick
-	b.misses++
 	return false
-}
-
-// HitRate returns the BTB hit fraction (1.0 when unused).
-func (b *BTB) HitRate() float64 {
-	t := b.hits + b.misses
-	if t == 0 {
-		return 1
-	}
-	return float64(b.hits) / float64(t)
 }
 
 // RAS is a circular return-address stack. Calls push, returns pop; a
@@ -154,8 +114,6 @@ type RAS struct {
 	entries []uint64
 	top     int
 	depth   int
-	correct int64
-	wrong   int64
 }
 
 // NewRAS builds a return-address stack with n entries.
@@ -180,28 +138,12 @@ func (r *RAS) Push(retPC uint64) {
 // mispredicts.
 func (r *RAS) Pop(actual uint64) bool {
 	if r.depth == 0 {
-		r.wrong++
 		return false
 	}
 	pred := r.entries[r.top]
 	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
 	r.depth--
-	if pred == actual {
-		r.correct++
-		return true
-	}
-	r.wrong++
-	return false
-}
-
-// Accuracy returns the fraction of correct return predictions (1.0 when
-// unused).
-func (r *RAS) Accuracy() float64 {
-	t := r.correct + r.wrong
-	if t == 0 {
-		return 1
-	}
-	return float64(r.correct) / float64(t)
+	return pred == actual
 }
 
 // branchUnit is a core's branch prediction front end: the direction

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"snug/internal/addr"
 	"snug/internal/cache"
 	"snug/internal/config"
@@ -10,44 +12,31 @@ import (
 )
 
 // CharacterizeOptions configures a Figures 1–3 run. The paper's §2.2
-// methodology: an L2 access stream (after L1 filtering) is profiled with
-// A_threshold = 2×A_baseline = 32 LRU positions per set, over 1000 sampling
-// intervals of 100 K L2 accesses each, bucketed into M = 8 demand ranges.
+// methodology profiles an L2 access stream (after L1 filtering) with
+// A_threshold = 2×A_baseline LRU positions per set (32 for the 16-way
+// slice), over 1000 sampling intervals of 100 K L2 accesses each, bucketed
+// into M = 8 demand ranges. A_threshold and M are fixed at those values,
+// and the generator's seed is Cfg.Seed.
 type CharacterizeOptions struct {
 	Benchmark           string
 	Cfg                 config.System
-	AThreshold          int   // 0 = 2× L2 ways
-	Buckets             int   // M; 0 = 8
-	Intervals           int   // 0 = 1000
-	AccessesPerInterval int64 // L2 accesses per interval; 0 = 100_000
-	Seed                uint64
+	Intervals           int   // sampling intervals (the paper's 1000)
+	AccessesPerInterval int64 // L2 accesses per interval (the paper's 100_000)
 }
 
-// normalize fills defaults.
-func (o *CharacterizeOptions) normalize() {
-	if o.AThreshold == 0 {
-		o.AThreshold = 2 * o.Cfg.Mem.L2Slice.Ways
-	}
-	if o.Buckets == 0 {
-		o.Buckets = 8
-	}
-	if o.Intervals == 0 {
-		o.Intervals = 1000
-	}
-	if o.AccessesPerInterval == 0 {
-		o.AccessesPerInterval = 100_000
-	}
-	if o.Seed == 0 {
-		o.Seed = o.Cfg.Seed
-	}
-}
+// demandBuckets is the paper's M: block_required is bucketed into this
+// many equal ranges of [1, A_threshold].
+const demandBuckets = 8
 
 // Characterize reproduces the §2.2 methodology for one benchmark: the
 // synthetic generator's data stream is filtered through the L1, and every
 // L2-level access feeds the per-set stack-distance profiler; at each
 // interval boundary block_required is bucketed per Formulas (3)–(5).
 func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) {
-	opt.normalize()
+	if opt.Intervals <= 0 || opt.AccessesPerInterval <= 0 {
+		return nil, fmt.Errorf("experiments: characterization needs a positive interval count and interval length, got %d intervals of %d accesses",
+			opt.Intervals, opt.AccessesPerInterval)
+	}
 	prof, err := trace.ByName(opt.Benchmark)
 	if err != nil {
 		return nil, err
@@ -62,13 +51,14 @@ func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) 
 	// the rotation is stretched accordingly.
 	totalL2 := int64(opt.Intervals) * opt.AccessesPerInterval
 	totalRefs := totalL2 * 8 / 5
-	gen, err := trace.NewGenerator(prof, l2Geom, opt.Seed, totalRefs)
+	gen, err := trace.NewGenerator(prof, l2Geom, opt.Cfg.Seed, totalRefs)
 	if err != nil {
 		return nil, err
 	}
 	l1 := cache.MustNew(l1Geom, opt.Cfg.Mem.L1D.Ways)
-	profiler := stackdist.MustProfiler(l2Geom, opt.AThreshold)
-	chz := stackdist.NewCharacterization(opt.AThreshold, opt.Buckets)
+	aThreshold := 2 * opt.Cfg.Mem.L2Slice.Ways
+	profiler := stackdist.MustProfiler(l2Geom, aThreshold)
+	chz := stackdist.NewCharacterization(aThreshold, demandBuckets)
 
 	var in isa.Instr
 	for interval := 1; interval <= opt.Intervals; interval++ {
@@ -83,7 +73,7 @@ func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) 
 			l1.Insert(in.Addr, cache.Block{Dirty: in.Kind == isa.KindStore})
 			profiler.Touch(in.Addr)
 		}
-		chz.Add(profiler.EndInterval(interval, opt.Buckets, opt.Cfg.Mem.L2Slice.Ways))
+		chz.Add(profiler.EndInterval(interval, demandBuckets, opt.Cfg.Mem.L2Slice.Ways))
 	}
 	return chz, nil
 }

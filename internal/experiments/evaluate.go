@@ -12,6 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"snug/internal/cmp"
@@ -256,9 +257,6 @@ func sweepPoints(ctx context.Context, kind string, opt Options, points []Scaling
 		if err != nil {
 			return 0, err
 		}
-		if len(combos) == 0 {
-			return 0, fmt.Errorf("experiments: no combos selected for classes %v", opt.Classes)
-		}
 		for _, combo := range combos {
 			p.Combos = append(p.Combos, ComboResult{Combo: combo})
 			jobs = comboJobs(jobs, cache, p.Cfg, combo, specs, opt.RunCycles)
@@ -362,8 +360,9 @@ func finalize(combo string, runs map[string]cmp.RunResult, selected []string) (c
 	return ccBestPct, comps, nil
 }
 
-// selectCombos filters the width-core scale-out matrix by class labels.
-// Width 4 (or 0) is the paper's Table 8.
+// selectCombos filters the width-core scale-out matrix by class labels,
+// refusing a label outside workloads.Classes. Width 4 (or 0) is the
+// paper's Table 8.
 func selectCombos(classes []string, width int) ([]workloads.Combo, error) {
 	if width == 0 {
 		width = 4
@@ -375,8 +374,12 @@ func selectCombos(classes []string, width int) ([]workloads.Combo, error) {
 	if len(classes) == 0 {
 		return all, nil
 	}
+	known := workloads.Classes()
 	want := map[string]bool{}
 	for _, c := range classes {
+		if !slices.Contains(known, c) {
+			return nil, fmt.Errorf("experiments: unknown class %q (known: %s)", c, strings.Join(known, ", "))
+		}
 		want[c] = true
 	}
 	var out []workloads.Combo

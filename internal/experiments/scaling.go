@@ -7,7 +7,6 @@ import (
 
 	"snug/internal/config"
 	"snug/internal/metrics"
-	"snug/internal/stats"
 )
 
 // ScalingPoint is the evaluation at one core count.
@@ -73,18 +72,6 @@ type ScalingSeries struct {
 	CI map[string][]float64
 	// Replicates is the replicate count behind every cell (1 when CI is nil).
 	Replicates int
-}
-
-// Cell returns row i of the scheme's series as a mean-with-interval.
-func (s ScalingSeries) Cell(scheme string, i int) stats.Interval {
-	iv := stats.Interval{Mean: s.Values[scheme][i], N: s.Replicates}
-	if s.CI != nil {
-		iv.Half = s.CI[scheme][i]
-	}
-	if iv.N < 1 {
-		iv.N = 1
-	}
-	return iv
 }
 
 // Series computes the scaling table for the chosen metric. Every point must

@@ -44,8 +44,8 @@ func TestScalingStudyShape(t *testing.T) {
 			t.Errorf("point %d: %d combos, want 3", i, len(p.Combos))
 		}
 		for _, cr := range p.Combos {
-			if cr.Combo.Width() != want {
-				t.Errorf("point %d: combo %s is %d wide", i, cr.Combo.Name, cr.Combo.Width())
+			if len(cr.Combo.Cores) != want {
+				t.Errorf("point %d: combo %s is %d wide", i, cr.Combo.Name, len(cr.Combo.Cores))
 			}
 			if cr.Runs["L2P"].Cycles == 0 {
 				t.Errorf("point %d: combo %s has no baseline", i, cr.Combo.Name)

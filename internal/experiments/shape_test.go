@@ -136,13 +136,29 @@ func TestFigure2VortexPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opening := chz.WindowBucketSizes(5, 40) // phase 1 (skip warm-up)
-	middle := chz.WindowBucketSizes(45, 78) // the Figure 2 phase
-	shallowOpen := opening[0] + opening[1]  // buckets 1~4 and 5~8
-	shallowMid := middle[0] + middle[1]
+	// The share of buckets 1~4 and 5~8 over intervals [from, to).
+	shallow := func(from, to int) float64 {
+		return chz.BucketOver[0].WindowMean(from, to) + chz.BucketOver[1].WindowMean(from, to)
+	}
+	shallowOpen := shallow(5, 40) // phase 1 (skip warm-up)
+	shallowMid := shallow(45, 78) // the Figure 2 phase
 	if shallowMid <= shallowOpen+0.03 {
 		t.Errorf("vortex shallow share: opening %.3f -> middle %.3f; want a clear rise (Figure 2)",
 			shallowOpen, shallowMid)
+	}
+}
+
+// TestCharacterizeValidation: a run without intervals or without accesses
+// per interval is refused; there is no default length.
+func TestCharacterizeValidation(t *testing.T) {
+	for _, opt := range []experiments.CharacterizeOptions{
+		{Benchmark: "ammp", Cfg: config.TestScale(), AccessesPerInterval: 10_000},
+		{Benchmark: "ammp", Cfg: config.TestScale(), Intervals: 10},
+		{Benchmark: "ammp", Cfg: config.TestScale(), Intervals: -1, AccessesPerInterval: 10_000},
+	} {
+		if _, err := experiments.Characterize(opt); err == nil {
+			t.Errorf("Characterize with %d intervals of %d accesses succeeded", opt.Intervals, opt.AccessesPerInterval)
+		}
 	}
 }
 
@@ -385,10 +401,12 @@ func TestEvaluateValidation(t *testing.T) {
 	if _, err := experiments.Evaluate(context.Background(), experiments.Options{Cfg: config.TestScale()}); err == nil {
 		t.Error("zero RunCycles accepted")
 	}
-	if _, err := experiments.Evaluate(context.Background(), experiments.Options{
-		Cfg: config.TestScale(), RunCycles: 1000, Classes: []string{"C9"},
-	}); err == nil {
-		t.Error("unknown class accepted")
+	for _, classes := range [][]string{{"C9"}, {"C1", "C9"}} {
+		if _, err := experiments.Evaluate(context.Background(), experiments.Options{
+			Cfg: config.TestScale(), RunCycles: 1000, Classes: classes,
+		}); err == nil || !strings.Contains(err.Error(), `"C9"`) {
+			t.Errorf("classes %v: err = %v, want the unknown-class refusal naming C9", classes, err)
+		}
 	}
 	if _, err := experiments.Evaluate(context.Background(), experiments.Options{
 		Cfg: config.TestScale(), RunCycles: 1000, Schemes: []string{"NOPE"},

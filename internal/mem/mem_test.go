@@ -7,7 +7,7 @@ import (
 )
 
 func TestDRAMFixedLatency(t *testing.T) {
-	d := MustDRAM(300, 0, 64)
+	d := MustDRAM(300)
 	if done := d.Read(1000, 0x40); done != 1300 {
 		t.Fatalf("read done at %d, want 1300", done)
 	}
@@ -20,30 +20,9 @@ func TestDRAMFixedLatency(t *testing.T) {
 	}
 }
 
-func TestDRAMBankConflicts(t *testing.T) {
-	d := MustDRAM(100, 4, 64)
-	// Same bank back-to-back: serialized.
-	d1 := d.Read(0, 0x000)
-	d2 := d.Read(0, 0x000+4*64) // same bank (stride = banks*block)
-	if d2 != d1+100 {
-		t.Fatalf("same-bank read done at %d, want %d", d2, d1+100)
-	}
-	// Different bank: parallel.
-	d3 := d.Read(0, 0x40)
-	if d3 != 100 {
-		t.Fatalf("different-bank read done at %d, want 100", d3)
-	}
-	if d.Stats().BankBusy == 0 {
-		t.Fatal("bank conflict cycles not recorded")
-	}
-}
-
 func TestDRAMRejectsBadParams(t *testing.T) {
-	if _, err := NewDRAM(0, 0, 64); err == nil {
+	if _, err := NewDRAM(0); err == nil {
 		t.Error("zero latency accepted")
-	}
-	if _, err := NewDRAM(100, 3, 64); err == nil {
-		t.Error("non-power-of-two banks accepted")
 	}
 }
 
@@ -58,16 +37,16 @@ func TestWriteBufferFIFOAndDrain(t *testing.T) {
 			t.Fatalf("insert %d stalled to %d with free entries", i, at)
 		}
 	}
-	if wb.Len() != 3 {
-		t.Fatalf("Len = %d", wb.Len())
+	if len(wb.entries) != 3 {
+		t.Fatalf("%d entries pending, want 3", len(wb.entries))
 	}
 	// Draining is serial: each call schedules the head's write-back and a
 	// later call (past its completion) retires it.
-	for now := int64(100); wb.Len() > 0 && now < 1000; now += 60 {
+	for now := int64(100); len(wb.entries) > 0 && now < 1000; now += 60 {
 		wb.Drain(now, issueAt(50))
 	}
-	if wb.Len() != 0 {
-		t.Fatalf("Len after repeated drains = %d", wb.Len())
+	if len(wb.entries) != 0 {
+		t.Fatalf("%d entries pending after repeated drains", len(wb.entries))
 	}
 	if wb.Stats().Drains != 3 {
 		t.Fatalf("drains = %d", wb.Stats().Drains)
@@ -78,8 +57,8 @@ func TestWriteBufferMerging(t *testing.T) {
 	wb := MustWriteBuffer(4)
 	wb.Insert(0, 0x100, issueAt(50))
 	wb.Insert(0, 0x100, issueAt(50)) // merges
-	if wb.Len() != 1 || wb.Stats().Merges != 1 {
-		t.Fatalf("len=%d merges=%d", wb.Len(), wb.Stats().Merges)
+	if len(wb.entries) != 1 || wb.Stats().Merges != 1 {
+		t.Fatalf("len=%d merges=%d", len(wb.entries), wb.Stats().Merges)
 	}
 }
 
@@ -121,11 +100,11 @@ func TestWriteBufferDrainRespectsSchedule(t *testing.T) {
 	wb := MustWriteBuffer(4)
 	wb.Insert(0, 0x300, issueAt(1000))
 	wb.Drain(100, issueAt(1000)) // write-back completes at 1100 > 100
-	if wb.Len() != 1 {
+	if len(wb.entries) != 1 {
 		t.Fatal("entry retired before its write-back completed")
 	}
 	wb.Drain(1100, issueAt(1000))
-	if wb.Len() != 0 {
+	if len(wb.entries) != 0 {
 		t.Fatal("entry not retired at its completion time")
 	}
 }

@@ -52,9 +52,6 @@ func MustWriteBuffer(capacity int) *WriteBuffer {
 	return w
 }
 
-// Len returns the number of pending entries.
-func (w *WriteBuffer) Len() int { return len(w.entries) }
-
 // Stats returns a snapshot of the counters.
 func (w *WriteBuffer) Stats() WriteBufferStats { return w.stats }
 

@@ -7,6 +7,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -15,37 +16,23 @@ import (
 	"snug/internal/sweep"
 )
 
-// csvHeader expands scheme columns with a "<scheme>_ci95" half-width column
-// each when the series is replicated; single-replicate CSV is unchanged.
-func csvHeader(first string, schemes []string, replicated bool) string {
-	cols := []string{first}
-	for _, s := range schemes {
-		cols = append(cols, s)
-		if replicated {
-			cols = append(cols, s+"_ci95")
-		}
-	}
-	return strings.Join(cols, ",")
-}
-
-// csvCells renders one row's value (and, when replicated, half-width)
-// columns at CSV precision.
-func csvCells(schemes []string, values, ci map[string][]float64, i int) string {
-	var vals []string
-	for _, s := range schemes {
-		vals = append(vals, fmt.Sprintf("%.4f", values[s][i]))
-		if ci != nil {
-			vals = append(vals, fmt.Sprintf("%.4f", ci[s][i]))
-		}
-	}
-	return strings.Join(vals, ",")
-}
-
 // WriteFigure renders a Figures 9–11 dataset as an aligned table. Columns
 // follow the series' scheme list, so partial evaluations (Options.Schemes)
 // render cleanly; replicated series render each cell as mean ±95% CI.
 func WriteFigure(w io.Writer, title string, cs experiments.ClassSeries) error {
-	schemes := cs.Schemes
+	return writeTable(w, title, "class", cs)
+}
+
+// WriteFigureCSV renders the same dataset as CSV; replicated series gain a
+// "<scheme>_ci95" half-width column per scheme.
+func WriteFigureCSV(w io.Writer, cs experiments.ClassSeries) error {
+	return writeCSV(w, "class", cs)
+}
+
+// writeTable is the one aligned-table body of the figures and the scaling
+// study: a row per cs.Classes label under the first column's header, a
+// column per scheme.
+func writeTable(w io.Writer, title, first string, cs experiments.ClassSeries) error {
 	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
 		return err
 	}
@@ -54,11 +41,10 @@ func WriteFigure(w io.Writer, title string, cs experiments.ClassSeries) error {
 			return err
 		}
 	}
-	header := append([]string{"class"}, schemes...)
-	rows := [][]string{header}
-	for i, class := range cs.Classes {
-		row := []string{class}
-		for _, s := range schemes {
+	rows := [][]string{append([]string{first}, cs.Schemes...)}
+	for i, label := range cs.Classes {
+		row := []string{label}
+		for _, s := range cs.Schemes {
 			row = append(row, cs.Cell(s, i).String())
 		}
 		rows = append(rows, row)
@@ -66,14 +52,29 @@ func WriteFigure(w io.Writer, title string, cs experiments.ClassSeries) error {
 	return writeAligned(w, rows)
 }
 
-// WriteFigureCSV renders the same dataset as CSV; replicated series gain a
-// "<scheme>_ci95" half-width column per scheme.
-func WriteFigureCSV(w io.Writer, cs experiments.ClassSeries) error {
-	if _, err := fmt.Fprintln(w, csvHeader("class", cs.Schemes, cs.CI != nil)); err != nil {
+// writeCSV is writeTable's CSV twin. A replicated series (CI set) gains a
+// "<scheme>_ci95" half-width column after each scheme's column; a
+// single-replicate one has only the value columns.
+func writeCSV(w io.Writer, first string, cs experiments.ClassSeries) error {
+	header := []string{first}
+	for _, s := range cs.Schemes {
+		header = append(header, s)
+		if cs.CI != nil {
+			header = append(header, s+"_ci95")
+		}
+	}
+	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
 		return err
 	}
-	for i, class := range cs.Classes {
-		if _, err := fmt.Fprintf(w, "%s,%s\n", class, csvCells(cs.Schemes, cs.Values, cs.CI, i)); err != nil {
+	for i, label := range cs.Classes {
+		var vals []string
+		for _, s := range cs.Schemes {
+			vals = append(vals, fmt.Sprintf("%.4f", cs.Values[s][i]))
+			if cs.CI != nil {
+				vals = append(vals, fmt.Sprintf("%.4f", cs.CI[s][i]))
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%s,%s\n", label, strings.Join(vals, ",")); err != nil {
 			return err
 		}
 	}
@@ -108,37 +109,23 @@ func WriteCombos(w io.Writer, ev *experiments.Evaluation) error {
 // per core count, one column per scheme, each cell the cross-class average
 // at that width (mean ±95% CI when replicated).
 func WriteScaling(w io.Writer, title string, s experiments.ScalingSeries) error {
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	if s.Replicates > 1 {
-		if _, err := fmt.Fprintf(w, "(mean ±95%% CI over %d replicates)\n", s.Replicates); err != nil {
-			return err
-		}
-	}
-	rows := [][]string{append([]string{"cores"}, s.Schemes...)}
-	for i, n := range s.Cores {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, scheme := range s.Schemes {
-			row = append(row, s.Cell(scheme, i).String())
-		}
-		rows = append(rows, row)
-	}
-	return writeAligned(w, rows)
+	return writeTable(w, title, "cores", byCores(s))
 }
 
 // WriteScalingCSV renders the same dataset as CSV; replicated series gain a
 // "<scheme>_ci95" half-width column per scheme.
 func WriteScalingCSV(w io.Writer, s experiments.ScalingSeries) error {
-	if _, err := fmt.Fprintln(w, csvHeader("cores", s.Schemes, s.CI != nil)); err != nil {
-		return err
+	return writeCSV(w, "cores", byCores(s))
+}
+
+// byCores recasts a scaling series as a figure dataset whose row labels
+// are the core counts, so both render through writeTable and writeCSV.
+func byCores(s experiments.ScalingSeries) experiments.ClassSeries {
+	cs := experiments.ClassSeries{Schemes: s.Schemes, Values: s.Values, CI: s.CI, Replicates: s.Replicates}
+	for _, n := range s.Cores {
+		cs.Classes = append(cs.Classes, strconv.Itoa(n))
 	}
-	for i, n := range s.Cores {
-		if _, err := fmt.Fprintf(w, "%d,%s\n", n, csvCells(s.Schemes, s.Values, s.CI, i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cs
 }
 
 // WriteCharacterization renders a Figures 1–3 dataset: bucket shares

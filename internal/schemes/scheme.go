@@ -140,7 +140,7 @@ func newHierarchy(cfg config.System) *hierarchy {
 		slices:  make([]*cache.Cache, cfg.Cores),
 		wb:      make([]*mem.WriteBuffer, cfg.Cores),
 		bus:     bus.MustNew(cfg.Mem.BusWidthBytes, cfg.Mem.BusSpeedRatio, cfg.Mem.BusArbCycles, cfg.Mem.L2Slice.BlockBytes),
-		dram:    mem.MustDRAM(int64(cfg.Mem.DRAMLat), 0, cfg.Mem.L2Slice.BlockBytes),
+		dram:    mem.MustDRAM(int64(cfg.Mem.DRAMLat)),
 		perCore: make([]CoreAccessStats, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {

@@ -20,7 +20,7 @@ import (
 )
 
 // Profiler tracks, for every set of a cache geometry, an LRU stack of up to
-// AThreshold tags and a histogram of hit positions (1-based LRU depth).
+// A_threshold tags and a histogram of hit positions (1-based LRU depth).
 type Profiler struct {
 	geom       addr.Geometry
 	aThreshold int
@@ -62,14 +62,11 @@ func MustProfiler(geom addr.Geometry, aThreshold int) *Profiler {
 	return p
 }
 
-// AThreshold returns the stack depth.
-func (p *Profiler) AThreshold() int { return p.aThreshold }
-
 // Accesses returns the number of accesses observed in the current interval.
 func (p *Profiler) Accesses() int64 { return p.accesses }
 
 // Touch records one access to address a: if a's tag is within the top
-// AThreshold stack positions of its set, the hit depth (1-based) is recorded
+// A_threshold stack positions of its set, the hit depth (1-based) is recorded
 // and the tag moves to MRU; otherwise the access is a (capacity-at-threshold
 // or compulsory) miss and the tag is pushed at MRU, shifting the rest down.
 // It returns the 1-based hit depth, or 0 for a miss beyond the threshold.
@@ -100,7 +97,7 @@ func (p *Profiler) Touch(a addr.Addr) int {
 
 // HitCount returns hit_count(S, I, A): the number of hits set s would have
 // seen during the current interval with associativity a (hits at depths
-// <= a). a is clamped to [0, AThreshold].
+// <= a). a is clamped to [0, A_threshold].
 func (p *Profiler) HitCount(s uint32, a int) int64 {
 	if a < 0 {
 		a = 0
@@ -180,7 +177,6 @@ func (p *Profiler) EndInterval(interval, m, baselineWays int) IntervalResult {
 // series Figures 1–3 plot (x: sampling interval, y: stacked bucket sizes).
 type Characterization struct {
 	M          int
-	AThreshold int
 	Labels     []string
 	BucketOver []stats.Series // one series per bucket, over intervals
 	MeanDemand stats.Series
@@ -193,7 +189,6 @@ func NewCharacterization(aThreshold, m int) *Characterization {
 	h := stats.MustHistogram(aThreshold, m)
 	c := &Characterization{
 		M:          m,
-		AThreshold: aThreshold,
 		Labels:     make([]string, m),
 		BucketOver: make([]stats.Series, m),
 	}
@@ -223,16 +218,6 @@ func (c *Characterization) MeanBucketSizes() []float64 {
 	out := make([]float64, c.M)
 	for j := 0; j < c.M; j++ {
 		out[j] = c.BucketOver[j].MeanValue()
-	}
-	return out
-}
-
-// WindowBucketSizes returns each bucket's average share across the interval
-// window [from, to) — used to check vortex's mid-run phase (Figure 2).
-func (c *Characterization) WindowBucketSizes(from, to int) []float64 {
-	out := make([]float64, c.M)
-	for j := 0; j < c.M; j++ {
-		out[j] = c.BucketOver[j].WindowMean(from, to)
 	}
 	return out
 }

@@ -130,9 +130,8 @@ func TestCharacterizationAccumulation(t *testing.T) {
 	if mb[0] != 0.5 || mb[1] != 0.5 {
 		t.Fatalf("mean bucket sizes %v", mb)
 	}
-	w := c.WindowBucketSizes(1, 2)
-	if w[0] != 0 || w[1] != 1 {
-		t.Fatalf("window bucket sizes %v", w)
+	if w0, w1 := c.BucketOver[0].WindowMean(1, 2), c.BucketOver[1].WindowMean(1, 2); w0 != 0 || w1 != 1 {
+		t.Fatalf("window bucket sizes %v, %v", w0, w1)
 	}
 }
 

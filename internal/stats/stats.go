@@ -52,13 +52,6 @@ func (h *Histogram) Observe(v int) {
 	h.total++
 }
 
-// Buckets returns a copy of the raw bucket counts.
-func (h *Histogram) Buckets() []int64 {
-	out := make([]int64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
 // Fractions returns each bucket's share of the total, or all zeros when
 // empty. This is size_bucket_j(I) of Formula (5) when one observation is
 // recorded per set.
@@ -72,9 +65,6 @@ func (h *Histogram) Fractions() []float64 {
 	}
 	return out
 }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
 
 // BucketLabel formats the value range of bucket i, e.g. "1~4" or ">=29".
 func (h *Histogram) BucketLabel(i int) string {

@@ -12,13 +12,13 @@ func TestHistogramBuckets(t *testing.T) {
 	for v := 1; v <= 32; v++ {
 		h.Observe(v)
 	}
-	for i, b := range h.Buckets() {
+	for i, b := range h.buckets {
 		if b != 4 {
 			t.Errorf("bucket %d = %d, want 4", i, b)
 		}
 	}
-	if h.Total() != 32 {
-		t.Errorf("Total = %d", h.Total())
+	if h.total != 32 {
+		t.Errorf("total = %d", h.total)
 	}
 	fr := h.Fractions()
 	for i, f := range fr {
@@ -33,7 +33,7 @@ func TestHistogramClamping(t *testing.T) {
 	h.Observe(0)   // clamps to 1
 	h.Observe(-5)  // clamps to 1
 	h.Observe(100) // clamps to 32
-	b := h.Buckets()
+	b := h.buckets
 	if b[0] != 2 || b[7] != 1 {
 		t.Fatalf("buckets = %v, want first=2 last=1", b)
 	}

@@ -162,20 +162,11 @@ func (r *Recording) Recycle() {
 	r.src = nil
 }
 
-// RecycleAll recycles every recording in recs (the cell-sized convenience
-// mirror of RecordAll/Replays).
+// RecycleAll recycles every recording in recs (the cell-sized mirror of
+// RecordAll).
 func RecycleAll(recs []*Recording) {
 	for _, r := range recs {
 		r.Recycle()
-	}
-}
-
-// Record eagerly records the next n instructions of src on top of whatever
-// extension has already happened. It is a test/benchmark convenience; the
-// sweep path relies on lazy extension instead.
-func (r *Recording) Record(n int64) {
-	for r.filled.Load() < n {
-		r.extend()
 	}
 }
 
@@ -305,9 +296,6 @@ type Replay struct {
 
 // Name implements isa.Stream.
 func (p *Replay) Name() string { return p.rec.name }
-
-// Pos returns the number of instructions served so far.
-func (p *Replay) Pos() int64 { return p.pos }
 
 // Next implements isa.Stream, decoding the next recorded instruction.
 func (p *Replay) Next(in *isa.Instr) {
@@ -481,16 +469,6 @@ func RecordAll(streams []isa.Stream) []*Recording {
 		recs[i] = NewRecording(s)
 	}
 	return recs
-}
-
-// Replays returns a fresh cursor per recording, as a stream slice ready for
-// cmp.NewSystem.
-func Replays(recs []*Recording) []isa.Stream {
-	streams := make([]isa.Stream, len(recs))
-	for i, r := range recs {
-		streams[i] = r.Replay()
-	}
-	return streams
 }
 
 // zig maps a signed delta (carried as a wrapping uint64 difference) to the

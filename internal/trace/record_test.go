@@ -42,8 +42,8 @@ func TestReplayMatchesLiveStream(t *testing.T) {
 				t.Fatalf("%s: instruction %d: replay %+v, live %+v", name, i, got, want)
 			}
 		}
-		if rp.Pos() != 300_000 {
-			t.Errorf("%s: Pos() = %d, want 300000", name, rp.Pos())
+		if rp.pos != 300_000 {
+			t.Errorf("%s: pos = %d, want 300000", name, rp.pos)
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestReplayNextBatchMatchesNext(t *testing.T) {
 			}
 		}
 		total += int64(n)
-		if batched.Pos() != total {
-			t.Fatalf("Pos() = %d after %d batched instructions", batched.Pos(), total)
+		if batched.pos != total {
+			t.Fatalf("pos = %d after %d batched instructions", batched.pos, total)
 		}
 	}
 }

@@ -47,15 +47,6 @@ func ByName(name string) (Profile, error) {
 	return p, nil
 }
 
-// MustByName is ByName but panics on unknown names.
-func MustByName(name string) Profile {
-	p, err := ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Names returns all registered benchmark names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

@@ -191,20 +191,6 @@ func (p Profile) Validate() error {
 // unitRange reports whether v is a probability: in [0, 1] and not NaN.
 func unitRange(v float64) bool { return v >= 0 && v <= 1 }
 
-// MeanDemandWays returns the footprint implied by the first phase, in
-// average ways per set — the application-level capacity demand in units of
-// the L2 associativity (16 ways = 1 MB for the Table 4 slice).
-func (p Profile) MeanDemandWays() float64 {
-	if len(p.Phases) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, b := range p.Phases[0].Bands {
-		sum += b.Frac * float64(b.MinDepth+b.MaxDepth) / 2
-	}
-	return sum
-}
-
 // branchSite is one static branch with its outcome bias.
 type branchSite struct {
 	pc   uint64
@@ -322,15 +308,6 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 	return g, nil
 }
 
-// MustGenerator is NewGenerator but panics on error.
-func MustGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64) *Generator {
-	g, err := NewGenerator(prof, geom, seed, totalRefs)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // WithDemandSalt decorrelates this instance's per-set demand map from other
 // instances of the same benchmark, re-deriving the per-set depths.
 //
@@ -348,13 +325,6 @@ func (g *Generator) WithDemandSalt(salt uint64) *Generator {
 
 // Name implements isa.Stream.
 func (g *Generator) Name() string { return g.prof.Name }
-
-// PhaseIndex returns the current phase.
-func (g *Generator) PhaseIndex() int { return g.phaseIdx }
-
-// DemandDepth returns the current demand depth of set s (exported for
-// tests and the characterization harness).
-func (g *Generator) DemandDepth(s uint32) int { return int(g.depths[s]) }
 
 // demandCorrelation is the fraction of sets whose demand assignment stays
 // anchored to the benchmark's base map regardless of the instance salt.

@@ -41,7 +41,7 @@ func TestTable6CapacityClasses(t *testing.T) {
 	// Class A/C demand > 1 MB (mean > 16 ways/set); class B/D below.
 	for _, name := range Names() {
 		p := MustByName(name)
-		ways := p.MeanDemandWays()
+		ways := meanDemandWays(p)
 		switch p.Class {
 		case ClassA, ClassC:
 			if ways <= 16 {
@@ -93,7 +93,7 @@ func TestDemandMapSharedAcrossInstances(t *testing.T) {
 	g2 := MustGenerator(p, testGeom, 99, 10_000)
 	// Without salts, instances agree on every set's demand depth.
 	for s := uint32(0); s < uint32(testGeom.Sets()); s++ {
-		if g1.DemandDepth(s) != g2.DemandDepth(s) {
+		if g1.depths[s] != g2.depths[s] {
 			t.Fatalf("set %d depth differs across unsalted instances", s)
 		}
 	}
@@ -102,7 +102,7 @@ func TestDemandMapSharedAcrossInstances(t *testing.T) {
 	g2.WithDemandSalt(7)
 	differ := 0
 	for s := uint32(0); s < uint32(testGeom.Sets()); s++ {
-		if g1.DemandDepth(s) != g2.DemandDepth(s) {
+		if g1.depths[s] != g2.depths[s] {
 			differ++
 		}
 	}
@@ -120,7 +120,7 @@ func TestAmmpDemandDistributionMatchesFigure1(t *testing.T) {
 	g := MustGenerator(MustByName("ammp"), addr.MustGeometry(64, 1024), 3, 10_000)
 	shallow, deep := 0, 0
 	for s := uint32(0); s < 1024; s++ {
-		d := g.DemandDepth(s)
+		d := int(g.depths[s])
 		if d <= 4 {
 			shallow++
 		}
@@ -143,10 +143,10 @@ func TestVortexPhases(t *testing.T) {
 	}
 	g := MustGenerator(p, testGeom, 5, 2_000)
 	var in isa.Instr
-	seen := map[int]bool{g.PhaseIndex(): true}
+	seen := map[int]bool{g.phaseIdx: true}
 	for i := 0; i < 2_000_000 && len(seen) < 3; i++ {
 		g.Next(&in)
-		seen[g.PhaseIndex()] = true
+		seen[g.phaseIdx] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("only phases %v visited", seen)
@@ -191,7 +191,7 @@ func TestTouchPoolStackDistances(t *testing.T) {
 	// exercised — the property block_required measurement relies on.
 	p := MustByName("mcf") // deep uniform sets
 	g := MustGenerator(p, testGeom, 11, 100_000)
-	d := g.DemandDepth(0)
+	d := int(g.depths[0])
 	if d < 32 {
 		t.Fatalf("mcf depth %d, want deep", d)
 	}
@@ -221,8 +221,8 @@ func TestRecencyPermutationInvariant(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if len(g.recency[s]) != g.DemandDepth(uint32(s)) {
-			t.Fatalf("set %d: recency length %d != depth %d", s, len(g.recency[s]), g.DemandDepth(uint32(s)))
+		if len(g.recency[s]) != int(g.depths[s]) {
+			t.Fatalf("set %d: recency length %d != depth %d", s, len(g.recency[s]), g.depths[s])
 		}
 	}
 }
@@ -256,11 +256,11 @@ func TestStreamDigests(t *testing.T) {
 		g := MustGenerator(MustByName(name), testGeom, 0x5eed_c0de, 1_000).WithDemandSalt(1)
 		var in isa.Instr
 		h := uint64(0xcbf29ce484222325)
-		phase, crossings := g.PhaseIndex(), 0
+		phase, crossings := g.phaseIdx, 0
 		for i := 0; i < n; i++ {
 			g.Next(&in)
 			h = mixInstr(h, &in)
-			if p := g.PhaseIndex(); p != phase {
+			if p := g.phaseIdx; p != phase {
 				phase = p
 				crossings++
 			}
