@@ -5,6 +5,7 @@
 // Usage:
 //
 //	characterize -bench ammp                    # Figure 1, scaled run
+//	characterize -bench ammp -fullscale         # on the Table 4 system
 //	characterize -bench vortex -full            # paper-scale: 1000 x 100K
 //	characterize -bench applu -csv out.csv      # per-interval CSV
 package main
@@ -16,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"snug/internal/cli"
 	"snug/internal/config"
 	"snug/internal/experiments"
 	"snug/internal/report"
@@ -41,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	intervals := fs.Int("intervals", 200, "number of sampling intervals")
 	accesses := fs.Int64("accesses", 20_000, "L2 accesses per interval")
 	full := fs.Bool("full", false, "paper-scale methodology: 1000 intervals x 100K accesses on the Table 4 system")
-	testscale := fs.Bool("testscale", true, "use the 64-set test system (ignored with -full)")
+	system := cli.FullScale(fs)
 	csvPath := fs.String("csv", "", "also write the per-interval series as CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,15 +53,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	opt := experiments.CharacterizeOptions{
 		Benchmark:           *bench,
-		Cfg:                 config.Default(),
+		Cfg:                 system(),
 		Intervals:           *intervals,
 		AccessesPerInterval: *accesses,
 	}
 	if *full {
+		opt.Cfg = config.Default()
 		opt.Intervals = 1000
 		opt.AccessesPerInterval = 100_000
-	} else if *testscale {
-		opt.Cfg = config.TestScale()
 	}
 
 	chz, err := experiments.Characterize(opt)

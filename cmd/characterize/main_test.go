@@ -40,6 +40,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"bad benchmark":   {"-bench", "nope", "-intervals", "2", "-accesses", "100"},
 		"zero intervals":  {"-intervals", "0"},
 		"zero accesses":   {"-accesses", "0"},
+		"-testscale":      {"-testscale=false"}, // the system choice is spelled -fullscale
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard, io.Discard); err == nil {

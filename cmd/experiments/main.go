@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	csvDir := fs.String("csv", "", "directory for CSV output (empty = none)")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress on stderr")
 	ablation := fs.Bool("ablation", false, "run the SNUG ablation sweep instead of the figures")
-	fullScale := fs.Bool("fullscale", false, "Table 4 full-size system (slow; default is the scaled test system)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,10 +101,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	defer sf.Stop(&err)
 
-	cfg := config.TestScale()
-	if *fullScale {
-		cfg = config.Scaled(50)
-	}
+	cfg := sf.System()
 	coreCounts, err := parseCores(*cores)
 	if err != nil {
 		return err

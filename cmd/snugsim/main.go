@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	workload := fs.String("workload", "ammp,parser,swim,mesa",
 		"comma-separated benchmark per core, a Table 8 combo name, or Nx<bench>")
 	ccpct := fs.Int("ccpct", 100, "spill probability for bare \"CC\" specs, in percent (0,25,50,75,100)")
-	scale := fs.Bool("testscale", true, "use the scaled test system (64-set slices); false = full Table 4 system")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
 	list := fs.Bool("list", false, "list benchmarks, combos and schemes, then exit")
 	if err := fs.Parse(args); err != nil {
@@ -107,10 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	cfg := config.Default()
-	if *scale {
-		cfg = config.TestScale()
-	}
+	cfg := sf.System()
 	cfg.CC.SpillPercent = *ccpct
 	if *seed != 0 {
 		cfg.Seed = *seed

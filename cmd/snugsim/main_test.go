@@ -150,6 +150,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"bad benchmark":   {"-workload", "nope", "-cycles", "1000"},
 		"bad width":       {"-workload", "gzip,gzip", "-cycles", "1000"},
 		"huge reps":       {"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "1000", "-reps", "100000000000"},
+		"-testscale":      {"-testscale=false", "-cycles", "1000"}, // the system choice is spelled -fullscale
 	}
 	for name, args := range cases {
 		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
@@ -234,20 +235,33 @@ func TestResumeAcrossSpellings(t *testing.T) {
 // TestStoreHeader pins the header snugsim writes into a -out store, as
 // internal/experiments' TestCheckpointFingerprints pins Evaluate's and
 // ScalingStudy's, so a change to the fingerprint cannot silently orphan
-// existing stores.
+// existing stores. With -fullscale the header names the system both sweep
+// commands take for it, the Table 4 system with SNUG's stages cut 50x.
 func TestStoreHeader(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "h.jsonl")
-	if err := run(context.Background(), []string{"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "50000", "-out", out},
-		io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	s, err := sweep.OpenStore(out)
+	full, err := sweep.Fingerprint("snugsim", 50000, "gzip+gzip+gzip+gzip", config.Scaled(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if got, want := s.Fingerprint(), "snugsim/v1/cycles=50000/workload=gzip+gzip+gzip+gzip/cfg=ebba1b660fbe28ea"; got != want {
-		t.Errorf("store header %q, want %q", got, want)
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{nil, "snugsim/v1/cycles=50000/workload=gzip+gzip+gzip+gzip/cfg=ebba1b660fbe28ea"},
+		{[]string{"-fullscale"}, full},
+	} {
+		out := filepath.Join(t.TempDir(), "h.jsonl")
+		args := append([]string{"-scheme", "L2P", "-workload", "4xgzip", "-cycles", "50000", "-out", out}, c.flags...)
+		if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		s, err := sweep.OpenStore(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Fingerprint(); got != c.want {
+			t.Errorf("%v: store header %q, want %q", c.flags, got, c.want)
+		}
+		s.Close()
 	}
 }
 

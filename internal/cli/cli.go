@@ -1,6 +1,7 @@
 // Package cli carries the pieces shared by the command-line front ends
-// (cmd/experiments, cmd/snugsim): the sweep and profile flags
-// (SweepFlags), signal-driven graceful cancellation, and error-to-exit-code
+// (cmd/experiments, cmd/snugsim, and -fullscale for cmd/characterize): the
+// sweep and profile flags (SweepFlags), the system choice (FullScale),
+// signal-driven graceful cancellation, and error-to-exit-code
 // classification.
 //
 // The contract (README §"Interrupting and resuming"): the first
@@ -23,6 +24,7 @@ import (
 	"syscall"
 	"time"
 
+	"snug/internal/config"
 	"snug/internal/faults"
 	"snug/internal/prof"
 	"snug/internal/sweep"
@@ -97,6 +99,21 @@ func ExitCode(err error) int {
 	}
 }
 
+// FullScale registers -fullscale on fs and returns the base system it
+// chooses: the scaled test system (64-set slices, 100k-cycle Stage I) by
+// default, or with -fullscale the Table 4 system with SNUG's stages cut
+// 50× (config.Scaled(50)), so that a run of a few million cycles still
+// leaves Stage I.
+func FullScale(fs *flag.FlagSet) (system func() config.System) {
+	full := fs.Bool("fullscale", false, "Table 4 full-size system with SNUG's stages cut 50x (slow; default is the scaled 64-set test system)")
+	return func() config.System {
+		if *full {
+			return config.Scaled(50)
+		}
+		return config.TestScale()
+	}
+}
+
 // SweepFlags are the sweep and profile flags both commands take:
 // NewSweepFlags registers them, Start validates them and starts the
 // profiles, Stop writes the profiles, and Finish turns a sweep's error
@@ -113,6 +130,8 @@ type SweepFlags struct {
 	// Policy and Faults are -failpolicy and -inject, parsed by Start.
 	Policy sweep.FailurePolicy
 	Faults faults.Spec
+	// System returns the base system -fullscale chose (see FullScale).
+	System func() config.System
 
 	name                                       string
 	failpolicy, inject, cpuprofile, memprofile string
@@ -122,7 +141,7 @@ type SweepFlags struct {
 // NewSweepFlags registers the sweep and profile flags on fs, whose name
 // is the command's; cycles is the command's default run length.
 func NewSweepFlags(fs *flag.FlagSet, cycles int64) *SweepFlags {
-	f := &SweepFlags{name: fs.Name()}
+	f := &SweepFlags{name: fs.Name(), System: FullScale(fs)}
 	fs.Int64Var(&f.Cycles, "cycles", cycles, "cycles to simulate per run")
 	fs.IntVar(&f.Par, "par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
 	fs.IntVar(&f.Reps, "reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")

@@ -169,30 +169,18 @@ func TestMonitorShadowHitTrainsCounter(t *testing.T) {
 	m, g := testMonitor(t)
 	a := g.Rebuild(42, 3)
 	m.OnLocalEvict(3, g.Tag(a))
-	if !m.OnMissCheck(a, true) {
+	if !m.OnMissCheck(a) {
 		t.Fatal("shadow missed a just-evicted tag")
 	}
 	if !m.Counter(3).Taker() {
 		t.Fatal("shadow hit did not push counter over the MSB")
 	}
 	// Exclusivity: the entry must be gone.
-	if m.OnMissCheck(a, true) {
+	if m.OnMissCheck(a) {
 		t.Fatal("shadow entry survived its own hit")
 	}
 	if m.Stats().ShadowHits != 1 {
 		t.Fatalf("ShadowHits = %d", m.Stats().ShadowHits)
-	}
-}
-
-func TestMonitorTrainingGate(t *testing.T) {
-	m, g := testMonitor(t)
-	a := g.Rebuild(7, 1)
-	m.OnLocalEvict(1, g.Tag(a))
-	if !m.OnMissCheck(a, false) {
-		t.Fatal("untrained check must still report and invalidate the entry")
-	}
-	if m.Counter(1).Taker() {
-		t.Fatal("counter trained although train=false")
 	}
 }
 
@@ -202,10 +190,10 @@ func TestMonitorShadowLRUDepth(t *testing.T) {
 	for tag := uint64(1); tag <= 5; tag++ {
 		m.OnLocalEvict(0, tag)
 	}
-	if m.OnMissCheck(g.Rebuild(1, 0), true) {
+	if m.OnMissCheck(g.Rebuild(1, 0)) {
 		t.Fatal("oldest shadow entry should have been displaced")
 	}
-	if !m.OnMissCheck(g.Rebuild(5, 0), true) {
+	if !m.OnMissCheck(g.Rebuild(5, 0)) {
 		t.Fatal("newest shadow entry missing")
 	}
 }
@@ -214,7 +202,7 @@ func TestMonitorLatch(t *testing.T) {
 	m, g := testMonitor(t)
 	a := g.Rebuild(9, 2)
 	m.OnLocalEvict(2, g.Tag(a))
-	m.OnMissCheck(a, true)
+	m.OnMissCheck(a)
 	if m.GT().Taker(2) {
 		t.Fatal("G/T vector updated before Latch")
 	}

@@ -56,16 +56,14 @@ func (m *Monitor) OnRealHit(a addr.Addr) {
 // OnMissCheck checks the shadow set for a formerly evicted block being
 // revisited (§3.1.1): on a shadow hit the entry is invalidated (the block
 // re-enters the real set, and shadow entries are strictly exclusive with
-// local lines) and, when train is set (Stage I), the saturating counter is
-// bumped. Returns whether the shadow held the tag.
-func (m *Monitor) OnMissCheck(a addr.Addr, train bool) bool {
+// local lines) and the saturating counter is bumped. Returns whether the
+// shadow held the tag.
+func (m *Monitor) OnMissCheck(a addr.Addr) bool {
 	if _, found := m.shadow.Invalidate(a); !found {
 		return false
 	}
-	if train {
-		m.counters[m.shadow.Index(a)].ShadowHit()
-		m.stats.ShadowHits++
-	}
+	m.counters[m.shadow.Index(a)].ShadowHit()
+	m.stats.ShadowHits++
 	return true
 }
 

@@ -233,8 +233,8 @@ func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
 // same miss. The loop is runBatch's, rule for rule, reading the tape's op
 // bytes in place; the L1 counts go to the cursor.
 func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
-	buf, off, used := t.buf, t.off, t.used
-	core, miss := t.tape.core, t.miss
+	buf, off, used := t.c.Buf, t.c.Off, t.c.Used
+	core, miss := t.core, t.miss
 	ring := c.commitRing
 	clock, fetchAvail, issuedCnt := c.clock, c.fetchAvail, c.issuedCnt
 	commitAt, commitCnt := c.commitAt, c.commitCnt
@@ -242,9 +242,9 @@ func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
 	var robStall, depStall, mispredicts, count, hits, misses int64
 	for clock < until {
 		if off >= used {
-			t.off = off
-			t.refill()
-			buf, off, used = t.buf, t.off, t.used
+			t.c.Off = off
+			t.c.Refill()
+			buf, off, used = t.c.Buf, t.c.Off, t.c.Used
 		}
 		op := buf[off]
 		off++
@@ -305,7 +305,7 @@ func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
 		count++
 		c.kindCount[kind&15]++
 	}
-	t.off, t.miss = off, miss
+	t.c.Off, t.miss = off, miss
 	t.hits += hits
 	t.misses += misses
 	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"snug/internal/addr"
+	"snug/internal/chunklog"
 	"snug/internal/config"
 	"snug/internal/isa"
 	"snug/internal/trace"
@@ -24,19 +25,20 @@ type tapeOp struct {
 func readOps(c *TapeCursor, n int) []tapeOp {
 	ops := make([]tapeOp, n)
 	for i := range ops {
-		if c.off >= c.used {
-			c.refill()
+		if c.c.Off >= c.c.Used {
+			c.c.Refill()
 		}
-		o := tapeOp{op: c.buf[c.off]}
-		c.off++
+		buf := c.c.Buf
+		o := tapeOp{op: buf[c.c.Off]}
+		c.c.Off++
 		if k := isa.Kind(o.op & opKind); (k == isa.KindLoad || k == isa.KindStore) && o.op&opOutcome != 0 {
-			d, m := binary.Varint(c.buf[c.off:])
-			c.off += m
+			d, m := binary.Varint(buf[c.c.Off:])
+			c.c.Off += m
 			c.miss += addr.Addr(d)
 			o.miss = c.miss
 			if o.op&opVictim != 0 {
-				d, m := binary.Varint(c.buf[c.off:])
-				c.off += m
+				d, m := binary.Varint(buf[c.c.Off:])
+				c.c.Off += m
 				o.victim = c.miss + addr.Addr(d)
 			}
 		}
@@ -64,9 +66,10 @@ func newTapeSource(t *testing.T, name string, seed uint64) isa.Stream {
 // TestTapeConcurrentCursors has several goroutines read one fresh tape from
 // its start while their reads extend it, and checks that each sees the ops
 // a lone cursor reads from a tape recorded in advance. Run under -race it
-// also checks the publication protocol. A cursor that skips to a newer
-// chunk without re-reading the count of the chunk it exhausted would miss
-// the ops written just before that chunk closed.
+// also checks that the tape's encoder state is touched only under the
+// log's lock. It rarely hits the nanosecond window in which a cursor could
+// skip the ops written just before its chunk closed;
+// chunklog's TestRefillRereadsClosedChunk forces that interleaving.
 func TestTapeConcurrentCursors(t *testing.T) {
 	const n = 250_000 // several chunks
 	cfg := config.TestScale()
@@ -96,8 +99,8 @@ func TestTapeConcurrentCursors(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if chunks := len(*tape.chunks.Load()); chunks < 3 {
-		t.Errorf("the tape spans %d chunks, want at least 3", chunks)
+	if bytes := tape.log.Bytes(); bytes <= 2*chunklog.ChunkBytes {
+		t.Errorf("the tape holds %d bytes, want more than 2 chunks' worth", bytes)
 	}
 }
 
@@ -112,7 +115,7 @@ func TestTapeRecycle(t *testing.T) {
 	tape.Recycle() // idempotent
 	for name, f := range map[string]func(){
 		"Cursor":            func() { tape.Cursor() },
-		"read past the end": func() { c.off = c.used; readOps(c, 1) },
+		"read past the end": func() { c.c.Off = c.c.Used; readOps(c, 1) },
 	} {
 		func() {
 			defer func() {
@@ -223,8 +226,8 @@ func (l *logL2) WritebackL1(core int, now int64, a addr.Addr) {
 // contract-keeping instruction stream, stepped by Core.RunTape over its
 // tape, gives after every quantum the cpu.Stats, the L1 hit and miss
 // counts and the ordered calls below the L1 that Core.Run gives over the
-// plain stream through L1.Access. Each input runs until its tape spans two
-// chunks.
+// plain stream through L1.Access. Each input runs until its tape holds more
+// than one chunk's worth of bytes.
 func FuzzTapeRoundTrip(f *testing.F) {
 	var all []byte // every kind with every flag
 	for k := byte(0); k < byte(isa.NumKinds); k++ {
@@ -248,7 +251,7 @@ func FuzzTapeRoundTrip(f *testing.F) {
 		src := &fuzzStream{data: data}
 		tape := NewTape(cfg, core, &fuzzStream{data: data})
 		cur := tape.Cursor()
-		for until := int64(0); len(*tape.chunks.Load()) < 2; {
+		for until := int64(0); tape.log.Bytes() <= chunklog.ChunkBytes; {
 			until += cfg.Quantum
 			n := live.Run(until, src, l1.Access)
 			m := tapeCore.RunTape(until, cur, tapeL2, int64(cfg.Mem.L1Lat))

@@ -61,7 +61,7 @@ func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) 
 	chz := stackdist.NewCharacterization(aThreshold, demandBuckets)
 
 	var in isa.Instr
-	for interval := 1; interval <= opt.Intervals; interval++ {
+	for i := 0; i < opt.Intervals; i++ {
 		for profiler.Accesses() < opt.AccessesPerInterval {
 			gen.Next(&in)
 			if in.Kind != isa.KindLoad && in.Kind != isa.KindStore {
@@ -73,7 +73,7 @@ func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) 
 			l1.Insert(in.Addr, cache.Block{Dirty: in.Kind == isa.KindStore})
 			profiler.Touch(in.Addr)
 		}
-		chz.Add(profiler.EndInterval(interval, demandBuckets, opt.Cfg.Mem.L2Slice.Ways))
+		chz.Add(profiler.EndInterval(demandBuckets, opt.Cfg.Mem.L2Slice.Ways))
 	}
 	return chz, nil
 }

@@ -395,7 +395,6 @@ func selectCombos(classes []string, width int) ([]workloads.Combo, error) {
 // the geometric-mean metric value — averaged across replicates, with a
 // Student-t 95% confidence interval when the evaluation was replicated.
 type ClassSeries struct {
-	Metric  metrics.MetricKind
 	Schemes []string             // column labels present, in FigureSchemes order
 	Classes []string             // row labels: C1..C6, AVG
 	Values  map[string][]float64 // scheme label -> mean value per row
@@ -433,7 +432,6 @@ func (ev *Evaluation) Figure(metric metrics.MetricKind) (ClassSeries, error) {
 		reps = 1
 	}
 	cs := ClassSeries{
-		Metric:     metric,
 		Classes:    append(append([]string{}, classes...), "AVG"),
 		Values:     make(map[string][]float64),
 		Replicates: reps,

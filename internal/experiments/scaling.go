@@ -63,7 +63,6 @@ func ScalingStudy(ctx context.Context, opt Options, coreCounts []int) (*ScalingR
 // the cross-class average (the figures' AVG row) at that width — averaged
 // across replicates, with 95% confidence half-widths when replicated.
 type ScalingSeries struct {
-	Metric  metrics.MetricKind
 	Schemes []string             // column labels present, in FigureSchemes order
 	Cores   []int                // row labels
 	Values  map[string][]float64 // scheme label -> mean value per core count
@@ -81,7 +80,7 @@ func (r *ScalingResult) Series(metric metrics.MetricKind) (ScalingSeries, error)
 	if reps < 1 {
 		reps = 1
 	}
-	s := ScalingSeries{Metric: metric, Values: make(map[string][]float64), Replicates: reps}
+	s := ScalingSeries{Values: make(map[string][]float64), Replicates: reps}
 	if reps > 1 {
 		s.CI = make(map[string][]float64)
 	}

@@ -131,6 +131,7 @@ func (p *Pass) TypeOf(expr ast.Expr) types.Type {
 // invariants" documents how to extend it.
 var ResultAffecting = map[string]bool{
 	"snug/internal/cache":       true,
+	"snug/internal/chunklog":    true,
 	"snug/internal/cpu":         true,
 	"snug/internal/bus":         true,
 	"snug/internal/cmp":         true,

@@ -4,11 +4,7 @@
 // reads).
 package mem
 
-import (
-	"fmt"
-
-	"snug/internal/addr"
-)
+import "fmt"
 
 // DRAMStats aggregates memory-controller activity.
 type DRAMStats struct {
@@ -44,16 +40,15 @@ func MustDRAM(latency int64) *DRAM {
 	return d
 }
 
-// Read schedules a read of a beginning at now and returns its completion
-// cycle.
-func (d *DRAM) Read(now int64, a addr.Addr) int64 {
+// Read schedules a read beginning at now and returns its completion cycle.
+func (d *DRAM) Read(now int64) int64 {
 	d.stats.Reads++
 	return now + d.latency
 }
 
-// Write schedules a write of a beginning at now and returns its completion
+// Write schedules a write beginning at now and returns its completion
 // cycle. Writes are posted (callers typically do not wait on them).
-func (d *DRAM) Write(now int64, a addr.Addr) int64 {
+func (d *DRAM) Write(now int64) int64 {
 	d.stats.Writes++
 	return now + d.latency
 }

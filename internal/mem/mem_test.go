@@ -8,10 +8,10 @@ import (
 
 func TestDRAMFixedLatency(t *testing.T) {
 	d := MustDRAM(300)
-	if done := d.Read(1000, 0x40); done != 1300 {
+	if done := d.Read(1000); done != 1300 {
 		t.Fatalf("read done at %d, want 1300", done)
 	}
-	if done := d.Write(500, 0x80); done != 800 {
+	if done := d.Write(500); done != 800 {
 		t.Fatalf("write done at %d, want 800", done)
 	}
 	st := d.Stats()
@@ -26,8 +26,8 @@ func TestDRAMRejectsBadParams(t *testing.T) {
 	}
 }
 
-func issueAt(lat int64) func(int64, addr.Addr) int64 {
-	return func(start int64, _ addr.Addr) int64 { return start + lat }
+func issueAt(lat int64) func(int64) int64 {
+	return func(start int64) int64 { return start + lat }
 }
 
 func TestWriteBufferFIFOAndDrain(t *testing.T) {
@@ -79,20 +79,17 @@ func TestWriteBufferFullStalls(t *testing.T) {
 func TestWriteBufferDirectReadAndTakeBack(t *testing.T) {
 	wb := MustWriteBuffer(4)
 	wb.Insert(0, 0x200, issueAt(50))
-	if !wb.ReadHit(0x200) {
+	if !wb.TakeBack(0x200) {
 		t.Fatal("direct read missed a pending block")
 	}
-	if wb.Stats().DirectReads != 1 {
-		t.Fatal("direct read not counted")
-	}
-	if !wb.TakeBack(0x200) {
-		t.Fatal("TakeBack failed")
+	if wb.Stats().DirectReads != 1 || len(wb.entries) != 0 {
+		t.Fatalf("after a direct read: %d direct reads, %d entries pending; want 1 and 0", wb.Stats().DirectReads, len(wb.entries))
 	}
 	if wb.TakeBack(0x200) {
-		t.Fatal("double TakeBack succeeded")
-	}
-	if wb.ReadHit(0x200) {
 		t.Fatal("block still readable after TakeBack")
+	}
+	if wb.Stats().DirectReads != 1 {
+		t.Fatal("a miss in the buffer counted as a direct read")
 	}
 }
 

@@ -55,35 +55,16 @@ func MustWriteBuffer(capacity int) *WriteBuffer {
 // Stats returns a snapshot of the counters.
 func (w *WriteBuffer) Stats() WriteBufferStats { return w.stats }
 
-// Contains reports whether block is pending in the buffer (direct-read
-// probe). It does not count statistics; use ReadHit for demand accesses.
-func (w *WriteBuffer) Contains(block addr.Addr) bool {
-	for _, e := range w.entries {
-		if e.block == block {
-			return true
-		}
-	}
-	return false
-}
-
-// ReadHit serves a demand read from the buffer if block is pending,
-// recording a direct read. It returns whether the block was found.
-func (w *WriteBuffer) ReadHit(block addr.Addr) bool {
-	if w.Contains(block) {
-		w.stats.DirectReads++
-		return true
-	}
-	return false
-}
-
-// TakeBack removes a pending entry for block (a direct read re-installing
-// the block into the cache cancels its write-back, since the cache copy is
-// again the newest). It reports whether an entry was removed.
+// TakeBack serves a demand read from the buffer if block is pending: it
+// counts a direct read and removes the entry, since the block re-enters
+// the cache and the cache copy is again the newest, which cancels its
+// write-back. It reports whether the block was found.
 func (w *WriteBuffer) TakeBack(block addr.Addr) bool {
 	for i := range w.entries {
 		if w.entries[i].block == block {
 			copy(w.entries[i:], w.entries[i+1:])
 			w.entries = w.entries[:len(w.entries)-1]
+			w.stats.DirectReads++
 			return true
 		}
 	}
@@ -96,7 +77,7 @@ func (w *WriteBuffer) TakeBack(block addr.Addr) bool {
 // Drain otherwise. Insert returns the cycle the *caller* may proceed: now,
 // unless the buffer was full, in which case the caller stalls until the
 // oldest entry retires.
-func (w *WriteBuffer) Insert(now int64, block addr.Addr, issue func(start int64, block addr.Addr) (doneAt int64)) (proceedAt int64) {
+func (w *WriteBuffer) Insert(now int64, block addr.Addr, issue func(start int64) (doneAt int64)) (proceedAt int64) {
 	// Merge with a pending entry for the same block.
 	for i := range w.entries {
 		if w.entries[i].block == block {
@@ -110,7 +91,7 @@ func (w *WriteBuffer) Insert(now int64, block addr.Addr, issue func(start int64,
 		w.stats.FullStalls++
 		head := &w.entries[0]
 		if head.readyAt == 0 {
-			head.readyAt = issue(now, head.block)
+			head.readyAt = issue(now)
 		}
 		if head.readyAt > proceedAt {
 			w.stats.StallCycles += head.readyAt - proceedAt
@@ -127,11 +108,11 @@ func (w *WriteBuffer) Insert(now int64, block addr.Addr, issue func(start int64,
 // complete by cycle now. issue performs the DRAM write (and bus transfer)
 // and returns its completion cycle; issue may decline by returning a cycle
 // beyond now, in which case the entry stays queued with its schedule.
-func (w *WriteBuffer) Drain(now int64, issue func(start int64, block addr.Addr) (doneAt int64)) {
+func (w *WriteBuffer) Drain(now int64, issue func(start int64) (doneAt int64)) {
 	for len(w.entries) > 0 {
 		head := &w.entries[0]
 		if head.readyAt == 0 {
-			head.readyAt = issue(now, head.block)
+			head.readyAt = issue(now)
 		}
 		if head.readyAt > now {
 			return

@@ -181,7 +181,8 @@ func WriteCharacterizationCSV(w io.Writer, c *stackdist.Characterization) error 
 }
 
 // ProgressLine renders a sweep progress snapshot as one log line, e.g.
-// "sweep 12/63 (19%) elapsed 5s eta 21s — 4xammp/SNUG [8 restored]".
+// "sweep 12/63 (19%) elapsed 5s eta 21s — 4xammp/SNUG [8 restored]
+// [1 failed]". Restored, failed and quarantined counts show when nonzero.
 func ProgressLine(p sweep.Progress) string {
 	var b strings.Builder
 	pct := 0
@@ -197,6 +198,12 @@ func ProgressLine(p sweep.Progress) string {
 	}
 	if p.Restored > 0 {
 		fmt.Fprintf(&b, " [%d restored]", p.Restored)
+	}
+	if p.Failed > 0 {
+		fmt.Fprintf(&b, " [%d failed]", p.Failed)
+	}
+	if p.Quarantined > 0 {
+		fmt.Fprintf(&b, " [%d quarantined]", p.Quarantined)
 	}
 	return b.String()
 }

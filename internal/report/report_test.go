@@ -6,14 +6,12 @@ import (
 	"time"
 
 	"snug/internal/experiments"
-	"snug/internal/metrics"
 	"snug/internal/stackdist"
 	"snug/internal/sweep"
 )
 
 func sampleSeries() experiments.ClassSeries {
 	cs := experiments.ClassSeries{
-		Metric:  metrics.MetricThroughput,
 		Schemes: experiments.FigureSchemes,
 		Classes: []string{"C1", "AVG"},
 		Values:  map[string][]float64{},
@@ -53,16 +51,22 @@ func TestWriteFigureCSV(t *testing.T) {
 
 func TestProgressLine(t *testing.T) {
 	line := ProgressLine(sweep.Progress{
-		Done: 12, Total: 63, Restored: 8, Key: "4xammp/SNUG",
+		Done: 12, Total: 63, Restored: 8, Failed: 2, Quarantined: 3, Key: "4xammp/SNUG",
 		Elapsed: 5 * time.Second, ETA: 21 * time.Second,
 	})
-	for _, want := range []string{"12/63", "(19%)", "5s", "eta 21s", "4xammp/SNUG", "8 restored"} {
+	for _, want := range []string{"12/63", "(19%)", "5s", "eta 21s", "4xammp/SNUG", "[8 restored]", "[2 failed]", "[3 quarantined]"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("progress line %q missing %q", line, want)
 		}
 	}
-	if empty := ProgressLine(sweep.Progress{}); !strings.Contains(empty, "0/0") {
+	empty := ProgressLine(sweep.Progress{})
+	if !strings.Contains(empty, "0/0") {
 		t.Errorf("zero progress line %q", empty)
+	}
+	for _, absent := range []string{"restored", "failed", "quarantined"} {
+		if strings.Contains(empty, absent) {
+			t.Errorf("zero progress line %q shows %q", empty, absent)
+		}
 	}
 }
 
@@ -70,7 +74,6 @@ func TestWriteCharacterization(t *testing.T) {
 	c := stackdist.NewCharacterization(32, 8)
 	for i := 0; i < 20; i++ {
 		c.Add(stackdist.IntervalResult{
-			Interval:    i + 1,
 			BucketSizes: []float64{0.4, 0.1, 0, 0, 0, 0, 0, 0.5},
 			MeanDemand:  17, TakerFraction: 0.5,
 		})
@@ -94,7 +97,7 @@ func TestWriteCharacterization(t *testing.T) {
 
 func TestWriteCharacterizationCSV(t *testing.T) {
 	c := stackdist.NewCharacterization(32, 8)
-	c.Add(stackdist.IntervalResult{Interval: 1, BucketSizes: make([]float64, 8)})
+	c.Add(stackdist.IntervalResult{BucketSizes: make([]float64, 8)})
 	var b strings.Builder
 	if err := WriteCharacterizationCSV(&b, c); err != nil {
 		t.Fatal(err)
@@ -158,7 +161,6 @@ func TestWriteFigureCSVReplicated(t *testing.T) {
 // table and its CSV.
 func TestWriteScalingReplicated(t *testing.T) {
 	s := experiments.ScalingSeries{
-		Metric:     metrics.MetricThroughput,
 		Schemes:    []string{"SNUG"},
 		Cores:      []int{4, 8},
 		Values:     map[string][]float64{"SNUG": {1.05, 1.08}},

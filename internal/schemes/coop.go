@@ -114,7 +114,7 @@ func (c *coop) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	// The memory controller snooped the broadcast's address beat, so the
 	// fetch charges no second request beat.
 	c.pol.offChip(core, set)
-	done := h.bus.Acquire(h.dram.Read(reqDone, a), bus.KindData)
+	done := h.bus.Acquire(h.dram.Read(reqDone), bus.KindData)
 	c.fill(core, now, a, set, write)
 	h.record(core, SrcDRAM)
 	return done

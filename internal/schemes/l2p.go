@@ -35,7 +35,7 @@ func (p *L2P) Access(core int, now int64, a addr.Addr, write bool) int64 {
 		h.record(core, SrcWriteBuffer)
 		return now + l2Lat + 1
 	}
-	done := h.fetchDRAM(now+l2Lat, a)
+	done := h.fetchDRAM(now + l2Lat)
 	v := h.slices[core].Insert(a, cache.Block{Dirty: write, Owner: int8(core)})
 	h.retire(core, now, v, h.geom.Index(a))
 	h.record(core, SrcDRAM)

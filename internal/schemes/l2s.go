@@ -76,7 +76,7 @@ func (s *L2S) Access(core int, now int64, a addr.Addr, write bool) int64 {
 		h.record(core, SrcWriteBuffer)
 		return now + lat + 1
 	}
-	done := h.fetchDRAM(now+lat, a)
+	done := h.fetchDRAM(now + lat)
 	v := h.slices[b].Insert(la, cache.Block{Dirty: write, Owner: int8(core)})
 	s.retire(b, now, v, h.geom.Index(la))
 	h.record(core, SrcDRAM)

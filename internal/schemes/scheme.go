@@ -157,17 +157,17 @@ func (h *hierarchy) record(core int, src Source) {
 
 // fetchDRAM models a demand fetch: request beat on the address path, DRAM
 // access, data beats back. Returns the data-available cycle.
-func (h *hierarchy) fetchDRAM(now int64, a addr.Addr) int64 {
+func (h *hierarchy) fetchDRAM(now int64) int64 {
 	t := h.bus.Acquire(now, bus.KindSnoop)
-	t = h.dram.Read(t, a)
+	t = h.dram.Read(t)
 	return h.bus.Acquire(t, bus.KindData)
 }
 
 // issueWriteback is the write-buffer drain path: bus transfer then DRAM
 // write.
-func (h *hierarchy) issueWriteback(start int64, block addr.Addr) int64 {
+func (h *hierarchy) issueWriteback(start int64) int64 {
 	t := h.bus.Acquire(start, bus.KindWriteback)
-	return h.dram.Write(t, block)
+	return h.dram.Write(t)
 }
 
 // postWriteback queues a dirty block into slice's write buffer at cycle now.
@@ -206,12 +206,7 @@ func (h *hierarchy) retire(slice int, now int64, v cache.Block, setIdx uint32) {
 // the pending entry: the block re-enters the slice, still dirty, and the
 // caller installs it and retires the victim.
 func (h *hierarchy) takeBack(core int, a addr.Addr) bool {
-	block := h.geom.Block(a)
-	if !h.wb[core].ReadHit(block) {
-		return false
-	}
-	h.wb[core].TakeBack(block)
-	return true
+	return h.wb[core].TakeBack(h.geom.Block(a))
 }
 
 // writebackL1 handles an L1 dirty victim: sets the dirty bit if the block

@@ -81,7 +81,7 @@ func (s *SNUG) search(peer int, set uint32) (uint32, bool, bool) { return s.plac
 // settles. On a miss, a revisit of a formerly evicted block invalidates the
 // shadow entry (exclusivity) and trains the counter.
 func (s *SNUG) hit(i int, a addr.Addr)  { s.mon[i].OnRealHit(a) }
-func (s *SNUG) miss(i int, a addr.Addr) { s.mon[i].OnMissCheck(a, true) }
+func (s *SNUG) miss(i int, a addr.Addr) { s.mon[i].OnMissCheck(a) }
 
 // evicted shadows a locally owned victim, on the requester or a host.
 func (s *SNUG) evicted(i int, set uint32, tag uint64) { s.mon[i].OnLocalEvict(set, tag) }

@@ -137,7 +137,6 @@ func (p *Profiler) BlockRequired(s uint32) int {
 // IntervalResult is the characterization output for one sampling interval:
 // the normalized size of each demand bucket (Formula 5).
 type IntervalResult struct {
-	Interval      int
 	BucketSizes   []float64 // length M, sums to 1
 	MeanDemand    float64   // mean block_required over all sets
 	TakerFraction float64   // fraction of sets with demand > baseline ways
@@ -147,8 +146,8 @@ type IntervalResult struct {
 // equal-width buckets over [1, A_threshold] (Formulas 4–5), resets the
 // per-interval hit counters, and returns the interval's characterization.
 // Stacks persist across intervals, matching the paper's continuous
-// profiling; interval is an identifying sequence number.
-func (p *Profiler) EndInterval(interval, m, baselineWays int) IntervalResult {
+// profiling.
+func (p *Profiler) EndInterval(m, baselineWays int) IntervalResult {
 	h := stats.MustHistogram(p.aThreshold, m)
 	sum := 0
 	takers := 0
@@ -166,7 +165,6 @@ func (p *Profiler) EndInterval(interval, m, baselineWays int) IntervalResult {
 	p.accesses = 0
 	sets := float64(len(p.hitCounts))
 	return IntervalResult{
-		Interval:      interval,
 		BucketSizes:   h.Fractions(),
 		MeanDemand:    float64(sum) / sets,
 		TakerFraction: float64(takers) / sets,

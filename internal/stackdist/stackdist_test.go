@@ -95,7 +95,7 @@ func TestEndIntervalBuckets(t *testing.T) {
 			p.Touch(g.Rebuild(tag, 1))
 		}
 	}
-	r := p.EndInterval(1, 8, 16)
+	r := p.EndInterval(8, 16)
 	if r.BucketSizes[0] != 0.75 { // sets 0, 2, 3
 		t.Fatalf("bucket 1~4 share = %v, want 0.75", r.BucketSizes[0])
 	}

@@ -23,11 +23,14 @@ func MustGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int6
 	return g
 }
 
-// Record eagerly records the next n instructions of src on top of whatever
-// extension has already happened; the sweep path extends lazily instead.
+// Record extends r until it holds at least n instructions, by reading
+// through a cursor to the end of the recording until the log holds n; the
+// sweep path extends lazily instead.
 func (r *Recording) Record(n int64) {
-	for r.filled.Load() < n {
-		r.extend()
+	c := r.log.Cursor()
+	for r.log.Len() < n {
+		c.Off = c.Used
+		c.Refill()
 	}
 }
 

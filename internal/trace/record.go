@@ -36,131 +36,53 @@
 // bytes instead of a delta across the address space. The common case, a
 // straight-line instruction that is neither a memory access nor a return,
 // costs one byte, and the evaluation's streams average about 1.4 bytes per
-// instruction (an isa.Instr value is 48). Recording is lazy:
-// a Replay cursor that runs past the recorded prefix extends the recording
-// from the live source, so no a-priori bound on the consumed stream length
-// is needed — schemes with different IPCs naturally consume different
-// prefixes of one shared recording.
-//
-// Concurrency: Replay cursors from different goroutines may share one
-// Recording (the sweep runs a combination's schemes in parallel).
-// Extension is serialized by a mutex; published state is advertised with
-// atomics (bytes are written before the per-chunk byte count, which is
-// written before the global instruction count, so a reader that observes
-// the instruction count observes the bytes behind it). Chunk buffers are
-// allocated at full, fixed length and an instruction never spans chunks,
-// so published bytes are immutable.
+// instruction (an isa.Instr value is 48). The records live in a
+// chunklog.Log, which extends the recording lazily — a Replay cursor that
+// runs past the recorded prefix extends it from the live source, so
+// schemes with different IPCs consume different prefixes of one shared
+// recording — and lets cursors on several goroutines share it (the sweep
+// runs a combination's schemes in parallel).
 package trace
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"snug/internal/addr"
+	"snug/internal/chunklog"
 	"snug/internal/isa"
 )
 
-const (
-	// chunkBytes is the fixed chunk-buffer size.
-	chunkBytes = 1 << 16
-	// maxInstrBytes bounds one encoded instruction (meta + three worst-case
-	// 10-byte varints); a chunk with less remaining space is closed.
-	maxInstrBytes = 31
-	// extendBatch is how many instructions one extension appends. Large
-	// enough to amortize the lock, small enough that the first consumer of
-	// a fresh recording is not held up synthesizing a huge prefix.
-	extendBatch = 4096
-)
-
-// chunk is one fixed-capacity span of the encoded stream. buf has full
-// length from construction and is only appended to in place, so readers may
-// index any prefix published through used.
-type chunk struct {
-	arr  *[chunkBytes]byte // pooled backing storage; nil after Recycle
-	buf  []byte            // arr[:]
-	used atomic.Int64      // published encoded bytes
-}
-
-// chunkPool recycles chunk backing arrays across recordings. A full
-// evaluation sweep records hundreds of megabytes of streams cell by cell,
-// and without reuse every cell's recording re-allocates its chunks from
-// scratch — the dominant allocation cost of the whole evaluation. Pooling
-// is safe because a recording's chunks are referenced only by the
-// recording and its Replay cursors, and Recycle's contract is that both
-// are done.
-var chunkPool = sync.Pool{
-	New: func() any { return new([chunkBytes]byte) },
-}
-
-// newChunk takes a backing array from the pool.
-func newChunk() *chunk {
-	arr := chunkPool.Get().(*[chunkBytes]byte)
-	return &chunk{arr: arr, buf: arr[:]}
-}
+// maxInstrBytes bounds one encoded instruction: the meta byte and three
+// worst-case 10-byte varints.
+const maxInstrBytes = 31
 
 // Recording memoizes a source stream's instructions in encoded chunks. Use
 // NewRecording, then serve consumers with Replay cursors.
 type Recording struct {
-	mu   sync.Mutex
-	src  isa.Stream // consumed under mu
+	log  *chunklog.Log
 	name string
 
-	// Encoder state, under mu: the previous, linear and out-of-line PCs
-	// and the previous address and target, mirrored by every decoder.
-	cur        *chunk
-	curPos     int
-	encPC      uint64
-	encLinPC   uint64
-	encOutPC   uint64
-	encAddr    uint64
-	encTarget  uint64
-	totalBytes int64
-
-	// in is the extension loop's decode target. It lives on the recording
-	// rather than extend's stack because passing its address through the
-	// isa.Stream interface call makes it escape — one heap allocation per
-	// extend call, tens of thousands per evaluation sweep.
-	in isa.Instr
-
-	chunks atomic.Pointer[[]*chunk] // grow-only; replaced wholesale on append
-	filled atomic.Int64             // published instruction count
+	// The encoder's state, under the log's lock: the previous, linear and
+	// out-of-line PCs and the previous address and target, mirrored by
+	// every decoder.
+	encPC     uint64
+	encLinPC  uint64
+	encOutPC  uint64
+	encAddr   uint64
+	encTarget uint64
 }
 
 // NewRecording wraps src in a lazily-extended recording. src must not be
 // advanced by anyone else afterwards: the recording owns it.
 func NewRecording(src isa.Stream) *Recording {
-	r := &Recording{src: src, name: src.Name()}
-	r.cur = newChunk()
-	chunks := []*chunk{r.cur}
-	r.chunks.Store(&chunks)
+	r := &Recording{name: src.Name()}
+	r.log = chunklog.New(src, maxInstrBytes, r.encode)
 	return r
 }
 
-// Recycle returns the recording's chunk storage to the shared pool and
-// poisons the recording. The caller must guarantee that no Replay cursor
-// over this recording will be used again — recycled buffers are
-// immediately rewritten by other recordings, so a late cursor would decode
-// another stream's bytes. Any attempt to extend or replay after Recycle
-// panics instead of corrupting results.
-func (r *Recording) Recycle() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	chunks := r.chunks.Load()
-	if chunks == nil {
-		return // already recycled
-	}
-	for _, c := range *chunks {
-		arr := c.arr
-		c.arr = nil
-		c.buf = nil
-		if arr != nil {
-			chunkPool.Put(arr)
-		}
-	}
-	r.chunks.Store(nil)
-	r.cur = nil
-	r.src = nil
-}
+// Recycle returns the recording's chunks to the shared pool and poisons
+// the recording: opening or extending a Replay cursor afterwards panics
+// instead of decoding another stream's bytes. The caller must guarantee
+// that no cursor over the recording is used again.
+func (r *Recording) Recycle() { r.log.Recycle() }
 
 // RecycleAll recycles every recording in recs (the cell-sized mirror of
 // RecordAll).
@@ -174,57 +96,21 @@ func RecycleAll(recs []*Recording) {
 func (r *Recording) Name() string { return r.name }
 
 // Len returns the number of instructions recorded so far.
-func (r *Recording) Len() int64 { return r.filled.Load() }
+func (r *Recording) Len() int64 { return r.log.Len() }
 
 // Bytes returns the encoded size of the recording so far.
-func (r *Recording) Bytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalBytes
-}
+func (r *Recording) Bytes() int64 { return r.log.Bytes() }
 
 // Replay returns a new cursor positioned at the start of the stream. Each
 // simulated core needs its own cursor; cursors are not goroutine-safe but
 // distinct cursors over one Recording are.
 func (r *Recording) Replay() *Replay {
-	p := r.chunks.Load()
-	if p == nil {
-		panic("trace: Replay cursor opened after Recycle")
-	}
-	chunks := *p
-	return &Replay{rec: r, chunks: chunks, buf: chunks[0].buf}
+	return &Replay{c: r.log.Cursor(), name: r.name}
 }
 
-// extend appends one batch of instructions from the source stream.
-func (r *Recording) extend() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil {
-		panic("trace: Recording extended after Recycle")
-	}
-	for i := 0; i < extendBatch; i++ {
-		r.src.Next(&r.in)
-		r.encode(&r.in)
-	}
-	r.cur.used.Store(int64(r.curPos))
-	r.filled.Add(extendBatch)
-}
-
-// encode appends one instruction to the current chunk, closing it and
-// opening a new one when it cannot hold a worst-case instruction.
-func (r *Recording) encode(in *isa.Instr) {
-	if r.curPos > chunkBytes-maxInstrBytes {
-		r.cur.used.Store(int64(r.curPos))
-		r.cur = newChunk()
-		r.curPos = 0
-		old := *r.chunks.Load()
-		chunks := make([]*chunk, len(old)+1)
-		copy(chunks, old)
-		chunks[len(old)] = r.cur
-		r.chunks.Store(&chunks)
-	}
-	buf := r.cur.buf
-	pos := r.curPos
+// encode writes one instruction's record.
+func (r *Recording) encode(w *chunklog.Writer, in *isa.Instr) {
+	buf, pos := w.Buf, w.Pos
 	// The flags are close to random per instruction, so they are ORed in
 	// without branches.
 	meta := byte(in.Kind) | b2u(in.DepPrev)*metaDepPrev | b2u(in.Taken)*metaTaken
@@ -255,8 +141,7 @@ func (r *Recording) encode(in *isa.Instr) {
 		pos = putUvarint(buf, pos, zig(in.Target-r.encTarget))
 		r.encTarget = in.Target
 	}
-	r.totalBytes += int64(pos - r.curPos)
-	r.curPos = pos
+	w.Pos = pos
 }
 
 // meta-byte layout: low 4 bits hold the kind, then one bit per flag, and
@@ -277,15 +162,8 @@ const (
 // Next is allocation-free; when the cursor catches up with the recorded
 // prefix it extends the recording from the live source.
 type Replay struct {
-	rec    *Recording
-	chunks []*chunk // snapshot of the recording's chunk list
-	ci     int      // index of the current chunk in chunks
-	buf    []byte   // chunks[ci].buf
-	off    int      // decode position in buf
-	used   int      // cached published byte count of the current chunk
-
-	pos   int64 // instructions decoded
-	limit int64 // cached published instruction count
+	c    chunklog.Cursor
+	name string
 
 	prevPC     uint64
 	linPC      uint64
@@ -295,18 +173,15 @@ type Replay struct {
 }
 
 // Name implements isa.Stream.
-func (p *Replay) Name() string { return p.rec.name }
+func (p *Replay) Name() string { return p.name }
 
 // Next implements isa.Stream, decoding the next recorded instruction.
 func (p *Replay) Next(in *isa.Instr) {
-	if p.pos >= p.limit {
-		p.moreInstructions()
+	if p.c.Off >= p.c.Used {
+		p.c.Refill()
 	}
-	if p.off >= p.used {
-		p.moreBytes()
-	}
-	buf := p.buf
-	off := p.off
+	buf := p.c.Buf
+	off := p.c.Off
 	meta := buf[off]
 	off++
 	var pc uint64
@@ -349,32 +224,25 @@ func (p *Replay) Next(in *isa.Instr) {
 		p.prevTarget = t
 		in.Target = t
 	}
-	p.off = off
-	p.pos++
+	p.c.Off = off
 }
 
 // NextBatch implements isa.BatchStream: the cursor and delta-decoder state
-// live in locals across the batch and the published-window checks run once
+// live in locals across the batch and the published-window check runs once
 // per window instead of once per instruction, so batched replay decodes at
 // memory-scan speed. Behaviour is identical to len(dst) Next calls.
 func (p *Replay) NextBatch(dst []isa.Instr) int {
 	n := 0
 	for n < len(dst) {
-		if p.pos >= p.limit {
-			p.moreInstructions()
-		}
-		if p.off >= p.used {
-			p.moreBytes()
+		if p.c.Off >= p.c.Used {
+			p.c.Refill()
 		}
 		// Decode straight out of the current chunk's published window.
-		// Published byte counts land on instruction boundaries, so every
-		// instruction starting below used is complete.
-		buf := p.buf
-		off := p.off
-		used := p.used
+		buf := p.c.Buf
+		off := p.c.Off
+		used := p.c.Used
 		pc, lin, out := p.prevPC, p.linPC, p.outPC
 		a, tgt := p.prevAddr, p.prevTarget
-		decoded := int64(0)
 		for off < used && n < len(dst) {
 			in := &dst[n]
 			meta := buf[off]
@@ -421,45 +289,12 @@ func (p *Replay) NextBatch(dst []isa.Instr) int {
 				in.Target = tgt
 			}
 			n++
-			decoded++
 		}
-		p.off = off
+		p.c.Off = off
 		p.prevPC, p.linPC, p.outPC = pc, lin, out
 		p.prevAddr, p.prevTarget = a, tgt
-		p.pos += decoded
 	}
 	return n
-}
-
-// moreInstructions refreshes the published-instruction limit, extending the
-// recording from its source when the cursor has truly caught up.
-func (p *Replay) moreInstructions() {
-	for {
-		if l := p.rec.filled.Load(); l > p.pos {
-			p.limit = l
-			return
-		}
-		p.rec.extend()
-	}
-}
-
-// moreBytes refreshes the current chunk's published byte count or advances
-// to the next chunk. It is only called with published instructions ahead of
-// the cursor (pos < limit), so the bytes exist: either the current chunk
-// has grown, or it was closed and the stream continues in the next one.
-func (p *Replay) moreBytes() {
-	if used := int(p.chunks[p.ci].used.Load()); used > p.off {
-		p.used = used
-		return
-	}
-	p.ci++
-	if p.ci >= len(p.chunks) {
-		p.chunks = *p.rec.chunks.Load()
-	}
-	c := p.chunks[p.ci]
-	p.buf = c.buf
-	p.off = 0
-	p.used = int(c.used.Load())
 }
 
 // RecordAll wraps each stream in a Recording, preserving order.
