@@ -82,7 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		"L2 scheme spec (L2P, L2S, CC, CC(75%), DSR or SNUG), or a comma-separated list to compare")
 	workload := fs.String("workload", "ammp,parser,swim,mesa",
 		"comma-separated benchmark per core, a Table 8 combo name, or Nx<bench>")
-	ccpct := fs.Int("ccpct", 100, "spill probability for bare \"CC\" specs, in percent (0,25,50,75,100)")
 	seed := fs.Uint64("seed", 0, "override simulation seed (0 = default)")
 	list := fs.Bool("list", false, "list benchmarks, combos and schemes, then exit")
 	if err := fs.Parse(args); err != nil {
@@ -107,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	cfg := sf.System()
-	cfg.CC.SpillPercent = *ccpct
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}

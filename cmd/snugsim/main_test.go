@@ -189,7 +189,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"unknown scheme in a list": {"-scheme", "L2P,victim"},
 		"empty spec":               {"-scheme", "L2P,"},
 		"scheme named twice":       {"-scheme", "CC(75),CC(75%)"},
-		"bad spill percent":        {"-scheme", "L2P", "-ccpct", "33"},
+		"bad spill percent":        {"-scheme", "CC(33%)"},
 	} {
 		out := filepath.Join(t.TempDir(), "s.jsonl")
 		args = append(args, "-failpolicy", "continue", "-workload", "4xgzip", "-cycles", "50000", "-out", out)

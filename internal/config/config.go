@@ -6,7 +6,10 @@
 // that experiments can be scaled coherently.
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Core holds the out-of-order core parameters (Table 4, left column).
 //
@@ -93,8 +96,13 @@ type DSR struct {
 
 // CC holds baseline Cooperative Caching parameters (Chang & Sohi).
 type CC struct {
-	SpillPercent int // 0, 25, 50, 75, 100 — CC(Best) picks the best
+	SpillPercent int // one of CCSpillPercents: the probability of a bare "CC" spec (100)
 }
+
+// CCSpillPercents are the spill probabilities, in percent, at which §4.1
+// evaluates CC; CC(Best) is the best of them per workload. A CC spec and
+// CC.SpillPercent must name one of them.
+var CCSpillPercents = []int{0, 25, 50, 75, 100}
 
 // System is the complete simulated-system configuration.
 type System struct {
@@ -296,10 +304,8 @@ func (s System) Validate() error {
 	if s.DSR.PSELBits < 1 || s.DSR.PSELBits > 30 {
 		return fmt.Errorf("config: DSR PSEL width %d out of range [1,30]", s.DSR.PSELBits)
 	}
-	switch s.CC.SpillPercent {
-	case 0, 25, 50, 75, 100:
-	default:
-		return fmt.Errorf("config: CC spill probability %d%% not one of the paper's {0,25,50,75,100}", s.CC.SpillPercent)
+	if !slices.Contains(CCSpillPercents, s.CC.SpillPercent) {
+		return fmt.Errorf("config: CC spill probability %d%% not one of the paper's %v", s.CC.SpillPercent, CCSpillPercents)
 	}
 	if s.Quantum <= 0 {
 		return fmt.Errorf("config: quantum must be positive")

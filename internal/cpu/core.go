@@ -58,13 +58,13 @@ type Core struct {
 
 	prevComplete int64
 
-	// pend is the decode-ahead buffer Run fills from a BatchStream — one
-	// batched decode call amortizes the per-instruction stream dispatch.
+	// pend is the decode-ahead buffer Run fills from a BatchStream, one
+	// NextBatch call per pendBatch instructions.
 	pend     []isa.Instr
 	pendHead int
 	pendLen  int
 
-	// next is the non-batch fallback's decode target. As a field it lives
+	// next is the Next path's decode target. As a field it lives
 	// in the Core's existing allocation; as a Run local its address would
 	// escape into the stream.Next interface call and heap-allocate once
 	// per Run call (caught by TestSteadyStateAllocs in internal/cmp).
@@ -120,109 +120,39 @@ const pendBatch = 256
 // exact instruction sequence of Run(b2) — which is how internal/cmp drives
 // it, one quantum at a time. Run itself never touches cross-core state.
 //
-// Streams implementing isa.BatchStream (trace replays) take runBatch;
-// every other stream (live generators) is read one Next call at a time
-// and stepped by step. The two paths apply the same timing rules, so
-// they give identical results on identical instructions.
+// A stream implementing isa.BatchStream is read only through NextBatch,
+// pendBatch instructions at a time, into a buffer that keeps what a
+// quantum left unread for the next call, so the consumed stream prefix is
+// the one the Next path consumes. Every instruction of either kind of
+// stream is stepped by step.
 func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
-	if bs, ok := stream.(isa.BatchStream); ok {
-		return c.runBatch(until, bs, mem)
-	}
 	before := c.stats.Instructions
-	in := &c.next
-	for c.clock < until {
-		stream.Next(in)
-		c.step(in, mem)
+	bs, batched := stream.(isa.BatchStream)
+	if !batched {
+		in := &c.next
+		for c.clock < until {
+			stream.Next(in)
+			c.step(in, mem)
+		}
+		return c.stats.Instructions - before
 	}
-	return c.stats.Instructions - before
-}
-
-// runBatch is Run over a BatchStream. It reads the stream through a
-// persistent decode-ahead buffer: one NextBatch call decodes pendBatch
-// instructions in a tight loop, replacing pendBatch interface dispatches.
-// Instructions decoded past a quantum boundary stay buffered for the next
-// call, so the consumed stream prefix, and with it every simulation
-// result, is the one the Next path consumes.
-//
-// The loop-carried pipeline state lives in locals for the whole call and
-// is written back once, so the per-instruction timing chain runs in
-// registers instead of through loads and stores of Core fields. Its body
-// is step's, rule for rule.
-func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
 	if c.pend == nil {
 		// One-time decode-buffer warm-up, never per step.
 		c.pend = make([]isa.Instr, pendBatch)
 	}
-	pend, head, n := c.pend, c.pendHead, c.pendLen
-	ring := c.commitRing
-	clock, fetchAvail, issuedCnt := c.clock, c.fetchAvail, c.issuedCnt
-	commitAt, commitCnt := c.commitAt, c.commitCnt
-	robIdx, prevComplete := c.robIdx, c.prevComplete
-	var robStall, depStall, mispredicts, count int64
-	for clock < until {
-		if head == n {
-			n, head = bs.NextBatch(pend), 0
-			if n == 0 {
+	for c.clock < until {
+		if c.pendHead == c.pendLen {
+			c.pendLen, c.pendHead = bs.NextBatch(c.pend), 0
+			if c.pendLen == 0 {
 				// A finite stream ran dry; the workload streams are
 				// endless, but never step stale buffer contents.
 				break
 			}
 		}
-		in := &pend[head]
-		head++
-
-		e := max(clock, fetchAvail)
-		robFree := ring[robIdx]
-		robStall += max(robFree-e, 0)
-		e = max(e, robFree)
-		kind := in.Kind
-		if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
-			e = c.reserveLSQ(e)
-		}
-		clock, issuedCnt = slot(e, clock, issuedCnt, c.issueWidth)
-
-		dep := depDelay(prevComplete, clock, in.DepPrev)
-		depStall += dep
-		start := clock + dep
-		var complete int64
-		if kind < isa.KindLoad {
-			complete = start + c.simpleLat[kind]
-		} else {
-			switch kind {
-			case isa.KindLoad:
-				complete = mem(start+c.loadLat, in.Addr, false)
-				c.pushLSQ(complete)
-			case isa.KindStore:
-				c.pushLSQ(mem(start+c.loadLat, in.Addr, true))
-				complete = start + 1 // posted through the store buffer
-			default:
-				complete = start + c.aluLat
-				if c.branch.redirects(in) {
-					mispredicts++
-					fetchAvail = max(fetchAvail, complete+c.branchPenalty)
-				}
-			}
-		}
-		prevComplete = complete
-
-		commitAt, commitCnt = slot(complete, commitAt, commitCnt, c.commitWidth)
-		ring[robIdx] = commitAt
-		robIdx++
-		if robIdx == len(ring) {
-			robIdx = 0
-		}
-		count++
-		c.kindCount[kind&15]++
+		c.step(&c.pend[c.pendHead], mem)
+		c.pendHead++
 	}
-	c.pendHead, c.pendLen = head, n
-	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt
-	c.commitAt, c.commitCnt = commitAt, commitCnt
-	c.robIdx, c.prevComplete = robIdx, prevComplete
-	c.stats.ROBStall += robStall
-	c.stats.DepStall += depStall
-	c.stats.BranchMispredicts += mispredicts
-	c.stats.Instructions += count
-	return count
+	return c.stats.Instructions - before
 }
 
 // RunTape is Run over a tape: it steps the instructions t reads with the
@@ -230,8 +160,9 @@ func (c *Core) runBatch(until int64, bs isa.BatchStream, mem MemFunc) int64 {
 // L1. A fetch redirect costs the branch penalty. A load or store that hit
 // in the L1 takes l1Lat; one that missed goes to l2 l1Lat after its issue
 // and then writes back its dirty victim, the calls L1.Access makes for the
-// same miss. The loop is runBatch's, rule for rule, reading the tape's op
-// bytes in place; the L1 counts go to the cursor.
+// same miss. It applies step's rules, rule for rule, with the pipeline
+// state held in locals for the whole call and written back once, reading
+// the tape's op bytes in place; the L1 counts go to the cursor.
 func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
 	buf, off, used := t.c.Buf, t.c.Off, t.c.Used
 	core, miss := t.core, t.miss

@@ -215,13 +215,22 @@ func (s *randStream) Next(in *isa.Instr) {
 	}
 }
 
-// batchStream adds isa.BatchStream to a randStream, so Core.Run takes its
-// batched path.
-type batchStream struct{ *randStream }
+// batchStream serves a randStream through isa.BatchStream, so Core.Run
+// takes its batched path. Run must read a BatchStream only through
+// NextBatch, so its Next fails the test.
+type batchStream struct {
+	*randStream
+	t *testing.T
+}
+
+func (s batchStream) Next(*isa.Instr) {
+	s.t.Helper()
+	s.t.Fatal("Core.Run called Next on a BatchStream")
+}
 
 func (s batchStream) NextBatch(dst []isa.Instr) int {
 	for i := range dst {
-		s.Next(&dst[i])
+		s.randStream.Next(&dst[i])
 	}
 	return len(dst)
 }
@@ -270,7 +279,8 @@ func randCoreConfig(rng *rand.Rand) config.Core {
 // streams, shapes and memory latencies, in random quantum splits, through
 // both of Run's stream paths. After every quantum both must have
 // dispatched the same instructions, report identical Stats, and have
-// made the identical sequence of memory calls.
+// made the identical sequence of memory calls. On the batched path the
+// stream fails the test if Run ever calls its Next.
 func TestRunMatchesReferenceStep(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		for _, batched := range []bool{false, true} {
@@ -282,7 +292,7 @@ func TestRunMatchesReferenceStep(t *testing.T) {
 			}
 			var stream isa.Stream = nextOnly{newRandStream(seed)}
 			if batched {
-				stream = batchStream{newRandStream(seed)}
+				stream = batchStream{newRandStream(seed), t}
 			}
 			ref := newRefCore(cfg)
 			refSrc := newRandStream(seed)

@@ -27,7 +27,7 @@ import (
 
 // CCPercents are the spill probabilities §4.1 evaluates; CC(Best) is the
 // best-performing one per workload.
-var CCPercents = []int{0, 25, 50, 75, 100}
+var CCPercents = config.CCSpillPercents
 
 // FigureSchemes are the scheme labels of Figures 9–11, in plot order.
 var FigureSchemes = []string{"L2S", "CC(Best)", "DSR", "SNUG"}

@@ -91,10 +91,9 @@ type Stream interface {
 
 // BatchStream is an optional Stream extension for consumers that can take
 // instructions in bulk: one NextBatch call replaces len(dst) interface
-// dispatches, and implementations keep their cursor state in registers
-// across the batch. The core model's run loop uses it when available
-// (trace replays implement it); semantics are identical to calling Next
-// len(dst) times.
+// dispatches. The core model's run loop reads a BatchStream only through
+// NextBatch (trace replays implement it); semantics are identical to
+// calling Next len(dst) times.
 type BatchStream interface {
 	Stream
 	// NextBatch fills dst with the next instructions of the stream and

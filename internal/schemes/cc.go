@@ -15,8 +15,8 @@ import (
 // dropped, never re-spilled). A local miss broadcasts a retrieval; a peer
 // holding the block forwards it and invalidates its copy.
 //
-// CC(Best) in the evaluation is CC run at each spill probability in
-// {0, 25, 50, 75, 100}% with the best result selected per workload (§4.1).
+// CC(Best) in the evaluation is CC run at each spill probability of
+// config.CCSpillPercents with the best result selected per workload (§4.1).
 type CC struct {
 	coop
 	sameIndex

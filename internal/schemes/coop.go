@@ -30,14 +30,14 @@ type policy interface {
 	evicted(slice int, set uint32, tag uint64)
 }
 
-// coop is the access path CC, DSR and SNUG share over private slices: a
-// local lookup, a direct read from the write buffer, a retrieval broadcast
-// that a holding peer answers by forwarding and invalidating its copy
-// (§3.3), then DRAM. A clean local victim may spill into one peer set,
-// offered to the peers in round-robin order; a spilled block gets one
+// coop is the access path L2P, CC, DSR and SNUG share over private slices:
+// a local lookup, a direct read from the write buffer, a retrieval
+// broadcast that a holding peer answers by forwarding and invalidating its
+// copy (§3.3), then DRAM. A clean local victim may spill into one peer
+// set, offered to the peers in round-robin order; a spilled block gets one
 // chance (a cooperative victim vanishes), and a host's own victim drains or
-// vanishes, never spilling on. What differs between the schemes is asked of
-// their policy.
+// vanishes, never spilling on. What differs between the schemes is asked
+// of their policy.
 type coop struct {
 	h         *hierarchy
 	name      string

@@ -2,53 +2,35 @@ package schemes
 
 import (
 	"snug/internal/addr"
-	"snug/internal/cache"
 	"snug/internal/config"
 )
 
 // L2P is the private baseline: each core owns its slice outright, with no
 // capacity sharing of any kind. Every figure in the paper is normalized to
-// this organization.
-type L2P struct {
-	h *hierarchy
-}
+// this organization. It runs coop's access path under a policy that
+// spills no victim and searches no peer, so it computes what CC(0%) does.
+type L2P struct{ coop }
 
 // NewL2P builds the private-L2 baseline.
 func NewL2P(cfg config.System) *L2P {
-	return &L2P{h: newHierarchy(cfg)}
+	return &L2P{newCoop(cfg, "L2P", private{}, cfg.Mem.RemoteLat)}
 }
 
-// Name implements Controller.
-func (p *L2P) Name() string { return "L2P" }
-
-// Access implements Controller.
-func (p *L2P) Access(core int, now int64, a addr.Addr, write bool) int64 {
-	h := p.h
-	l2Lat := int64(h.cfg.Mem.L2Lat)
-	if h.slices[core].Lookup(a, write) {
-		h.record(core, SrcLocalL2)
-		return now + l2Lat
-	}
-	if h.takeBack(core, a) {
-		v := h.slices[core].Insert(a, cache.Block{Dirty: true, Owner: int8(core)})
-		h.retire(core, now, v, h.geom.Index(a))
-		h.record(core, SrcWriteBuffer)
-		return now + l2Lat + 1
-	}
-	done := h.fetchDRAM(now + l2Lat)
-	v := h.slices[core].Insert(a, cache.Block{Dirty: write, Owner: int8(core)})
-	h.retire(core, now, v, h.geom.Index(a))
-	h.record(core, SrcDRAM)
-	return done
+// Report implements Controller. L2P asks no peer for a block, so it counts
+// no retrieval: the snoop beat of each miss is only the memory request.
+func (p *L2P) Report() Report {
+	r := p.coop.Report()
+	r.Retrievals = 0
+	return r
 }
 
-// WritebackL1 implements Controller.
-func (p *L2P) WritebackL1(core int, now int64, a addr.Addr) {
-	p.h.writebackL1(core, now, a)
-}
+// private is L2P's policy: no victim spills, and no peer holds a block.
+type private struct{}
 
-// Tick implements Controller.
-func (p *L2P) Tick(now int64) { p.h.drainWriteBuffers(now) }
-
-// Report implements Controller.
-func (p *L2P) Report() Report { return p.h.report(p.Name()) }
+func (private) spillsFrom(int, uint32) bool             { return false }
+func (private) place(int, uint32) (uint32, bool, bool)  { return 0, false, false }
+func (private) search(int, uint32) (uint32, bool, bool) { return 0, false, false }
+func (private) hit(int, addr.Addr)                      {}
+func (private) miss(int, addr.Addr)                     {}
+func (private) offChip(int, uint32)                     {}
+func (private) evicted(int, uint32, uint64)             {}

@@ -3,9 +3,10 @@
 // (L2S), eviction-driven Cooperative Caching at fixed spill probabilities
 // (CC, Chang & Sohi [7]), Dynamic Spill-Receive (DSR, Qureshi [8]), and
 // SNUG, the paper's contribution, built from the demand monitor and
-// placement function of internal/core. The three cooperative schemes share
-// one access path (coop) and differ only in their policy: which clean
-// victims spill, where a peer takes them, and where a retrieval searches.
+// placement function of internal/core. L2P and the three cooperative
+// schemes share one access path (coop) and differ only in their policy:
+// which clean victims spill, where a peer takes them, and where a
+// retrieval searches.
 //
 // A Controller owns everything below the private L1s: the L2 slices or
 // banks, the snoop bus, the write-back buffers and the DRAM. The multi-core

@@ -2,6 +2,7 @@ package schemes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,8 +180,9 @@ func Build(text string, cfg config.System) (Controller, error) {
 }
 
 // canonCCArgs canonicalizes CC's spill-probability argument: "75" or "75%"
-// becomes ["75%"]. No argument keeps the spec bare — the factory then falls
-// back to cfg.CC.SpillPercent, preserving the pre-registry behaviour of
+// becomes ["75%"], and a probability outside config.CCSpillPercents is
+// refused. No argument keeps the spec bare — the factory then falls back
+// to cfg.CC.SpillPercent, preserving the pre-registry behaviour of
 // building "CC" against a configured probability.
 func canonCCArgs(args []string) ([]string, error) {
 	switch len(args) {
@@ -191,8 +193,8 @@ func canonCCArgs(args []string) ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("CC spill probability %q is not an integer percentage", args[0])
 		}
-		if pct < 0 || pct > 100 {
-			return nil, fmt.Errorf("CC spill probability %d%% out of [0,100]", pct)
+		if !slices.Contains(config.CCSpillPercents, pct) {
+			return nil, fmt.Errorf("CC spill probability %d%% not one of the paper's %v", pct, config.CCSpillPercents)
 		}
 		return []string{fmt.Sprintf("%d%%", pct)}, nil
 	default:

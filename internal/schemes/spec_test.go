@@ -26,7 +26,7 @@ var (
 	}
 	badSpecs = []string{
 		"", "victim-cache", "CC(", "CC()", "CC(,)", "CC(25,50)", "CC(no)",
-		"CC(-1)", "CC(101)", "L2P(3)", "2CC", "CC)",
+		"CC(-1)", "CC(101)", "CC(33)", "L2P(3)", "2CC", "CC)",
 	}
 )
 

@@ -227,74 +227,13 @@ func (p *Replay) Next(in *isa.Instr) {
 	p.c.Off = off
 }
 
-// NextBatch implements isa.BatchStream: the cursor and delta-decoder state
-// live in locals across the batch and the published-window check runs once
-// per window instead of once per instruction, so batched replay decodes at
-// memory-scan speed. Behaviour is identical to len(dst) Next calls.
+// NextBatch implements isa.BatchStream: it fills dst with len(dst) Next
+// calls.
 func (p *Replay) NextBatch(dst []isa.Instr) int {
-	n := 0
-	for n < len(dst) {
-		if p.c.Off >= p.c.Used {
-			p.c.Refill()
-		}
-		// Decode straight out of the current chunk's published window.
-		buf := p.c.Buf
-		off := p.c.Off
-		used := p.c.Used
-		pc, lin, out := p.prevPC, p.linPC, p.outPC
-		a, tgt := p.prevAddr, p.prevTarget
-		for off < used && n < len(dst) {
-			in := &dst[n]
-			meta := buf[off]
-			off++
-			if mode := meta & metaPCMask; mode == metaPCOut {
-				var d uint64
-				if b := buf[off]; b < 0x80 { // inline uvarint fast path
-					d, off = uint64(b), off+1
-				} else {
-					d, off = uvarint(buf, off)
-				}
-				out += zag(d)
-				pc = out
-			} else {
-				// seq and resume differ only right after an out-of-line
-				// PC, so pick the base without a branch.
-				if mode == metaPCSeq {
-					lin = pc
-				}
-				lin += 4
-				pc = lin
-			}
-			kind := isa.Kind(meta & metaKindMask)
-			in.Kind = kind
-			in.PC = pc
-			in.DepPrev = meta&metaDepPrev != 0
-			in.Taken = meta&metaTaken != 0
-			in.Addr = 0
-			in.Target = 0
-			switch kind {
-			case isa.KindLoad, isa.KindStore:
-				var d uint64
-				if b := buf[off]; b < 0x80 {
-					d, off = uint64(b), off+1
-				} else {
-					d, off = uvarint(buf, off)
-				}
-				a += zag(d)
-				in.Addr = addr.Addr(a)
-			case isa.KindReturn:
-				d, o := uvarint(buf, off)
-				off = o
-				tgt += zag(d)
-				in.Target = tgt
-			}
-			n++
-		}
-		p.c.Off = off
-		p.prevPC, p.linPC, p.outPC = pc, lin, out
-		p.prevAddr, p.prevTarget = a, tgt
+	for i := range dst {
+		p.Next(&dst[i])
 	}
-	return n
+	return len(dst)
 }
 
 // RecordAll wraps each stream in a Recording, preserving order.
