@@ -263,8 +263,8 @@ func replayedSNUG(b *testing.B, cfg config.System, mix []string) {
 func BenchmarkSimulatorSpeed(b *testing.B) { replayedSNUG(b, config.TestScale(), bench.MixBench) }
 
 // BenchmarkSNUG16Core tracks 16-core scale-out throughput over tapes — the
-// shape where the CC occupancy index collapses the per-miss broadcast from
-// O(cores × ways) set scans to a counter check per peer.
+// shape with the widest per-miss retrieval broadcast, where each of 15
+// peers answers FindCC from one mask over its candidate set's meta word.
 func BenchmarkSNUG16Core(b *testing.B) {
 	cfg, err := config.WithCores(config.TestScale(), 16)
 	if err != nil {

@@ -1,13 +1,14 @@
-// Command snuglint runs the determinism analyzer suite (internal/lint)
-// over this module. It machine-checks the invariants the golden digest
-// only samples: no map-iteration-order dependence, no wall-clock reads,
-// identity-derived RNG seeds, and live //snug:allow directives.
+// Command snuglint runs lint.Check (internal/lint) over this module. It
+// machine-checks, in every package of module snug, the invariants the
+// golden digests only sample: no map-iteration-order dependence
+// (maporder), no wall-clock reads (wallclock), identity-derived RNG seeds
+// (seeddiscipline), and live //snug:allow directives.
 //
 //	snuglint [packages]                 defaults to ./...
 //
 // It needs only a go toolchain on PATH. Exit status is 0 when clean, 2
 // when there are findings, 1 on errors. See DESIGN.md §"Statically-checked
-// invariants" for the analyzer list and the //snug:allow grammar.
+// invariants" for the rules and the //snug:allow grammar.
 package main
 
 import (

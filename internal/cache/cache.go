@@ -31,18 +31,13 @@
 // The rank-nibble encoding caps associativity at 16 ways — exactly the
 // paper's L2 slice — which New enforces.
 //
-// # CC occupancy index
+// # Cooperative-block lookups
 //
-// The array additionally maintains an exact per-(set, flip) count of the
-// cooperatively cached blocks it holds, plus a bitmap of sets with any CC
-// block. FindCC — the peer-side probe of every retrieval broadcast —
-// consults the count first and answers "not here" in O(1), turning the
-// cooperative schemes' per-miss O(cores × ways) broadcast scans into one
-// counter check per peer; SNUG's stranded-block sweep (ForEachCCSet) visits
-// only sets that hold cooperative blocks. The counts are exact, not
-// conservative: every path that installs or removes a block (Fill,
-// Invalidate, InvalidateWay, DropWhere) adjusts them, so a zero
-// count proves the set holds no matching cooperative block.
+// FindCC — the peer-side probe of every retrieval broadcast — selects its
+// candidate ways (valid, CC, and the requested flip state) with one mask
+// over the set's meta word, so a set with no matching cooperative block
+// answers "not here" after one load and without touching a tag: the cost
+// of reading a per-set counter, with nothing extra to keep in step.
 package cache
 
 import (
@@ -113,12 +108,6 @@ type Cache struct {
 	meta   []uint64 // per set: 4-bit valid/dirty/CC/F field per way
 	lru    []uint64 // per set: rank→way nibbles, rank 0 = MRU
 
-	// CC occupancy index: ccCnt packs the per-set cooperative-block counts
-	// (f=0 in the low 16 bits, f=1 in the high 16); ccSets is a bitmap of
-	// sets whose combined count is nonzero.
-	ccCnt  []uint32
-	ccSets []uint64
-
 	stats Stats
 
 	// Cached geometry arithmetic: Lookup sits on the simulator's
@@ -160,8 +149,6 @@ func New(geom addr.Geometry, ways int) (*Cache, error) {
 		owners:   make([]int8, sets*ways),
 		meta:     make([]uint64, sets),
 		lru:      make([]uint64, sets),
-		ccCnt:    make([]uint32, sets),
-		ccSets:   make([]uint64, (sets+63)/64),
 		offBits:  geom.OffsetBits(),
 		tagShift: geom.OffsetBits() + geom.IndexBits(),
 		idxMask:  uint64(sets - 1),
@@ -282,63 +269,14 @@ func (c *Cache) Lookup(a addr.Addr, write bool) bool {
 	return false
 }
 
-// ccInc counts a cooperative block entering set s with flip state flipped.
-func (c *Cache) ccInc(s uint32, flipped bool) {
-	if c.ccCnt[s] == 0 {
-		c.ccSets[s>>6] |= 1 << (s & 63)
-	}
-	if flipped {
-		c.ccCnt[s] += 1 << 16
-	} else {
-		c.ccCnt[s]++
-	}
-}
-
-// ccDec counts a cooperative block leaving set s with flip state flipped.
-func (c *Cache) ccDec(s uint32, flipped bool) {
-	if flipped {
-		c.ccCnt[s] -= 1 << 16
-	} else {
-		c.ccCnt[s]--
-	}
-	if c.ccCnt[s] == 0 {
-		c.ccSets[s>>6] &^= 1 << (s & 63)
-	}
-}
-
-// CCCount returns the exact number of valid cooperative blocks in set
-// setIdx with the given flip state — the occupancy index behind FindCC's
-// O(1) negative answer.
-func (c *Cache) CCCount(setIdx uint32, flipped bool) int {
-	if flipped {
-		return int(c.ccCnt[setIdx] >> 16)
-	}
-	return int(c.ccCnt[setIdx] & 0xffff)
-}
-
-// ForEachCCSet calls fn for every set currently holding at least one
-// cooperative block, in ascending set order. fn may invalidate blocks of
-// the set it is given (the bitmap word is snapshotted per 64-set window);
-// it must not install new cooperative blocks.
-func (c *Cache) ForEachCCSet(fn func(setIdx uint32)) {
-	for i, word := range c.ccSets {
-		for w := word; w != 0; w &= w - 1 {
-			fn(uint32(i<<6 + bits.TrailingZeros64(w)))
-		}
-	}
-}
-
 // FindCC searches set index setIdx for a cooperatively cached block with
 // the given tag and flip state. It is the peer-side lookup of the SNUG
 // retrieval protocol (§3.2): for a request with original index i, a peer
 // searches set i for (CC, f=0) blocks or set i^1 for (CC, f=1) blocks.
-// The occupancy index answers an empty candidate set in O(1), so a
-// retrieval broadcast costs each non-holding peer one counter check
-// instead of a set scan. It does not update LRU or statistics.
+// The candidate ways come from one mask over the set's meta word, so a
+// peer holding no matching cooperative block compares no tag. It does not
+// update LRU or statistics.
 func (c *Cache) FindCC(setIdx uint32, tag uint64, flipped bool) (found bool, way int) {
-	if c.CCCount(setIdx, flipped) == 0 {
-		return false, -1
-	}
 	m := c.meta[setIdx]
 	sel := m & (m >> 2) & c.waySel // valid && CC
 	f := (m >> 3) & c.waySel
@@ -379,7 +317,6 @@ func (c *Cache) Fill(setIdx uint32, way int, nb Block) (victim Block) {
 		}
 		if victim.CC {
 			c.stats.CCEvictions++
-			c.ccDec(setIdx, victim.F)
 		}
 	}
 	i := int(setIdx)*c.ways + way
@@ -391,7 +328,6 @@ func (c *Cache) Fill(setIdx uint32, way int, nb Block) (victim Block) {
 	}
 	if nb.CC {
 		f |= bCC
-		c.ccInc(setIdx, nb.F)
 	}
 	if nb.F {
 		f |= bF
@@ -421,12 +357,8 @@ func (c *Cache) InsertAt(setIdx uint32, nb Block) (victim Block) {
 	return c.Fill(setIdx, c.victimWay(setIdx), nb)
 }
 
-// clearWay invalidates (setIdx, way), maintaining the CC occupancy index.
-// The caller has already read the block and knows it is valid.
-func (c *Cache) clearWay(setIdx uint32, way int, old Block) {
-	if old.CC {
-		c.ccDec(setIdx, old.F)
-	}
+// clearWay invalidates (setIdx, way). The caller knows the way is valid.
+func (c *Cache) clearWay(setIdx uint32, way int) {
 	c.meta[setIdx] &^= uint64(nibbleMask) << (uint(way) * 4)
 	if setIdx == c.memoSet {
 		c.memoOK = false
@@ -439,7 +371,7 @@ func (c *Cache) clearWay(setIdx uint32, way int, old Block) {
 func (c *Cache) InvalidateWay(setIdx uint32, way int) Block {
 	old := c.blockAt(setIdx, way)
 	if old.Valid {
-		c.clearWay(setIdx, way, old)
+		c.clearWay(setIdx, way)
 	}
 	return old
 }
@@ -450,7 +382,7 @@ func (c *Cache) Invalidate(a addr.Addr) (old Block, found bool) {
 	s := c.Index(a)
 	if w := c.matchWay(s, c.Tag(a)); w >= 0 {
 		old = c.blockAt(s, w)
-		c.clearWay(s, w, old)
+		c.clearWay(s, w)
 		return old, true
 	}
 	return Block{}, false
@@ -462,8 +394,8 @@ func (c *Cache) DropWhere(setIdx uint32, pred func(b Block) bool) int {
 	n := 0
 	for v := c.meta[setIdx] & c.waySel; v != 0; v &= v - 1 {
 		w := bits.TrailingZeros64(v) >> 2
-		if b := c.blockAt(setIdx, w); pred(b) {
-			c.clearWay(setIdx, w, b)
+		if pred(c.blockAt(setIdx, w)) {
+			c.clearWay(setIdx, w)
 			n++
 		}
 	}

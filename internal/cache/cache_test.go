@@ -240,31 +240,3 @@ func TestRejectsOverwideAssociativity(t *testing.T) {
 		t.Fatalf("16-way cache rejected: %v", err)
 	}
 }
-
-func TestCCOccupancyIndex(t *testing.T) {
-	c := testCache(t, 8, 4)
-	if c.CCCount(3, false) != 0 || c.CCCount(3, true) != 0 {
-		t.Fatal("fresh cache reports cooperative occupancy")
-	}
-	c.InsertAt(3, Block{Tag: 1, CC: true})
-	c.InsertAt(3, Block{Tag: 2, CC: true, F: true})
-	c.InsertAt(3, Block{Tag: 3})
-	if c.CCCount(3, false) != 1 || c.CCCount(3, true) != 1 {
-		t.Fatalf("counts (%d,%d), want (1,1)", c.CCCount(3, false), c.CCCount(3, true))
-	}
-	var visited []uint32
-	c.ForEachCCSet(func(s uint32) { visited = append(visited, s) })
-	if len(visited) != 1 || visited[0] != 3 {
-		t.Fatalf("ForEachCCSet visited %v, want [3]", visited)
-	}
-	// Dropping the cooperative blocks must zero the index and the bitmap.
-	c.DropWhere(3, func(b Block) bool { return b.CC })
-	if c.CCCount(3, false) != 0 || c.CCCount(3, true) != 0 {
-		t.Fatal("counts nonzero after dropping all cooperative blocks")
-	}
-	visited = visited[:0]
-	c.ForEachCCSet(func(s uint32) { visited = append(visited, s) })
-	if len(visited) != 0 {
-		t.Fatalf("ForEachCCSet visited %v after drop, want none", visited)
-	}
-}

@@ -15,9 +15,6 @@ func (c *Cache) Geometry() addr.Geometry {
 	return addr.MustGeometry(1<<c.offBits, len(c.meta))
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.meta) }
-
 // Probe reports whether a's tag is present at its original index, without
 // updating LRU state or statistics.
 func (c *Cache) Probe(a addr.Addr) bool {

@@ -1,38 +1,31 @@
-// Package lint is the snuglint analyzer suite: a set of static checks
-// that machine-verify the determinism invariants the golden digest
-// (internal/cmp/golden_test.go) only samples dynamically.
+// Package lint is snuglint: one static check, Check, that machine-verifies
+// the determinism invariants the golden digests (internal/cmp/golden_test.go)
+// only sample dynamically. Check applies three rules to every non-test file
+// of every package of module snug, since every one of them either computes
+// a result or prints one:
 //
-// The suite is built on a deliberately small reimplementation of the
-// golang.org/x/tools/go/analysis surface (Analyzer / Pass / Diagnostic)
-// because this module carries no external dependencies: everything here is
-// standard library only. The API mirrors go/analysis closely enough that
-// the analyzers could be ported to x/tools by swapping the framework types.
-//
-// Four AST analyzers ship today:
-//
-//   - maporder: flags `range` over a map in a result-affecting package —
-//     map iteration order is randomized per process, so any result that
-//     depends on it breaks bit-identical reproduction.
+//   - maporder: flags `range` over a map — map iteration order is
+//     randomized per process, so any result that depends on it breaks
+//     bit-identical reproduction;
 //   - wallclock: forbids wall-clock reads (time.Now / time.Since /
-//     time.Sleep / timers) in result-affecting packages; simulated time is
-//     the only clock results may observe.
+//     time.Sleep / timers); simulated time is the only clock results may
+//     observe;
 //   - seeddiscipline: every RNG must be stats.NewRNG with a seed derived
 //     from data (sweep.JobSeed / stats.Mix64 / identity hashes) — constant
-//     literal seeds and math/rand are errors in non-test code.
-//   - staleallow: every //snug:allow directive must name a known check and
-//     actually suppress something — a directive whose named analyzer ran
-//     but reported nothing on its lines is dead weight that would silently
-//     mask a future regression at that site.
+//     seeds and math/rand are errors. internal/stats, which defines the
+//     RNG, is exempt.
+//
+// It then audits the //snug:allow directives themselves and reports, as
+// staleallow, each one that names no check or suppressed nothing: a dead
+// exception would silently mask a future regression at its site.
 //
 // # Annotation grammar
 //
 //	//snug:allow <check> [justification...]
 //	    Trailing on a line, or alone on the line above: suppresses the
-//	    named analyzer's diagnostics on that line. The justification is
-//	    free text but conventionally states why the exception is sound
-//	    (e.g. "progress/ETA only, never feeds results"). An unknown name,
-//	    or a directive that suppresses nothing, is itself a staleallow
-//	    diagnostic.
+//	    named check's findings on that line. The justification is free
+//	    text but conventionally states why the exception is sound (e.g.
+//	    "progress/ETA only, never feeds results").
 package lint
 
 import (
@@ -40,165 +33,104 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Analyzer is one static check. It mirrors analysis.Analyzer.
-type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
-}
-
 // Diagnostic is one reported finding.
 type Diagnostic struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+	Check   string // maporder, wallclock, seeddiscipline or staleallow
+	Pos     token.Position
+	Message string
 }
 
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Check, d.Message)
 }
 
-// Package is a type-checked package ready for analysis.
+// Package is a type-checked package. Load fills it with the non-test files
+// go list reports, so test files, which may use wall clocks, literal seeds
+// and maps freely, are never checked.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	allows map[*ast.File]map[int][]*allowEntry // line -> directives on it
-	ran    map[string]bool                     // checks that have run here
 }
 
-// allowEntry is one parsed //snug:allow directive occurrence.
-type allowEntry struct {
-	name string    // the named check
-	pos  token.Pos // position of the directive comment
-	used bool      // directive suppressed at least one finding
+// checks are the rules Check applies, and so the valid //snug:allow
+// targets.
+var checks = []string{"maporder", "wallclock", "seeddiscipline"}
+
+// allowDirective is the suppression directive prefix.
+const allowDirective = "//snug:allow"
+
+// wallClockFuncs are the package time functions that observe or wait on
+// the wall clock. Type references (time.Duration fields, time.Time in an
+// API) are fine; only these calls are flagged.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
 }
 
-// Pass carries one analyzer's view of one package. It mirrors
-// analysis.Pass; Reportf applies //snug:allow suppression before recording.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkg      *types.Package
-	Info     *types.Info
-
-	pkg   *Package
-	diags *[]Diagnostic
+// sortFuncs are the functions that sort their first argument in place.
+var sortFuncs = map[string]bool{
+	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
+	"sort.Slice": true, "sort.SliceStable": true, "sort.Sort": true, "sort.Stable": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
-// Files returns the package's files. Load reads only the non-test files
-// go list reports, so test files, which may use wall clocks, literal seeds
-// and maps freely, are never analyzed.
-func (p *Pass) Files() []*ast.File { return p.pkg.Files }
-
-// Reportf records a diagnostic at pos, unless a //snug:allow directive for
-// this analyzer covers the line (same line, or the whole line above): then
-// the finding is dropped and the directive marked used.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if e := p.pkg.allowedAt(p.Fset, pos, p.Analyzer.Name); e != nil {
-		e.used = true
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
+// allow is one //snug:allow directive.
+type allow struct {
+	check string
+	line  int
+	pos   token.Pos
+	used  bool // it suppressed at least one finding
 }
 
-// TypeOf returns the type of expr, or nil if unknown.
-func (p *Pass) TypeOf(expr ast.Expr) types.Type {
-	if t, ok := p.Info.Types[expr]; ok {
-		return t.Type
-	}
-	if id, ok := expr.(*ast.Ident); ok {
-		if obj := p.Info.ObjectOf(id); obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
+// checker holds Check's state for one file.
+type checker struct {
+	pkg    *Package
+	decl   ast.Decl // the top-level declaration being walked
+	allows []*allow
+	diags  []Diagnostic
 }
 
-// ResultAffecting is the set of packages whose computation feeds simulation
-// results — the packages where a stray map iteration or wall-clock read
-// silently breaks the bit-identical contract. DESIGN.md §"Statically-checked
-// invariants" documents how to extend it.
-var ResultAffecting = map[string]bool{
-	"snug/internal/cache":       true,
-	"snug/internal/chunklog":    true,
-	"snug/internal/cpu":         true,
-	"snug/internal/bus":         true,
-	"snug/internal/cmp":         true,
-	"snug/internal/core":        true,
-	"snug/internal/mem":         true,
-	"snug/internal/schemes":     true,
-	"snug/internal/sweep":       true,
-	"snug/internal/experiments": true,
-	"snug/internal/trace":       true,
-	"snug/internal/metrics":     true,
-	"snug/internal/workloads":   true,
-}
-
-// modulePath reports whether path belongs to this module's non-vendored
-// code (the scope of seeddiscipline).
-func modulePath(path string) bool {
-	return path == "snug" || strings.HasPrefix(path, "snug/")
-}
-
-// Analyzers is the full suite in execution order. StaleAllow must run
-// last: it judges the //snug:allow directives every earlier analyzer had
-// a chance to consume.
-var Analyzers = []*Analyzer{
-	MapOrder,
-	WallClock,
-	SeedDiscipline,
-	StaleAllow,
-}
-
-// ByName returns the analyzer with the given name, or nil. The names are
-// also the valid //snug:allow targets.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// Run applies the analyzers to one package and returns the surviving
-// diagnostics sorted by position.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if pkg.ran == nil {
-		pkg.ran = make(map[string]bool)
+// Check applies maporder, wallclock and seeddiscipline to pkg, then
+// reports each //snug:allow directive that names no check or suppressed
+// nothing. Packages outside module snug draw no findings. The findings
+// come sorted by position.
+func Check(pkg *Package) []Diagnostic {
+	path := pkg.Pkg.Path()
+	if path != "snug" && !strings.HasPrefix(path, "snug/") {
+		return nil
 	}
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		// staleallow only judges directives whose check actually ran.
-		pkg.ran[a.Name] = true
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Pkg:      pkg.Pkg,
-			Info:     pkg.Info,
-			pkg:      pkg,
-			diags:    &diags,
+	for _, f := range pkg.Files {
+		c := &checker{pkg: pkg, allows: directives(pkg.Fset, f)}
+		for _, decl := range f.Decls {
+			c.decl = decl
+			ast.Inspect(decl, c.visit)
 		}
-		if err := a.Run(pass); err != nil {
-			return diags, fmt.Errorf("%s: %v", a.Name, err)
+		for _, a := range c.allows {
+			var msg string
+			switch {
+			case !slices.Contains(checks, a.check):
+				msg = fmt.Sprintf("unknown check %q in %s directive (known: %s); a misspelled name suppresses nothing",
+					a.check, allowDirective, strings.Join(checks, " "))
+			case !a.used:
+				msg = fmt.Sprintf("stale %s %s: the %s check reported nothing here; delete the directive so it cannot mask a future finding",
+					allowDirective, a.check, a.check)
+			default:
+				continue
+			}
+			c.diags = append(c.diags, Diagnostic{Check: "staleallow", Pos: pkg.Fset.Position(a.pos), Message: msg})
 		}
+		diags = append(diags, c.diags...)
 	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -210,71 +142,157 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return diags[i].Analyzer < diags[j].Analyzer
+		return diags[i].Check < diags[j].Check
 	})
+	return diags
 }
 
-// allowDirective is the suppression directive prefix.
-const allowDirective = "//snug:allow"
-
-// allowedAt returns the //snug:allow directive for analyzer covering pos,
-// or nil: a directive suppresses its own line and the line directly below
-// it (so it can trail the offending statement or sit alone above it).
-func (pkg *Package) allowedAt(fset *token.FileSet, pos token.Pos, analyzer string) *allowEntry {
-	file := fileOf(pkg, pos)
-	if file == nil {
-		return nil
-	}
-	idx := pkg.allowIndex(fset, file)
-	line := fset.Position(pos).Line
-	for _, l := range []int{line, line - 1} {
-		for _, e := range idx[l] {
-			if e.name == analyzer {
-				return e
+// visit applies the three rules to node n of c.decl.
+func (c *checker) visit(n ast.Node) bool {
+	info, path := c.pkg.Info, c.pkg.Pkg.Path()
+	seeded := path != "snug/internal/stats"
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		// maporder: a loop that only collects into slices sorted after it
+		// is order-insensitive by construction.
+		if t := info.TypeOf(n.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap && !sortedAfter(info, c.decl, n) {
+				c.report("maporder", n.For,
+					"range over map %s in %s: iteration order is nondeterministic; sort the keys first or annotate the loop with %s maporder <why>",
+					exprString(n.X), path, allowDirective)
+			}
+		}
+	case *ast.ImportSpec:
+		// seeddiscipline: math/rand's generators and global state are not
+		// part of the reproducibility contract, and its algorithm may
+		// change across Go releases.
+		if p, err := strconv.Unquote(n.Path.Value); err == nil && seeded && (p == "math/rand" || p == "math/rand/v2") {
+			c.report("seeddiscipline", n.Pos(),
+				"import of %s in non-test code: simulator randomness must come from stats.NewRNG seeded via sweep.JobSeed/stats.Mix64", p)
+		}
+	case *ast.CallExpr:
+		pkgPath, name := callee(info, n)
+		switch {
+		case pkgPath == "time" && wallClockFuncs[name]:
+			c.report("wallclock", n.Pos(),
+				"wall-clock read time.%s in %s: simulated time is the only clock results may observe; annotate progress/ETA-only uses with %s wallclock <why>",
+				name, path, allowDirective)
+		case seeded && pkgPath == "snug/internal/stats" && name == "NewRNG" && len(n.Args) == 1:
+			// A literal seed hardwires one stream instead of deriving it
+			// from the job's identity, silently unpairing comparisons.
+			if v := info.Types[n.Args[0]].Value; v != nil {
+				c.report("seeddiscipline", n.Pos(),
+					"stats.NewRNG with constant seed %s: seeds must data-flow from job identity (sweep.JobSeed, stats.Mix64, config seeds), never a literal",
+					v)
 			}
 		}
 	}
-	return nil
+	return true
 }
 
-// allowIndex returns the file's line-indexed //snug:allow directives,
-// building and caching the index on first use.
-func (pkg *Package) allowIndex(fset *token.FileSet, file *ast.File) map[int][]*allowEntry {
-	if pkg.allows == nil {
-		pkg.allows = make(map[*ast.File]map[int][]*allowEntry)
-	}
-	idx, ok := pkg.allows[file]
-	if !ok {
-		idx = buildAllowIndex(fset, file)
-		pkg.allows[file] = idx
-	}
-	return idx
-}
-
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
+// report records a finding at pos, unless a //snug:allow directive for
+// check covers the line (the same line, or alone on the line above): then
+// the finding is dropped and the directive marked used.
+func (c *checker) report(check string, pos token.Pos, format string, args ...any) {
+	p := c.pkg.Fset.Position(pos)
+	for _, line := range [2]int{p.Line, p.Line - 1} {
+		for _, a := range c.allows {
+			if a.check == check && a.line == line {
+				a.used = true
+				return
+			}
 		}
 	}
-	return nil
+	c.diags = append(c.diags, Diagnostic{Check: check, Pos: p, Message: fmt.Sprintf(format, args...)})
 }
 
-func buildAllowIndex(fset *token.FileSet, f *ast.File) map[int][]*allowEntry {
-	idx := make(map[int][]*allowEntry)
+// directives returns f's //snug:allow directives in source order.
+func directives(fset *token.FileSet, f *ast.File) []*allow {
+	var out []*allow
 	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, allowDirective)
-			if !ok {
-				continue
+		for _, cm := range cg.List {
+			rest, ok := strings.CutPrefix(cm.Text, allowDirective)
+			if fields := strings.Fields(rest); ok && len(fields) > 0 {
+				out = append(out, &allow{check: fields[0], line: fset.Position(cm.Pos()).Line, pos: cm.Pos()})
 			}
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				continue
-			}
-			line := fset.Position(c.Pos()).Line
-			idx[line] = append(idx[line], &allowEntry{name: fields[0], pos: c.Pos()})
 		}
 	}
-	return idx
+	return out
+}
+
+// callee returns the package path and name of the function a call
+// selects (time.Now, stats.NewRNG, a method), or "" if it selects none.
+func callee(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", ""
+	}
+	return fn.Pkg().Path(), fn.Name()
+}
+
+// sortedAfter reports whether rng's body is made only of appends to
+// slices that one of sortFuncs sorts after the loop, within scope: the
+// collect-then-sort idiom.
+func sortedAfter(info *types.Info, scope ast.Node, rng *ast.RangeStmt) bool {
+	var appended []types.Object
+	for _, st := range rng.Body.List {
+		asg, ok := st.(*ast.AssignStmt)
+		if !ok || len(asg.Lhs) != len(asg.Rhs) {
+			return false
+		}
+		for i, rhs := range asg.Rhs {
+			call, isCall := rhs.(*ast.CallExpr)
+			id, isIdent := asg.Lhs[i].(*ast.Ident)
+			if !isCall || !isIdent || !isBuiltin(info, call.Fun, "append") {
+				return false
+			}
+			appended = append(appended, info.ObjectOf(id))
+		}
+	}
+	if len(appended) == 0 {
+		return false
+	}
+	var sorted []types.Object
+	ast.Inspect(scope, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < rng.End() || len(call.Args) == 0 {
+			return true
+		}
+		if pkgPath, name := callee(info, call); sortFuncs[pkgPath+"."+name] {
+			if id, ok := call.Args[0].(*ast.Ident); ok {
+				sorted = append(sorted, info.ObjectOf(id))
+			}
+		}
+		return true
+	})
+	for _, obj := range appended {
+		if obj == nil || !slices.Contains(sorted, obj) {
+			return false
+		}
+	}
+	return true
+}
+
+// isBuiltin reports whether fun denotes the named predeclared function.
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isB := info.ObjectOf(id).(*types.Builtin)
+	return isB
+}
+
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	}
+	return "expression"
 }

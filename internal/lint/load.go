@@ -17,8 +17,8 @@ import (
 )
 
 // Load type-checks the packages matching patterns (e.g. "./...") in the
-// module rooted at dir and returns analysis-ready Packages for the
-// matched (non-dependency) packages.
+// module rooted at dir and returns a Package for each matched
+// (non-dependency) package.
 //
 // The loader is standard-library only: package metadata comes from
 // `go list -e -json -deps`, and the whole dependency closure — standard
@@ -26,7 +26,8 @@ import (
 // slower than reading compiler export data but needs no installed
 // artifacts and no external packages-loading library, which keeps the
 // module dependency-free. CGO is disabled so every package resolves to
-// its pure-Go file set.
+// its pure-Go file set, and GOPROXY is off: the loader reads what is on
+// disk and never downloads a module.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -72,7 +73,7 @@ func goList(dir string, patterns []string) (map[string]*listPkg, []string, error
 	args := append([]string{"list", "-e", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "GOPROXY=off")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	outPipe, err := cmd.StdoutPipe()
@@ -198,9 +199,9 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // Main is the standalone snuglint entry point: it loads the packages
 // matching patterns (default ./...) relative to the working directory,
-// runs the full analyzer suite over each, and writes every finding to w
-// with its path relative to the working directory. It returns the
-// findings; the caller decides the exit code.
+// checks each, and writes every finding to w with its path relative to
+// the working directory. It returns the findings; the caller decides the
+// exit code.
 func Main(w io.Writer, patterns []string) ([]Diagnostic, error) {
 	dir, err := os.Getwd()
 	if err != nil {
@@ -212,11 +213,7 @@ func Main(w io.Writer, patterns []string) ([]Diagnostic, error) {
 	}
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := Run(pkg, Analyzers)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
+		all = append(all, Check(pkg)...)
 	}
 	for _, d := range all {
 		if rel, err := filepath.Rel(dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {

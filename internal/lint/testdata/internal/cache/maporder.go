@@ -1,8 +1,8 @@
-// Package cache is a maporder test fixture posing as the result-affecting
-// package snug/internal/cache.
+// Package cache is a fixture posing as module package snug/internal/cache.
 package cache
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -68,4 +68,29 @@ func Slices(xs []int) int {
 		s += v
 	}
 	return s
+}
+
+// NotSorted collects the keys, but slices.Contains does not sort them.
+func NotSorted() []string {
+	var out []string
+	for name := range registry { // want "range over map registry"
+		out = append(out, name)
+	}
+	if slices.Contains(out, "z") {
+		return nil
+	}
+	return out
+}
+
+// SortedButSums sorts the collected keys, but the same loop also
+// float-accumulates in map order.
+func SortedButSums(weights map[string]float64) ([]string, float64) {
+	var names []string
+	sum := 0.0
+	for name, w := range weights { // want "range over map weights"
+		names = append(names, name)
+		sum += w
+	}
+	sort.Strings(names)
+	return names, sum
 }

@@ -1,9 +1,9 @@
-// Package cache exercises the staleallow analyzer, run together with
-// maporder so directive usage is accounted in the same pass. The fixture
-// poses as the result-affecting package snug/internal/cache so maporder
-// actually judges it: a directive the named check suppressed is live, one
-// it did not is stale, one naming no known check is a typo, and one naming
-// a check that did not run (wallclock, absent here) is skipped.
+// The directive audit over maporder, in the fixture posing as
+// snug/internal/cache: a directive the named check suppressed is live, one
+// it did not is stale, and one naming no known check is a typo. Every
+// check runs over every package of the module, so a directive naming
+// wallclock on a line without a clock read is stale too.
+
 package cache
 
 var weights = map[string]int{"a": 1, "b": 2}
@@ -35,8 +35,8 @@ func Typo() int {
 	return total
 }
 
-// NotRun names a check that is not part of this run; its usage is
-// unknowable, so it is neither live nor stale.
+// NotRun names wallclock, which runs here as everywhere and finds no
+// clock read on the line, so the directive is stale.
 func NotRun(n int) int {
-	return 2 * n //snug:allow wallclock leftover from a removed timer
+	return 2 * n //snug:allow wallclock leftover from a removed timer // want "stale //snug:allow wallclock"
 }

@@ -1,4 +1,4 @@
-// Package core is a seeddiscipline test fixture posing as module package
+// Package core is a seeddiscipline fixture posing as module package
 // snug/internal/core.
 package core
 

@@ -1,6 +1,6 @@
 // Package stats stubs snug/internal/stats for the seeddiscipline fixture:
-// the analyzer resolves NewRNG/Mix64 by package path, so the stub carries
-// the real import path inside the testdata tree.
+// Check resolves NewRNG by package path, so the stub carries the real
+// import path, and seeddiscipline exempts it as it exempts the real one.
 package stats
 
 // RNG is a stub deterministic generator.

@@ -1,9 +1,9 @@
-// Package sweep exercises staleallow over the wallclock analyzer — the
-// pairing behind the real sweep engine's retry-backoff annotations. The
-// fixture poses as the result-affecting package snug/internal/sweep so
-// wallclock actually judges it: an allow on a real clock read is live, one
-// on a line with no clock read is stale and must be flagged before it rots
-// into false confidence.
+// The directive audit over wallclock, the pairing behind the real sweep
+// engine's retry-backoff annotations: an allow on a real clock read is
+// live, and one on a line with no clock read is stale and must be flagged
+// before it rots into false confidence. This comment is not the package
+// doc, which wallclock.go holds.
+
 package sweep
 
 import "time"

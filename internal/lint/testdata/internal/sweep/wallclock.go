@@ -1,5 +1,5 @@
-// Package sweep is a wallclock test fixture posing as the result-affecting
-// package snug/internal/sweep.
+// Package sweep is a fixture posing as module package snug/internal/sweep,
+// where the real sweep engine's progress and backoff clocks live.
 package sweep
 
 import (

@@ -87,8 +87,8 @@ func (c *coop) Access(core int, now int64, a addr.Addr, write bool) int64 {
 	}
 
 	// Retrieval broadcast: the snoop rides the bus in parallel with the
-	// memory fetch. A peer's search costs a check of its CC occupancy
-	// index unless the candidate set holds a cooperative block of the
+	// memory fetch. A peer's search costs one mask over its candidate
+	// set's meta word unless that set holds a cooperative block of the
 	// requested flip state.
 	c.retrievals++
 	reqDone := h.bus.Acquire(now+l2Lat, bus.KindSnoop)

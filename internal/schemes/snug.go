@@ -115,8 +115,7 @@ func (s *SNUG) stageLen() int64 {
 // latch re-latches every slice's G/T vector from its counters and, when
 // configured, drops cooperative blocks stranded unreachable by the new
 // classification (see DESIGN.md, "SNUG spill rules"). The stranded sweep
-// walks the CC occupancy index instead of every set: only sets actually
-// holding cooperative blocks are scanned, and CC-free slices cost nothing.
+// walks every set of every slice in ascending order, once per Stage I+II.
 func (s *SNUG) latch() {
 	for _, m := range s.mon {
 		m.Latch()
@@ -124,15 +123,14 @@ func (s *SNUG) latch() {
 	if !s.h.cfg.SNUG.DropOnFlip {
 		return
 	}
+	sets := uint32(s.h.geom.Sets())
 	for i, m := range s.mon {
-		gt := m.GT()
-		slice := s.h.slices[i]
-		slice.ForEachCCSet(func(set uint32) {
-			dropped := slice.DropWhere(set, func(b cache.Block) bool {
-				return b.CC && !core.Reachable(gt, set, b.F, s.flip)
-			})
-			s.strandedDropped += int64(dropped)
-		})
+		gt, slice := m.GT(), s.h.slices[i]
+		var set uint32
+		stranded := func(b cache.Block) bool { return b.CC && !core.Reachable(gt, set, b.F, s.flip) }
+		for set = 0; set < sets; set++ {
+			s.strandedDropped += int64(slice.DropWhere(set, stranded))
+		}
 	}
 }
 

@@ -21,11 +21,19 @@ func snugUnderTest(t *testing.T) (*SNUG, config.System) {
 
 // peerCC counts the cooperative blocks of original set idx that core 0's
 // peers hold: Case 1 placements at idx itself, Case 2 ones in the flipped
-// set.
+// set. A predicate that never drops makes DropWhere a read-only walk.
 func peerCC(s *SNUG, idx uint32) (same, flipped int64) {
+	count := func(slice *cache.Cache, set uint32, f bool, n *int64) {
+		slice.DropWhere(set, func(b cache.Block) bool {
+			if b.CC && b.F == f {
+				*n++
+			}
+			return false
+		})
+	}
 	for peer := 1; peer < len(s.mon); peer++ {
-		same += int64(s.h.slices[peer].CCCount(idx, false))
-		flipped += int64(s.h.slices[peer].CCCount(addr.FlipLastIndexBit(idx), true))
+		count(s.h.slices[peer], idx, false, &same)
+		count(s.h.slices[peer], addr.FlipLastIndexBit(idx), true, &flipped)
 	}
 	return same, flipped
 }
