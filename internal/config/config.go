@@ -264,6 +264,26 @@ func (s System) Validate() error {
 	if !pow2(c.PredictorSize) || !pow2(c.BTBSets) {
 		return fmt.Errorf("config: predictor size %d and BTB sets %d must be positive powers of two", c.PredictorSize, c.BTBSets)
 	}
+	// The core places issue and commit by slot index, cycle<<log2(width)
+	// plus count, which needs a width that is a power of two.
+	if !pow2(c.IssueWidth) || !pow2(c.CommitWidth) {
+		return fmt.Errorf("config: issue width %d and commit width %d must be positive powers of two", c.IssueWidth, c.CommitWidth)
+	}
+	if c.LSQSize <= 0 {
+		return fmt.Errorf("config: LSQ size %d must be positive", c.LSQSize)
+	}
+	for _, l := range []struct {
+		name string
+		lat  int
+	}{
+		{"ALU", c.ALULat}, {"FP", c.FPLat}, {"multiply", c.MultLat}, {"divide", c.DivLat},
+		{"load", c.LoadLat}, {"branch penalty", c.BranchPenalty},
+		{"L1", s.Mem.L1Lat}, {"L2", s.Mem.L2Lat}, {"remote L2", s.Mem.RemoteLat}, {"SNUG remote", s.Mem.SNUGRemote},
+	} {
+		if l.lat < 0 {
+			return fmt.Errorf("config: %s latency %d is negative", l.name, l.lat)
+		}
+	}
 	for _, g := range []struct {
 		name string
 		g    CacheGeom

@@ -202,6 +202,26 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(s *System) { s.Mem.BusSpeedRatio = 0 },
 		func(s *System) { s.Mem.BusArbCycles = -1 },
 		func(s *System) { s.Mem.DRAMLat = 0 },
+		// Each of these used to pass Validate and then run a core the
+		// timing model cannot: an LSQ of 0 stalled core 0 forever, and a
+		// width that is not a power of two ran as another width.
+		func(s *System) { s.Core.LSQSize = 0 },
+		func(s *System) { s.Core.LSQSize = -1 },
+		func(s *System) { s.Core.IssueWidth = 0 },
+		func(s *System) { s.Core.IssueWidth = -3 },
+		func(s *System) { s.Core.IssueWidth = 6 },
+		func(s *System) { s.Core.CommitWidth = 0 },
+		func(s *System) { s.Core.CommitWidth = 3 },
+		func(s *System) { s.Core.ALULat = -5 },
+		func(s *System) { s.Core.FPLat = -1 },
+		func(s *System) { s.Core.MultLat = -1 },
+		func(s *System) { s.Core.DivLat = -1 },
+		func(s *System) { s.Core.LoadLat = -1 },
+		func(s *System) { s.Core.BranchPenalty = -1 },
+		func(s *System) { s.Mem.L1Lat = -1 },
+		func(s *System) { s.Mem.L2Lat = -1 },
+		func(s *System) { s.Mem.RemoteLat = -1 },
+		func(s *System) { s.Mem.SNUGRemote = -1 },
 	}
 	for i, mut := range cases {
 		s := Default()
@@ -209,5 +229,15 @@ func TestValidateCatchesErrors(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+
+	// A zero latency stays legal, as do the narrow power-of-two widths.
+	s := Default()
+	s.Core.IssueWidth, s.Core.CommitWidth, s.Core.LSQSize = 1, 2, 1
+	s.Core.ALULat, s.Core.FPLat, s.Core.MultLat, s.Core.DivLat = 0, 0, 0, 0
+	s.Core.LoadLat, s.Core.BranchPenalty = 0, 0
+	s.Mem.L1Lat, s.Mem.L2Lat, s.Mem.RemoteLat, s.Mem.SNUGRemote = 0, 0, 0, 0
+	if err := s.Validate(); err != nil {
+		t.Errorf("zero latencies and widths 1 and 2 refused: %v", err)
 	}
 }

@@ -3,8 +3,10 @@ package cpu
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"snug/internal/addr"
+	"snug/internal/chunklog"
 	"snug/internal/config"
 	"snug/internal/isa"
 )
@@ -31,30 +33,35 @@ type Stats struct {
 // Core is the out-of-order timing model. It is advanced in quanta by Run
 // or RunTape; cross-core structures are consulted only through the MemFunc
 // or the L2.
+//
+// NewCore expects a configuration config.Validate accepts: issue and
+// commit widths that are powers of two, a positive LSQ size and no
+// negative latency.
 type Core struct {
 	branch branchUnit
 
-	// Per-kind latencies and queue bounds, widened once at construction so
-	// the per-instruction path does no int64 conversions or config loads.
-	// simpleLat maps the non-memory, non-control kinds (ALU/FPU/Mult/Div)
-	// to their functional-unit latency, turning four switch arms into one
-	// predictable "simple instruction" branch plus a table load.
-	aluLat, loadLat         int64
-	simpleLat               [isa.KindLoad]int64
+	// Latencies, widened once at construction so the per-instruction path
+	// does no int64 conversions or config loads. lat maps each kind but a
+	// load or store to its execute latency: the functional-unit latency of
+	// ALU, FPU, Mult and Div, and the ALU latency of a branch, call or
+	// return. So the kind dispatch is one branch, memory or not, and its
+	// power-of-two shape makes the lookup free of bounds checks.
+	lat                     [16]int64
+	loadLat                 int64
 	branchPenalty           int64
-	issueWidth, commitWidth int64
-	lsqSize                 int
+	issueShift, commitShift uint // log2 of the issue and commit widths
 
 	clock      int64 // dispatch and issue cycle of the most recent instruction
 	fetchAvail int64 // earliest dispatch after a fetch redirect
-	issuedCnt  int64 // instructions issued at clock
+	issueNext  int64 // the next issue slot index (see slot)
 
-	commitRing []int64 // commit time of instruction j at j % RUUSize
+	commitRing []int64 // commit cycle of instruction j at j % RUUSize
 	robIdx     int     // commitRing slot of the current instruction (wraps at RUUSize)
-	commitAt   int64   // latest commit cycle, the previous instruction's
-	commitCnt  int64   // instructions committed at commitAt
+	commitNext int64   // the next commit slot index
 
-	lsq []int64 // outstanding memory-op completion times; compacted lazily
+	// lsq holds the outstanding memory-op completion times, compacted
+	// lazily. Its capacity is the LSQ size, the bound lsqFull checks.
+	lsq []int64
 
 	prevComplete int64
 
@@ -71,11 +78,12 @@ type Core struct {
 	next isa.Instr
 
 	// kindCount is the per-kind tally with a power-of-two shape so the
-	// per-instruction increment needs no bounds check; Stats() folds it
-	// into the exported fixed-size array.
+	// per-instruction increment needs no bounds check. It is the only
+	// instruction count: Stats() folds it into the exported fixed-size
+	// array and sums it for Instructions.
 	kindCount [16]int64
 
-	stats Stats
+	stats Stats // the stall and mispredict tallies
 }
 
 // NewCore builds a core with the given configuration.
@@ -84,17 +92,17 @@ func NewCore(cfg config.Core) *Core {
 		branch:        newBranchUnit(cfg),
 		commitRing:    make([]int64, cfg.RUUSize),
 		lsq:           make([]int64, 0, cfg.LSQSize),
-		aluLat:        int64(cfg.ALULat),
 		loadLat:       int64(cfg.LoadLat),
 		branchPenalty: int64(cfg.BranchPenalty),
-		issueWidth:    int64(cfg.IssueWidth),
-		commitWidth:   int64(cfg.CommitWidth),
-		lsqSize:       cfg.LSQSize,
+		issueShift:    uint(bits.TrailingZeros(uint(cfg.IssueWidth))),
+		commitShift:   uint(bits.TrailingZeros(uint(cfg.CommitWidth))),
 	}
-	c.simpleLat[isa.KindALU] = int64(cfg.ALULat)
-	c.simpleLat[isa.KindFPU] = int64(cfg.FPLat)
-	c.simpleLat[isa.KindMult] = int64(cfg.MultLat)
-	c.simpleLat[isa.KindDiv] = int64(cfg.DivLat)
+	alu := int64(cfg.ALULat)
+	c.lat[isa.KindALU] = alu
+	c.lat[isa.KindFPU] = int64(cfg.FPLat)
+	c.lat[isa.KindMult] = int64(cfg.MultLat)
+	c.lat[isa.KindDiv] = int64(cfg.DivLat)
+	c.lat[isa.KindBranch], c.lat[isa.KindCall], c.lat[isa.KindReturn] = alu, alu, alu
 	return c
 }
 
@@ -103,8 +111,18 @@ func NewCore(cfg config.Core) *Core {
 func (c *Core) Stats() Stats {
 	s := c.stats
 	s.Cycles = c.clock
+	s.Instructions = c.instructions()
 	copy(s.KindCount[:], c.kindCount[:len(s.KindCount)])
 	return s
+}
+
+// instructions returns how many instructions the core has dispatched, the
+// sum of its per-kind tally.
+func (c *Core) instructions() (n int64) {
+	for _, k := range &c.kindCount {
+		n += k
+	}
+	return n
 }
 
 // pendBatch is the decode-ahead depth of the BatchStream run loop: large
@@ -126,7 +144,7 @@ const pendBatch = 256
 // the one the Next path consumes. Every instruction of either kind of
 // stream is stepped by step.
 func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
-	before := c.stats.Instructions
+	before := c.instructions()
 	bs, batched := stream.(isa.BatchStream)
 	if !batched {
 		in := &c.next
@@ -134,7 +152,7 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 			stream.Next(in)
 			c.step(in, mem)
 		}
-		return c.stats.Instructions - before
+		return c.instructions() - before
 	}
 	if c.pend == nil {
 		// One-time decode-buffer warm-up, never per step.
@@ -152,172 +170,203 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 		c.step(&c.pend[c.pendHead], mem)
 		c.pendHead++
 	}
-	return c.stats.Instructions - before
-}
-
-// RunTape is Run over a tape: it steps the instructions t reads with the
-// front-end outcomes recorded for them, so it consults no predictor and no
-// L1. A fetch redirect costs the branch penalty. A load or store that hit
-// in the L1 takes l1Lat; one that missed goes to l2 l1Lat after its issue
-// and then writes back its dirty victim, the calls L1.Access makes for the
-// same miss. It applies step's rules, rule for rule, with the pipeline
-// state held in locals for the whole call and written back once, reading
-// the tape's op bytes in place; the L1 counts go to the cursor.
-func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
-	buf, off, used := t.c.Buf, t.c.Off, t.c.Used
-	core, miss := t.core, t.miss
-	ring := c.commitRing
-	clock, fetchAvail, issuedCnt := c.clock, c.fetchAvail, c.issuedCnt
-	commitAt, commitCnt := c.commitAt, c.commitCnt
-	robIdx, prevComplete := c.robIdx, c.prevComplete
-	var robStall, depStall, mispredicts, count, hits, misses int64
-	for clock < until {
-		if off >= used {
-			t.c.Off = off
-			t.c.Refill()
-			buf, off, used = t.c.Buf, t.c.Off, t.c.Used
-		}
-		op := buf[off]
-		off++
-
-		e := max(clock, fetchAvail)
-		robFree := ring[robIdx]
-		robStall += max(robFree-e, 0)
-		e = max(e, robFree)
-		kind := isa.Kind(op & opKind)
-		if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
-			e = c.reserveLSQ(e)
-		}
-		clock, issuedCnt = slot(e, clock, issuedCnt, c.issueWidth)
-
-		dep := depDelay(prevComplete, clock, op&opDepPrev != 0)
-		depStall += dep
-		start := clock + dep
-		var complete int64
-		if kind < isa.KindLoad {
-			complete = start + c.simpleLat[kind]
-		} else if kind <= isa.KindStore {
-			now := start + c.loadLat
-			done := now + l1Lat
-			if op&opOutcome == 0 {
-				hits++
-			} else {
-				misses++
-				d, n := binary.Varint(buf[off:])
-				off += n
-				miss += addr.Addr(d)
-				done = l2.Access(core, done, miss, kind == isa.KindStore)
-				if op&opVictim != 0 {
-					d, n := binary.Varint(buf[off:])
-					off += n
-					l2.WritebackL1(core, now, miss+addr.Addr(d))
-				}
-			}
-			c.pushLSQ(done)
-			complete = done
-			if kind == isa.KindStore {
-				complete = start + 1 // posted through the store buffer
-			}
-		} else {
-			complete = start + c.aluLat
-			if op&opOutcome != 0 {
-				mispredicts++
-				fetchAvail = max(fetchAvail, complete+c.branchPenalty)
-			}
-		}
-		prevComplete = complete
-
-		commitAt, commitCnt = slot(complete, commitAt, commitCnt, c.commitWidth)
-		ring[robIdx] = commitAt
-		robIdx++
-		if robIdx == len(ring) {
-			robIdx = 0
-		}
-		count++
-		c.kindCount[kind&15]++
-	}
-	t.c.Off, t.miss = off, miss
-	t.hits += hits
-	t.misses += misses
-	c.clock, c.fetchAvail, c.issuedCnt = clock, fetchAvail, issuedCnt
-	c.commitAt, c.commitCnt = commitAt, commitCnt
-	c.robIdx, c.prevComplete = robIdx, prevComplete
-	c.stats.ROBStall += robStall
-	c.stats.DepStall += depStall
-	c.stats.BranchMispredicts += mispredicts
-	c.stats.Instructions += count
-	return count
+	return c.instructions() - before
 }
 
 // step dispatches, executes and commits one instruction in model time.
 func (c *Core) step(in *isa.Instr, mem MemFunc) {
 	// Dispatch: bounded by fetch availability, window space, LSQ occupancy
 	// for memory operations, and issue width.
-	e := max(c.clock, c.fetchAvail)
-	robFree := c.commitRing[c.robIdx]
-	c.stats.ROBStall += max(robFree-e, 0)
-	e = max(e, robFree)
+	e, robStall := dispatch(c.clock, c.fetchAvail, c.commitRing[c.robIdx])
+	c.stats.ROBStall += robStall
 	kind := in.Kind
-	if (kind == isa.KindLoad || kind == isa.KindStore) && len(c.lsq) >= c.lsqSize {
+	isMem := memKind(kind)
+	if isMem && c.lsqFull() {
 		e = c.reserveLSQ(e)
 	}
-	c.clock, c.issuedCnt = slot(e, c.clock, c.issuedCnt, c.issueWidth)
+	c.clock, c.issueNext = slot(c.issueNext, e, c.issueShift)
 
-	// Execute. The simple kinds (ALU/FPU/Mult/Div) — the bulk of the
-	// stream — share one predictable branch into a latency table; only
-	// memory and control flow take the switch.
+	// Execute. A load or store goes to memory; every other kind takes its
+	// latency from one table, and a control op may redirect fetch.
 	dep := depDelay(c.prevComplete, c.clock, in.DepPrev)
 	c.stats.DepStall += dep
 	start := c.clock + dep
 	var complete int64
-	if kind < isa.KindLoad {
-		complete = start + c.simpleLat[kind]
+	if isMem {
+		done := mem(start+c.loadLat, in.Addr, kind == isa.KindStore)
+		c.pushLSQ(done)
+		complete = memComplete(kind, start, done)
 	} else {
-		switch kind {
-		case isa.KindLoad:
-			complete = mem(start+c.loadLat, in.Addr, false)
-			c.pushLSQ(complete)
-		case isa.KindStore:
-			c.pushLSQ(mem(start+c.loadLat, in.Addr, true))
-			complete = start + 1 // posted through the store buffer
-		default:
-			complete = start + c.aluLat
-			if c.branch.redirects(in) {
-				c.stats.BranchMispredicts++
-				c.fetchAvail = max(c.fetchAvail, complete+c.branchPenalty)
-			}
+		complete = start + c.lat[kind&15]
+		if kind >= isa.KindBranch && c.branch.redirects(in) {
+			c.redirect(complete)
 		}
 	}
 	c.prevComplete = complete
 
 	// Commit: in order, bounded by commit width.
-	c.commitAt, c.commitCnt = slot(complete, c.commitAt, c.commitCnt, c.commitWidth)
-	c.commitRing[c.robIdx] = c.commitAt
-	c.robIdx++
-	if c.robIdx == len(c.commitRing) {
-		c.robIdx = 0
-	}
-	c.stats.Instructions++
+	c.commitNext, c.robIdx = retire(c.commitRing, c.robIdx, c.commitNext, complete, c.commitShift)
 	c.kindCount[kind&15]++
 }
 
-// slot places an event requested at cycle t on an in-order resource that
-// takes width events per cycle, where at is the cycle of the previous
-// event and cnt the number of events placed there. The event lands on
-// max(t, at), or one cycle later when that cycle is full. slot returns
-// the event's cycle and the new count there, which are the resource's
-// next at and cnt. Issue and commit width are both this rule.
+// RunTape is Run over a tape: it steps the instructions t reads with the
+// front-end outcomes recorded for them, so it consults no predictor and no
+// L1, and it applies step's rules, rule for rule, through the same
+// helpers. The L1 hit and miss counts go to the cursor.
 //
-// Whether the cycle is full and whether the event moves past at are
-// data-dependent, so slot is written to compile to conditional moves and
-// set instructions rather than branches.
-func slot(t, at, cnt, width int64) (int64, int64) {
-	t = max(t, at)
-	t += b2i(t == at) & b2i(cnt >= width)
-	if t != at {
-		cnt = 0
+// It runs two loops. The inner one, runHits, steps every op that needs no
+// call with the pipeline state in locals, and stops before the first op
+// that does; the outer one makes that op's call through tapeOp, or
+// Refill's at the end of the published bytes, and resumes the inner one.
+func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
+	instrs, memOps, misses := c.instructions(), c.memOps(), t.misses
+	for {
+		c.runHits(until, &t.c, l1Lat)
+		if c.clock >= until {
+			break
+		}
+		if t.c.Off >= t.c.Used {
+			t.c.Refill()
+			continue
+		}
+		c.tapeOp(t, l2, l1Lat)
 	}
-	return t, cnt + 1
+	t.hits += c.memOps() - memOps - (t.misses - misses)
+	return c.instructions() - instrs
+}
+
+// memOps returns how many loads and stores the core has dispatched.
+func (c *Core) memOps() int64 {
+	return c.kindCount[isa.KindLoad] + c.kindCount[isa.KindStore]
+}
+
+// runHits steps the ops of cur's published bytes while each needs no
+// call, holding the pipeline state in locals and writing it back once. It
+// returns at until, at the end of the published bytes, or before an op
+// that needs a call: an L1 miss, a fetch redirect, or a load or store that
+// finds the LSQ full. So every load or store it steps hits in the L1 and
+// takes l1Lat, every control op it steps keeps fetch going, and it makes
+// no call at all.
+func (c *Core) runHits(until int64, cur *chunklog.Cursor, l1Lat int64) {
+	buf, off := cur.Buf[:cur.Used], cur.Off
+	ring, robIdx := c.commitRing, c.robIdx
+	clock, prevComplete := c.clock, c.prevComplete
+	issueNext, commitNext := c.issueNext, c.commitNext
+	hitLat := c.loadLat + l1Lat
+	for clock < until && off < len(buf) {
+		op := buf[off]
+		kind := isa.Kind(op & opKind)
+		isMem := memKind(kind)
+		if op&opOutcome != 0 || isMem && c.lsqFull() {
+			break
+		}
+		off++
+
+		e, robStall := dispatch(clock, c.fetchAvail, ring[robIdx])
+		c.stats.ROBStall += robStall
+		clock, issueNext = slot(issueNext, e, c.issueShift)
+		dep := depDelay(prevComplete, clock, op&opDepPrev != 0)
+		c.stats.DepStall += dep
+		start := clock + dep
+		var complete int64
+		if isMem {
+			done := start + hitLat
+			c.pushLSQ(done)
+			complete = memComplete(kind, start, done)
+		} else {
+			complete = start + c.lat[kind&15]
+		}
+		prevComplete = complete
+		commitNext, robIdx = retire(ring, robIdx, commitNext, complete, c.commitShift)
+		c.kindCount[kind&15]++
+	}
+	cur.Off = off
+	c.clock, c.prevComplete, c.robIdx = clock, prevComplete, robIdx
+	c.issueNext, c.commitNext = issueNext, commitNext
+}
+
+// tapeOp steps the op at the cursor, one runHits stopped before, with the
+// state in c's fields. Only loads, stores and control ops stop it. A load
+// or store that finds the LSQ full waits in reserveLSQ. One that missed
+// goes to l2 l1Lat after its issue and then writes back its dirty victim,
+// the calls L1.Access makes for the same miss. A fetch redirect costs the
+// branch penalty.
+func (c *Core) tapeOp(t *TapeCursor, l2 L2, l1Lat int64) {
+	buf, off := t.c.Buf, t.c.Off
+	op := buf[off]
+	off++
+	e, robStall := dispatch(c.clock, c.fetchAvail, c.commitRing[c.robIdx])
+	c.stats.ROBStall += robStall
+	kind := isa.Kind(op & opKind)
+	isMem := memKind(kind)
+	if isMem && c.lsqFull() {
+		e = c.reserveLSQ(e)
+	}
+	c.clock, c.issueNext = slot(c.issueNext, e, c.issueShift)
+
+	dep := depDelay(c.prevComplete, c.clock, op&opDepPrev != 0)
+	c.stats.DepStall += dep
+	start := c.clock + dep
+	var complete int64
+	if isMem {
+		now := start + c.loadLat
+		done := now + l1Lat
+		if op&opOutcome != 0 {
+			t.misses++
+			d, n := binary.Varint(buf[off:])
+			off += n
+			t.miss += addr.Addr(d)
+			done = l2.Access(t.core, done, t.miss, kind == isa.KindStore)
+			if op&opVictim != 0 {
+				d, n := binary.Varint(buf[off:])
+				off += n
+				l2.WritebackL1(t.core, now, t.miss+addr.Addr(d))
+			}
+		}
+		c.pushLSQ(done)
+		complete = memComplete(kind, start, done)
+	} else {
+		complete = start + c.lat[kind&15]
+		if op&opOutcome != 0 {
+			c.redirect(complete)
+		}
+	}
+	t.c.Off = off
+	c.prevComplete = complete
+
+	c.commitNext, c.robIdx = retire(c.commitRing, c.robIdx, c.commitNext, complete, c.commitShift)
+	c.kindCount[kind&15]++
+}
+
+// The timing rules. Each is written once, as a helper small enough to
+// inline, and step, runHits and tapeOp call it wherever they apply it.
+// reserveLSQ, the LSQ stall, is the one rule too long to inline.
+
+// dispatch is the dispatch bound of the instruction after the one issued
+// at clock. Fetch must have resumed after a redirect, at fetchAvail, and
+// the window must have a free entry: the one the instruction RUUSize
+// earlier frees when it commits, at robFree. It returns the earliest
+// dispatch cycle and the cycles spent waiting for the window.
+func dispatch(clock, fetchAvail, robFree int64) (e, robStall int64) {
+	e = max(clock, fetchAvail)
+	return max(e, robFree), max(robFree-e, 0)
+}
+
+// slot places an event requested at cycle t on an in-order resource that
+// takes 1<<shift events per cycle, the issue or the commit width. The
+// resource's state is a slot index, next = cycle<<shift + count: the cycle
+// of its last event and how many events that cycle holds, which reads as
+// the first slot of the following cycle once the cycle is full. The event
+// takes slot s = max(next, t<<shift), in cycle s>>shift, and slot returns
+// that cycle and the resource's next index, s+1. The initial index 0 is
+// cycle 0 with no event placed.
+//
+// With the width a power of two the rule is a max, two shifts and an add:
+// there is no branch on whether a cycle is full, and no division. The
+// shift is masked to 63 so the compiler emits a bare shift instruction.
+func slot(next, t int64, shift uint) (cycle, after int64) {
+	s := max(next, t<<(shift&63))
+	return s >> (shift & 63), s + 1
 }
 
 // depDelay is how long an instruction ready at start waits for the
@@ -329,6 +378,38 @@ func depDelay(prevComplete, start int64, depPrev bool) int64 {
 	return max(prevComplete-start, 0) & -b2i(depPrev)
 }
 
+// memComplete is the completion of a load or store that started executing
+// at start and whose access has its data at done. A load completes at
+// done. A store is posted through the store buffer: it completes the
+// cycle after it starts, and only its LSQ entry waits for done.
+func memComplete(kind isa.Kind, start, done int64) int64 {
+	if kind == isa.KindStore {
+		return start + 1
+	}
+	return done
+}
+
+// retire commits an instruction that completes at complete: in order,
+// through the commit slot index next at 1<<shift per cycle. It records the
+// commit cycle in the window ring at robIdx, the cycle that entry frees,
+// and returns the next commit index and the next ring index.
+func retire(ring []int64, robIdx int, next, complete int64, shift uint) (int64, int) {
+	at, next := slot(next, complete, shift)
+	ring[robIdx] = at
+	robIdx++
+	if robIdx == len(ring) {
+		robIdx = 0
+	}
+	return next, robIdx
+}
+
+// redirect charges a fetch redirect resolved at cycle resolved: fetch
+// resumes the branch penalty later.
+func (c *Core) redirect(resolved int64) {
+	c.stats.BranchMispredicts++
+	c.fetchAvail = max(c.fetchAvail, resolved+c.branchPenalty)
+}
+
 // b2i converts a bool to 0 or 1; the compiler lowers it without a branch.
 func b2i(b bool) int64 {
 	if b {
@@ -337,9 +418,28 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// reserveLSQ frees completed LSQ entries as of cycle e and, if the queue is
-// still full, stalls until the earliest outstanding completion. It returns
-// the (possibly delayed) dispatch cycle.
+// memKind reports whether kind is a load or a store, as one unsigned
+// compare: a kind below KindLoad wraps around to a large value.
+func memKind(kind isa.Kind) bool { return kind-isa.KindLoad <= isa.KindStore-isa.KindLoad }
+
+// lsqFull reports whether the LSQ is at its capacity, the LSQ size, so
+// that a memory op must first free an entry through reserveLSQ.
+func (c *Core) lsqFull() bool { return len(c.lsq) == cap(c.lsq) }
+
+// pushLSQ records an outstanding completion time in the LSQ, which lsqFull
+// has found below capacity. It reslices within the capacity rather than
+// appending, so it never allocates, makes no call and stores only the
+// length.
+func (c *Core) pushLSQ(t int64) {
+	n := len(c.lsq)
+	c.lsq = c.lsq[:n+1]
+	c.lsq[n] = t
+}
+
+// reserveLSQ frees completed entries of the full LSQ as of cycle e and, if
+// the queue is still full, stalls until the earliest outstanding
+// completion. It returns the (possibly delayed) dispatch cycle. A memory op
+// calls it only when lsqFull.
 //
 // The queue is an unsorted completion-time buffer compacted lazily:
 // completed entries are dropped only when the buffer reaches capacity.
@@ -353,11 +453,8 @@ func b2i(b bool) int64 {
 // linear pass per capacity-fill, amortizing to ~1 slot move per push when
 // most entries are short-lived.
 func (c *Core) reserveLSQ(e int64) int64 {
-	if len(c.lsq) < c.lsqSize {
-		return e
-	}
 	min := c.compactLSQ(e)
-	if len(c.lsq) < c.lsqSize {
+	if !c.lsqFull() {
 		return e
 	}
 	// Full of live entries, which all complete after e, so min > e.
@@ -384,11 +481,4 @@ func (c *Core) compactLSQ(e int64) int64 {
 	}
 	c.lsq = q[:w]
 	return min
-}
-
-// pushLSQ records an outstanding completion time. The append does not
-// allocate in steady state: capacity stabilizes at lsqSize, and compactLSQ
-// keeps len below it.
-func (c *Core) pushLSQ(t int64) {
-	c.lsq = append(c.lsq, t)
 }

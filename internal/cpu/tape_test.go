@@ -49,7 +49,7 @@ func readOps(c *TapeCursor, n int) []tapeOp {
 
 // newTapeSource is a live generator for the named benchmark on the
 // test-scale system.
-func newTapeSource(t *testing.T, name string, seed uint64) isa.Stream {
+func newTapeSource(t testing.TB, name string, seed uint64) isa.Stream {
 	t.Helper()
 	prof, err := trace.ByName(name)
 	if err != nil {
@@ -226,8 +226,9 @@ func (l *logL2) WritebackL1(core int, now int64, a addr.Addr) {
 // contract-keeping instruction stream, stepped by Core.RunTape over its
 // tape, gives after every quantum the cpu.Stats, the L1 hit and miss
 // counts and the ordered calls below the L1 that Core.Run gives over the
-// plain stream through L1.Access. Each input runs until its tape holds more
-// than one chunk's worth of bytes.
+// plain stream through L1.Access. shape picks the core through
+// randCoreConfig (shapeDraw); shape 0 is the test-scale core. Each input
+// runs until its tape holds more than one chunk's worth of bytes.
 func FuzzTapeRoundTrip(f *testing.F) {
 	var all []byte // every kind with every flag
 	for k := byte(0); k < byte(isa.NumKinds); k++ {
@@ -235,15 +236,28 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			all = append(all, k|flags<<4, 3*k+flags)
 		}
 	}
-	f.Add(all)
-	f.Add([]byte{0})
-	f.Add([]byte{byte(isa.KindStore), 0x11, byte(isa.KindLoad), 0x95, byte(isa.KindStore), 0xfe})
-	f.Add([]byte{byte(isa.KindCall) | 0x40, 7, byte(isa.KindReturn) | 0x80, byte(isa.KindBranch) | 0x60, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint64(0), all)
+	f.Add(uint64(0), []byte{0})
+	f.Add(uint64(0), []byte{byte(isa.KindStore), 0x11, byte(isa.KindLoad), 0x95, byte(isa.KindStore), 0xfe})
+	f.Add(uint64(0), []byte{byte(isa.KindCall) | 0x40, 7, byte(isa.KindReturn) | 0x80, byte(isa.KindBranch) | 0x60, 3})
+	// Shape 1 draws 0 after its first choice: widths 1, an RUU of 1 and an
+	// LSQ of 1, so every load or store finds the LSQ full. The stores go to
+	// five blocks of one L1 set, which thrash its four ways, so each
+	// misses and the load behind it stalls until the miss returns.
+	var fillLSQ []byte
+	for i := byte(1); i <= 5; i++ {
+		fillLSQ = append(fillLSQ, byte(isa.KindStore), 0xf0, 0, 0, 0, 0, 0, 0, 4*i, 0, byte(isa.KindLoad), 0x10)
+	}
+	f.Add(uint64(1), fillLSQ)
+	f.Fuzz(func(t *testing.T, shape uint64, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		cfg := config.TestScale()
+		cfg.Core = randCoreConfig(shapeDraw(shape))
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("shape %d: %v", shape, err)
+		}
 		core := len(data) % cfg.Cores
 		live, tapeCore := NewCore(cfg.Core), NewCore(cfg.Core)
 		liveL2, tapeL2 := &logL2{}, &logL2{}
@@ -273,4 +287,55 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			liveL2.log, tapeL2.log = liveL2.log[:0], tapeL2.log[:0]
 		}
 	})
+}
+
+// shapeDraw reads shape as a mixed-radix number for randCoreConfig: each
+// draw(n) takes the next digit in base n, least significant first, so
+// every shape names a core and shape 0 the default one.
+func shapeDraw(shape uint64) func(n int) int {
+	return func(n int) int {
+		d := int(shape % uint64(n))
+		shape /= uint64(n)
+		return d
+	}
+}
+
+// fixedL2 answers every miss its latency after issue and takes write-backs
+// at no cost.
+type fixedL2 int64
+
+func (l fixedL2) Access(_ int, now int64, _ addr.Addr, _ bool) int64 { return now + int64(l) }
+
+func (fixedL2) WritebackL1(int, int64, addr.Addr) {}
+
+// BenchmarkRunTape times the tape loop alone, the core-step layer of a
+// sweep: one test-scale core at a time steps over a tape of each of ammp,
+// swim, mcf and parser for 1.2M cycles in 100-cycle quanta, against an L2
+// that answers every miss 10 cycles after issue. An untimed first run
+// records the tapes. It reports ns/instr, nanoseconds per instruction
+// stepped.
+func BenchmarkRunTape(b *testing.B) {
+	const cycles = 1_200_000
+	cfg := config.TestScale()
+	names := []string{"ammp", "swim", "mcf", "parser"}
+	tapes := make([]*Tape, len(names))
+	run := func(tape *Tape) (instrs int64) {
+		c, cur := NewCore(cfg.Core), tape.Cursor()
+		for until := cfg.Quantum; until <= cycles; until += cfg.Quantum {
+			instrs += c.RunTape(until, cur, fixedL2(10), int64(cfg.Mem.L1Lat))
+		}
+		return instrs
+	}
+	for i, name := range names {
+		tapes[i] = NewTape(cfg, i, newTapeSource(b, name, uint64(i+1)))
+		run(tapes[i])
+	}
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		for _, tape := range tapes {
+			instrs += run(tape)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }

@@ -220,15 +220,16 @@ func directives(fset *token.FileSet, f *ast.File) []*allow {
 	return out
 }
 
-// callee returns the package path and name of the function a call
-// selects (time.Now, stats.NewRNG, a method), or "" if it selects none.
+// callee returns the package path and name of the package-level function
+// a call selects (time.Now, stats.NewRNG), or "" if it selects none. A
+// method is not one: t.After(u) on two time.Time values reads no clock.
 func callee(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
 	}
 	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return "", ""
 	}
 	return fn.Pkg().Path(), fn.Name()
