@@ -6,8 +6,12 @@
 //
 //	characterize -bench ammp                    # Figure 1, scaled run
 //	characterize -bench ammp -fullscale         # on the Table 4 system
-//	characterize -bench vortex -full            # paper-scale: 1000 x 100K
 //	characterize -bench applu -csv out.csv      # per-interval CSV
+//
+// The paper's methodology, 1000 intervals of 100K L2 accesses on the
+// Table 4 caches, is
+//
+//	characterize -bench vortex -fullscale -intervals 1000 -accesses 100000
 package main
 
 import (
@@ -18,7 +22,6 @@ import (
 	"os"
 
 	"snug/internal/cli"
-	"snug/internal/config"
 	"snug/internal/experiments"
 	"snug/internal/report"
 )
@@ -42,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	bench := fs.String("bench", "ammp", "benchmark to characterize (see snugsim -list)")
 	intervals := fs.Int("intervals", 200, "number of sampling intervals")
 	accesses := fs.Int64("accesses", 20_000, "L2 accesses per interval")
-	full := fs.Bool("full", false, "paper-scale methodology: 1000 intervals x 100K accesses on the Table 4 system")
 	system := cli.FullScale(fs)
 	csvPath := fs.String("csv", "", "also write the per-interval series as CSV")
 	if err := fs.Parse(args); err != nil {
@@ -56,11 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Cfg:                 system(),
 		Intervals:           *intervals,
 		AccessesPerInterval: *accesses,
-	}
-	if *full {
-		opt.Cfg = config.Default()
-		opt.Intervals = 1000
-		opt.AccessesPerInterval = 100_000
 	}
 
 	chz, err := experiments.Characterize(opt)

@@ -41,6 +41,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"zero intervals":  {"-intervals", "0"},
 		"zero accesses":   {"-accesses", "0"},
 		"-testscale":      {"-testscale=false"}, // the system choice is spelled -fullscale
+		"-full":           {"-full"},            // the paper's scale is spelled -fullscale -intervals 1000 -accesses 100000
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard, io.Discard); err == nil {

@@ -43,7 +43,6 @@ import (
 	"strings"
 
 	"snug/internal/cli"
-	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/experiments"
 	"snug/internal/metrics"
@@ -101,7 +100,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	defer sf.Stop(&err)
 
-	cfg := sf.System()
+	opt := sf.Opt
+	if !*quiet {
+		opt.Progress = func(p sweep.Progress) { fmt.Fprintln(stderr, report.ProgressLine(p)) }
+	}
 	coreCounts, err := parseCores(*cores)
 	if err != nil {
 		return err
@@ -124,31 +126,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if len(coreCounts) != 1 {
 			return fmt.Errorf("the ablation runs at one core count (got -cores %s)", *cores)
 		}
-		cfg, err := config.WithCores(cfg, coreCounts[0])
-		if err != nil {
+		if opt.Cfg, err = config.WithCores(opt.Cfg, coreCounts[0]); err != nil {
 			return err
 		}
-		return runAblation(ctx, stdout, cfg, sf.Cycles, sf.Par)
+		return runAblation(ctx, stdout, opt)
 	}
 
-	var cls []string
 	if *classes != "" {
-		cls = strings.Split(*classes, ",")
+		opt.Classes = strings.Split(*classes, ",")
 	}
-	var sch []string
 	if *schemes != "" {
-		sch = strings.Split(*schemes, ",")
-	}
-	var progress func(sweep.Progress)
-	if !*quiet {
-		progress = func(p sweep.Progress) { fmt.Fprintln(stderr, report.ProgressLine(p)) }
-	}
-
-	opt := experiments.Options{
-		Cfg: cfg, RunCycles: sf.Cycles, Parallelism: sf.Par, Classes: cls,
-		Schemes: sch, Checkpoint: sf.Out, Progress: progress, Replicates: sf.Reps,
-		FailurePolicy: sf.Policy, Retry: sf.Retry,
-		Salvage: sf.Salvage, Sync: sf.Sync, Faults: sf.Faults,
+		opt.Schemes = strings.Split(*schemes, ",")
 	}
 	if *scaling {
 		return sf.Finish(runScaling(ctx, stdout, opt, coreCounts, *csvDir), stderr)
@@ -157,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if len(coreCounts) != 1 {
 		return fmt.Errorf("the figures run at one core count (got -cores %s); pass -scaling for the multi-width study", *cores)
 	}
-	if opt.Cfg, err = config.WithCores(cfg, coreCounts[0]); err != nil {
+	if opt.Cfg, err = config.WithCores(opt.Cfg, coreCounts[0]); err != nil {
 		return err
 	}
 	ev, err := experiments.Evaluate(ctx, opt)
@@ -240,52 +228,45 @@ func writeCSV(path string, write func(io.Writer) error) error {
 }
 
 // ablationVariants are the SNUG variants the ablation compares, each a
-// change to the SNUG parameters alone.
+// change to the SNUG parameters alone (none for the paper's).
 var ablationVariants = []struct {
-	name string
-	mut  func(*config.System)
+	name   string
+	change func(config.System) config.System
 }{
-	{"SNUG (paper config)", func(c *config.System) {}},
-	{"no index-bit flipping", func(c *config.System) { c.SNUG.IndexFlip = false }},
-	{"keep stranded CC blocks", func(c *config.System) { c.SNUG.DropOnFlip = false }},
-	{"p=4 (threshold 1/4)", func(c *config.System) { c.SNUG.PDivisor = 4 }},
-	{"p=16 (threshold 1/16)", func(c *config.System) { c.SNUG.PDivisor = 16 }},
-	{"k=3 counter", func(c *config.System) { c.SNUG.CounterBits = 3 }},
-	{"shadow 8-way", func(c *config.System) { c.SNUG.ShadowWays = 8 }},
-	{"stage I x2", func(c *config.System) { c.SNUG.StageICycles *= 2 }},
+	{"SNUG (paper config)", nil},
+	{"no index-bit flipping", func(c config.System) config.System { c.SNUG.IndexFlip = false; return c }},
+	{"keep stranded CC blocks", func(c config.System) config.System { c.SNUG.DropOnFlip = false; return c }},
+	{"p=4 (threshold 1/4)", func(c config.System) config.System { c.SNUG.PDivisor = 4; return c }},
+	{"p=16 (threshold 1/16)", func(c config.System) config.System { c.SNUG.PDivisor = 16; return c }},
+	{"k=3 counter", func(c config.System) config.System { c.SNUG.CounterBits = 3; return c }},
+	{"shadow 8-way", func(c config.System) config.System { c.SNUG.ShadowWays = 8; return c }},
+	{"stage I x2", func(c config.System) config.System { c.SNUG.StageICycles *= 2; return c }},
 }
 
-// runAblation compares SNUG variants on the C1 stress tests plus one mixed
-// combo per class — the design choices DESIGN.md calls out.
-func runAblation(ctx context.Context, stdout io.Writer, base config.System, cycles int64, par int) error {
-	// The quad-core A+A+D+D mix, replicated to the configured width the
-	// same way workloads.ScaleOut widens Table 8.
+// runAblation compares the SNUG variants against L2P on one A+A+D+D mix,
+// ammp+parser+swim+mesa widened to opt.Cfg's core count: the design
+// choices DESIGN.md calls out.
+func runAblation(ctx context.Context, stdout io.Writer, opt experiments.Options) error {
+	// The quad-core mix, replicated to the configured width the same way
+	// workloads.ScaleOut widens Table 8.
 	var bench []string
 	for _, b := range []string{"ammp", "parser", "swim", "mesa"} {
-		for r := 0; r < base.Cores/4; r++ {
+		for r := 0; r < opt.Cfg.Cores/4; r++ {
 			bench = append(bench, b)
 		}
 	}
-	// All jobs share one seed key so every variant sees the same instruction
-	// streams as the L2P baseline it is normalized against; the variants
-	// mutate only controller parameters, never the seed, the L2 geometry
-	// the streams derive from or the cores' front ends, so one cell of
-	// tapes serves them all.
-	seedKey := "ablation/" + strings.Join(bench, "+")
-	cache, uses := cmp.NewStreamCache(), 1+len(ablationVariants)
-	job := func(key, scheme string, mut func(*config.System)) sweep.Job {
-		return sweep.Job{Key: key, SeedKey: seedKey, Run: func(seed uint64) (cmp.RunResult, error) {
-			cfg := base
-			cfg.Seed = seed
-			mut(&cfg)
-			return cache.Run(cfg, scheme, bench, cycles, uses)
-		}}
+	// One cell, so every variant sees the instruction streams of the L2P
+	// baseline it is normalized against; the variants change only SNUG's
+	// parameters, never the seed, the L2 geometry the streams derive from
+	// or the cores' front ends, so one set of tapes serves them all.
+	cell := experiments.Cell{
+		SeedKey: "ablation/" + strings.Join(bench, "+"), Cfg: opt.Cfg, Benchmarks: bench,
+		Runs: []experiments.Run{{Key: "L2P", Scheme: "L2P"}},
 	}
-	jobs := []sweep.Job{job("L2P", "L2P", func(*config.System) {})}
 	for _, v := range ablationVariants {
-		jobs = append(jobs, job(v.name, "SNUG", v.mut))
+		cell.Runs = append(cell.Runs, experiments.Run{Key: v.name, Scheme: "SNUG", Change: v.change})
 	}
-	results, err := sweep.Run(ctx, sweep.Options{Parallelism: par, BaseSeed: base.Seed}, jobs)
+	results, err := experiments.Sweep(ctx, opt, "ablation", "", []experiments.Cell{cell})
 	if err != nil {
 		return err
 	}

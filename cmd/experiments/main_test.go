@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"snug/internal/cli"
 	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/sweep"
 )
 
 // TestRunFiguresSmoke drives the full flag-to-table path on a tiny subset.
@@ -92,7 +94,9 @@ func TestAblationSharesOneCell(t *testing.T) {
 	}
 	for _, v := range ablationVariants {
 		cfg := base
-		v.mut(&cfg)
+		if v.change != nil {
+			cfg = v.change(cfg)
+		}
 		got, err := sc.Run(cfg, "SNUG", bench, cycles, uses)
 		if err != nil {
 			t.Errorf("%s: %v", v.name, err)
@@ -104,6 +108,43 @@ func TestAblationSharesOneCell(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: run over the shared tapes differs from RunWorkload", v.name)
+		}
+	}
+}
+
+// TestAblationSeedKey pins the seed the ablation's cell runs under:
+// its L2P and p=16 lines must print cmp.RunWorkload's results at
+// sweep.JobSeed(base seed, "ablation/ammp+parser+swim+mesa"), the variant's
+// change applied, so a cell seeded with any other key fails it.
+func TestAblationSeedKey(t *testing.T) {
+	const cycles = 300_000
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-ablation", "-cycles", "300000", "-quiet"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	bench := []string{"ammp", "parser", "swim", "mesa"}
+	cfg := config.TestScale()
+	cfg.Seed = sweep.JobSeed(cfg.Seed, "ablation/ammp+parser+swim+mesa")
+	l2p, err := cmp.RunWorkload(cfg, "L2P", bench, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p16 = "p=16 (threshold 1/16)"
+	var snug cmp.RunResult
+	for _, v := range ablationVariants {
+		if v.name == p16 {
+			if snug, err = cmp.RunWorkload(v.change(cfg), "SNUG", bench, cycles); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, want := range []string{
+		fmt.Sprintf("(normalized throughput vs L2P %.4f):\n", l2p.Throughput()),
+		fmt.Sprintf("  %-26s %.4f  (spills=%d retrHits=%d)\n",
+			p16, snug.Throughput()/l2p.Throughput(), snug.Report.Spills, snug.Report.RetrievalHits),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("ablation output lacks %q, RunWorkload's at the ablation's seed key:\n%s", want, out.String())
 		}
 	}
 }

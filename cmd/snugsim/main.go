@@ -48,8 +48,8 @@ import (
 	"strings"
 
 	"snug/internal/cli"
-	"snug/internal/cmp"
 	"snug/internal/config"
+	"snug/internal/experiments"
 	"snug/internal/schemes"
 	"snug/internal/stats"
 	"snug/internal/sweep"
@@ -105,79 +105,61 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	cfg := sf.System()
+	opt := sf.Opt
 	if *seed != 0 {
-		cfg.Seed = *seed
+		opt.Cfg.Seed = *seed
 	}
 
-	bench, err := resolveWorkload(*workload, cfg)
+	bench, err := resolveWorkload(*workload, opt.Cfg)
 	if err != nil {
 		return err
 	}
 	// Widen the system to the workload: "8xammp" runs on the 8-core
 	// scale-out configuration without further flags.
-	if len(bench) != cfg.Cores {
-		if cfg, err = config.WithCores(cfg, len(bench)); err != nil {
+	if len(bench) != opt.Cfg.Cores {
+		if opt.Cfg, err = config.WithCores(opt.Cfg, len(bench)); err != nil {
 			return fmt.Errorf("workload %q: %w", *workload, err)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := opt.Cfg.Validate(); err != nil {
 		return err
 	}
 	specs, err := parseSpecs(*scheme)
 	if err != nil {
 		return err
 	}
-	seedKey := strings.Join(bench, "+") // one stream per workload, shared by every scheme
 
-	// Every scheme of one replicate sees the same seed (shared SeedKey), so
-	// the cache records each replicate's tapes once and replays them.
-	cache := cmp.NewStreamCache()
-	var jobs []sweep.Job
+	// One cell: every scheme of one replicate sees the same seed, so the
+	// sweep runs the workload's front ends once per replicate and replays
+	// them to every scheme.
+	seedKey := strings.Join(bench, "+")
+	cell := experiments.Cell{SeedKey: seedKey, Cfg: opt.Cfg, Benchmarks: bench}
 	for _, s := range specs {
-		s := s
-		jobs = append(jobs, sweep.Job{
-			Key:     s,
-			SeedKey: seedKey,
-			Run: func(jobSeed uint64) (cmp.RunResult, error) {
-				c := cfg
-				c.Seed = jobSeed
-				return cache.Run(c, s, bench, sf.Cycles, len(specs))
-			},
-		})
+		cell.Runs = append(cell.Runs, experiments.Run{Key: s, Scheme: s})
 	}
 	// Scheme specs are checkpoint keys, not fingerprint material: a store
 	// warmed with some schemes serves a later comparison adding more.
-	fp, err := sweep.Fingerprint("snugsim", sf.Cycles, seedKey, cfg)
-	if err != nil {
-		return err
-	}
-	results, err := sweep.Run(ctx, sweep.Options{
-		Parallelism: sf.Par, BaseSeed: cfg.Seed, Replicates: sf.Reps,
-		Checkpoint: sf.Out, Salvage: sf.Salvage, Sync: sf.Sync, Fingerprint: fp,
-		FailurePolicy: sf.Policy, Retry: sf.Retry,
-		PutHook: sf.Faults.PutHook(cfg.Seed),
-	}, sf.Faults.Wrap(cfg.Seed, jobs))
+	results, err := experiments.Sweep(ctx, opt, "snugsim", seedKey, []experiments.Cell{cell})
 	if err != nil {
 		return sf.Finish(err, stderr)
 	}
 
-	if sf.Reps > 1 {
+	if reps := opt.Replicates; reps > 1 {
 		// Replicated runs summarize to interval statistics: per-core detail
 		// of a single stream would misrepresent the sample.
 		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d reps=%d (mean ±95%% CI)\n",
-			*workload, len(bench), sf.Cycles, sf.Reps)
+			*workload, len(bench), opt.RunCycles, reps)
 		puts := make(map[string][]float64, len(specs))
 		for _, s := range specs {
-			puts[s] = make([]float64, sf.Reps)
+			puts[s] = make([]float64, reps)
 			var spills, retrHits int64
-			for r := 0; r < sf.Reps; r++ {
+			for r := 0; r < reps; r++ {
 				res := results[sweep.ReplicateKey(s, r)]
 				puts[s][r] = res.Throughput()
 				spills += res.Report.Spills
 				retrHits += res.Report.RetrievalHits
 			}
-			n := float64(sf.Reps)
+			n := float64(reps)
 			fmt.Fprintf(stdout, "  %-9s throughput=%s avgSpills=%.1f avgRetrHits=%.1f\n",
 				s, stats.MeanCI(puts[s]), float64(spills)/n, float64(retrHits)/n)
 		}
@@ -195,7 +177,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	if len(specs) > 1 {
-		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d\n", *workload, len(bench), sf.Cycles)
+		fmt.Fprintf(stdout, "workload=%s cores=%d cycles=%d\n", *workload, len(bench), opt.RunCycles)
 		for _, s := range specs {
 			r := results[s]
 			fmt.Fprintf(stdout, "  %-9s throughput=%.4f spills=%-7d retrHits=%-7d dram=%d\n",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"snug/internal/cli"
+	"snug/internal/cmp"
 	"snug/internal/config"
 	"snug/internal/sweep"
 )
@@ -27,6 +29,33 @@ func TestRunSingleScheme(t *testing.T) {
 	for _, want := range []string{"scheme=L2P", "core 0 gzip", "dram:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunSeedKey pins the seed snugsim's cell runs under: a single run of
+// 4xammp must print cmp.RunWorkload's result at sweep.JobSeed(base seed,
+// "ammp+ammp+ammp+ammp"), so a cell seeded with any other key, the combo
+// name included, fails it.
+func TestRunSeedKey(t *testing.T) {
+	const cycles = 100_000
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-scheme", "L2P", "-workload", "4xammp", "-cycles", "100000"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.TestScale()
+	cfg.Seed = sweep.JobSeed(cfg.Seed, "ammp+ammp+ammp+ammp")
+	want, err := cmp.RunWorkload(cfg, "L2P", []string{"ammp", "ammp", "ammp", "ammp"}, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := []string{fmt.Sprintf("scheme=L2P cycles=%d throughput=%.4f\n", cycles, want.Throughput())}
+	for i, c := range want.Cores {
+		lines = append(lines, fmt.Sprintf("core %d %-8s IPC=%.4f instr=%-9d ", i, c.Benchmark, c.IPC, c.Instructions))
+	}
+	for _, line := range lines {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("output lacks %q, RunWorkload's at the workload's seed key:\n%s", line, out.String())
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"snug/internal/config"
+	"snug/internal/experiments"
 	"snug/internal/faults"
 	"snug/internal/prof"
 	"snug/internal/sweep"
@@ -119,21 +120,14 @@ func FullScale(fs *flag.FlagSet) (system func() config.System) {
 // profiles, Stop writes the profiles, and Finish turns a sweep's error
 // into the command's.
 type SweepFlags struct {
-	Cycles  int64           // -cycles: simulated cycles per run
-	Par     int             // -par: concurrent simulations (0 = GOMAXPROCS)
-	Reps    int             // -reps: independently-seeded replicates per run
-	Out     string          // -out: checkpoint store ("" = none)
-	Resume  bool            // -resume: continue the -out store
-	Salvage bool            // -salvage: quarantine corrupt store lines
-	Sync    int             // -sync: fsync the store every N runs (0 = never)
-	Retry   sweep.RetrySpec // -retries and -backoff
-	// Policy and Faults are -failpolicy and -inject, parsed by Start.
-	Policy sweep.FailurePolicy
-	Faults faults.Spec
-	// System returns the base system -fullscale chose (see FullScale).
-	System func() config.System
+	// Opt is the sweep the flags describe. Most bind straight into its
+	// fields; Start sets FailurePolicy and Faults from the -failpolicy and
+	// -inject parses, and Cfg to the base system -fullscale chose.
+	Opt experiments.Options
 
 	name                                       string
+	resume                                     bool
+	system                                     func() config.System
 	failpolicy, inject, cpuprofile, memprofile string
 	stopProfiles                               func() error
 }
@@ -141,17 +135,18 @@ type SweepFlags struct {
 // NewSweepFlags registers the sweep and profile flags on fs, whose name
 // is the command's; cycles is the command's default run length.
 func NewSweepFlags(fs *flag.FlagSet, cycles int64) *SweepFlags {
-	f := &SweepFlags{name: fs.Name(), System: FullScale(fs)}
-	fs.Int64Var(&f.Cycles, "cycles", cycles, "cycles to simulate per run")
-	fs.IntVar(&f.Par, "par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
-	fs.IntVar(&f.Reps, "reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")
-	fs.StringVar(&f.Out, "out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
-	fs.BoolVar(&f.Resume, "resume", false, "resume from -out, skipping runs already checkpointed")
-	fs.BoolVar(&f.Salvage, "salvage", false, "open the -out checkpoint in salvage mode: quarantine corrupt lines to <out>.quarantine and rerun their jobs instead of refusing to resume")
-	fs.IntVar(&f.Sync, "sync", 0, "fsync the checkpoint every N completed runs (0 = leave durability to the OS)")
+	f := &SweepFlags{name: fs.Name(), system: FullScale(fs)}
+	o := &f.Opt
+	fs.Int64Var(&o.RunCycles, "cycles", cycles, "cycles to simulate per run")
+	fs.IntVar(&o.Parallelism, "par", 0, "concurrent simulations (0 = GOMAXPROCS); not capped at GOMAXPROCS, and results never depend on it")
+	fs.IntVar(&o.Replicates, "reps", 1, "independently-seeded replicates per run; >1 reports mean ±95% CI")
+	fs.StringVar(&o.Checkpoint, "out", "", "sweep results store: completed runs are checkpointed here as JSON lines")
+	fs.BoolVar(&f.resume, "resume", false, "resume from -out, skipping runs already checkpointed")
+	fs.BoolVar(&o.Salvage, "salvage", false, "open the -out checkpoint in salvage mode: quarantine corrupt lines to <out>.quarantine and rerun their jobs instead of refusing to resume")
+	fs.IntVar(&o.Sync, "sync", 0, "fsync the checkpoint every N completed runs (0 = leave durability to the OS)")
 	fs.StringVar(&f.failpolicy, "failpolicy", "fast", "response to failed runs: \"fast\" stops at the first failure, \"continue\" runs every job and aggregates failures (exit code 3)")
-	fs.IntVar(&f.Retry.Attempts, "retries", 0, "re-run a failed run up to this many times with the same seed (transient faults only; deterministic failures repeat)")
-	fs.DurationVar(&f.Retry.Backoff, "backoff", 100*time.Millisecond, "initial delay before a retry, doubling per attempt (capped)")
+	fs.IntVar(&o.Retry.Attempts, "retries", 0, "re-run a failed run up to this many times with the same seed (transient faults only; deterministic failures repeat)")
+	fs.DurationVar(&o.Retry.Backoff, "backoff", 100*time.Millisecond, "initial delay before a retry, doubling per attempt (capped)")
 	fs.StringVar(&f.inject, "inject", "", "deterministic fault injection spec, e.g. \"panic:0.02,err:0.05,putfail:0.01\" (chaos testing; results are unaffected)")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -178,43 +173,45 @@ func (f *SweepFlags) Stop(err *error) {
 }
 
 func (f *SweepFlags) validate() error {
+	o := &f.Opt
 	switch {
-	case f.Cycles <= 0:
-		return fmt.Errorf("-cycles %d: run length must be positive", f.Cycles)
-	case f.Par < 0:
-		return fmt.Errorf("-par %d: worker count must be non-negative (0 = GOMAXPROCS)", f.Par)
-	case f.Reps < 1:
-		return fmt.Errorf("-reps %d: replicate count must be at least 1", f.Reps)
-	case f.Sync < 0:
-		return fmt.Errorf("-sync %d: fsync cadence must be non-negative", f.Sync)
-	case f.Retry.Attempts < 0:
-		return fmt.Errorf("-retries %d: retry count must be non-negative", f.Retry.Attempts)
-	case f.Retry.Backoff < 0:
-		return fmt.Errorf("-backoff %v: retry delay must be non-negative", f.Retry.Backoff)
-	case f.Resume && f.Out == "":
+	case o.RunCycles <= 0:
+		return fmt.Errorf("-cycles %d: run length must be positive", o.RunCycles)
+	case o.Parallelism < 0:
+		return fmt.Errorf("-par %d: worker count must be non-negative (0 = GOMAXPROCS)", o.Parallelism)
+	case o.Replicates < 1:
+		return fmt.Errorf("-reps %d: replicate count must be at least 1", o.Replicates)
+	case o.Sync < 0:
+		return fmt.Errorf("-sync %d: fsync cadence must be non-negative", o.Sync)
+	case o.Retry.Attempts < 0:
+		return fmt.Errorf("-retries %d: retry count must be non-negative", o.Retry.Attempts)
+	case o.Retry.Backoff < 0:
+		return fmt.Errorf("-backoff %v: retry delay must be non-negative", o.Retry.Backoff)
+	case f.resume && o.Checkpoint == "":
 		return fmt.Errorf("-resume requires -out")
-	case f.Salvage && f.Out == "":
+	case o.Salvage && o.Checkpoint == "":
 		return fmt.Errorf("-salvage requires -out")
 	}
 	switch f.failpolicy {
 	case "", "fast":
-		f.Policy = sweep.FailFast
+		o.FailurePolicy = sweep.FailFast
 	case "continue":
-		f.Policy = sweep.ContinueOnError
+		o.FailurePolicy = sweep.ContinueOnError
 	default:
 		return fmt.Errorf("-failpolicy %q: want \"fast\" or \"continue\"", f.failpolicy)
 	}
 	var err error
-	if f.Faults, err = faults.ParseSpec(f.inject); err != nil {
+	if o.Faults, err = faults.ParseSpec(f.inject); err != nil {
 		return err
 	}
-	if f.Out != "" && !f.Resume {
+	if o.Checkpoint != "" && !f.resume {
 		// Never silently destroy prior results: a completed checkpoint may
 		// represent hours of simulation.
-		if st, err := os.Stat(f.Out); err == nil && st.Size() > 0 {
-			return fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or delete it for a fresh sweep", f.Out)
+		if st, err := os.Stat(o.Checkpoint); err == nil && st.Size() > 0 {
+			return fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or delete it for a fresh sweep", o.Checkpoint)
 		}
 	}
+	o.Cfg = f.system()
 	return nil
 }
 
@@ -226,10 +223,10 @@ func (f *SweepFlags) Finish(err error, stderr io.Writer) error {
 		return nil
 	}
 	interrupted := errors.Is(err, context.Canceled)
-	if interrupted && f.Out != "" {
-		fmt.Fprintf(stderr, "%s: interrupted — completed runs are checkpointed; resume with -out %s -resume\n", f.name, f.Out)
+	if interrupted && f.Opt.Checkpoint != "" {
+		fmt.Fprintf(stderr, "%s: interrupted — completed runs are checkpointed; resume with -out %s -resume\n", f.name, f.Opt.Checkpoint)
 	}
-	if interrupted || f.Policy != sweep.ContinueOnError || len(sweep.JobErrors(err)) == 0 {
+	if interrupted || f.Opt.FailurePolicy != sweep.ContinueOnError || len(sweep.JobErrors(err)) == 0 {
 		return err
 	}
 	return &Completed{Err: err}

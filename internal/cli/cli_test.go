@@ -9,11 +9,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"snug/internal/config"
+	"snug/internal/experiments"
 	"snug/internal/sweep"
 )
 
@@ -50,7 +53,7 @@ func TestExitCode(t *testing.T) {
 
 func TestResumeHint(t *testing.T) {
 	var buf bytes.Buffer
-	(&SweepFlags{name: "experiments", Out: "sweep.json"}).Finish(interruptedChain(), &buf)
+	(&SweepFlags{name: "experiments", Opt: experiments.Options{Checkpoint: "sweep.json"}}).Finish(interruptedChain(), &buf)
 	if !strings.Contains(buf.String(), "experiments: interrupted") || !strings.Contains(buf.String(), "-out sweep.json -resume") {
 		t.Errorf("signal-interrupted run with a store printed %q, want a resume hint", buf.String())
 	}
@@ -62,7 +65,7 @@ func TestResumeHint(t *testing.T) {
 		"not canceled": {errors.New("boom"), "sweep.json"},
 	} {
 		var b bytes.Buffer
-		(&SweepFlags{name: "experiments", Out: c.out}).Finish(c.err, &b)
+		(&SweepFlags{name: "experiments", Opt: experiments.Options{Checkpoint: c.out}}).Finish(c.err, &b)
 		if b.Len() != 0 {
 			t.Errorf("%s: Finish printed %q, want nothing", name, b.String())
 		}
@@ -71,7 +74,7 @@ func TestResumeHint(t *testing.T) {
 
 func TestWrapCompleted(t *testing.T) {
 	finish := func(err error, policy sweep.FailurePolicy) error {
-		return (&SweepFlags{Policy: policy}).Finish(err, io.Discard)
+		return (&SweepFlags{Opt: experiments.Options{FailurePolicy: policy}}).Finish(err, io.Discard)
 	}
 	jobErr := &sweep.JobError{Key: "k", Err: errors.New("boom")}
 	if _, ok := finish(jobErr, sweep.ContinueOnError).(*Completed); !ok {
@@ -113,7 +116,9 @@ func TestSweepFlags(t *testing.T) {
 		check   func(*SweepFlags) bool
 	}{
 		{"defaults", nil, "", func(f *SweepFlags) bool {
-			return f.Cycles == 1000 && f.Par == 0 && f.Reps == 1 && f.Policy == sweep.FailFast && f.Retry == sweep.RetrySpec{Backoff: 100 * time.Millisecond}
+			o := f.Opt
+			return o.RunCycles == 1000 && o.Parallelism == 0 && o.Replicates == 1 && o.FailurePolicy == sweep.FailFast &&
+				o.Retry == sweep.RetrySpec{Backoff: 100 * time.Millisecond} && reflect.DeepEqual(o.Cfg, config.TestScale())
 		}},
 		{"cycles 0", []string{"-cycles", "0"}, "-cycles 0", nil},
 		{"cycles -5", []string{"-cycles", "-5"}, "-cycles -5", nil},
@@ -125,18 +130,19 @@ func TestSweepFlags(t *testing.T) {
 		{"resume without out", []string{"-resume"}, "-resume requires -out", nil},
 		{"salvage without out", []string{"-salvage"}, "-salvage requires -out", nil},
 		{"failpolicy bogus", []string{"-failpolicy", "bogus"}, "-failpolicy", nil},
-		{"failpolicy empty", []string{"-failpolicy", ""}, "", func(f *SweepFlags) bool { return f.Policy == sweep.FailFast }},
-		{"failpolicy fast", []string{"-failpolicy", "fast"}, "", func(f *SweepFlags) bool { return f.Policy == sweep.FailFast }},
-		{"failpolicy continue", []string{"-failpolicy", "continue"}, "", func(f *SweepFlags) bool { return f.Policy == sweep.ContinueOnError }},
+		{"failpolicy empty", []string{"-failpolicy", ""}, "", func(f *SweepFlags) bool { return f.Opt.FailurePolicy == sweep.FailFast }},
+		{"failpolicy fast", []string{"-failpolicy", "fast"}, "", func(f *SweepFlags) bool { return f.Opt.FailurePolicy == sweep.FailFast }},
+		{"failpolicy continue", []string{"-failpolicy", "continue"}, "", func(f *SweepFlags) bool { return f.Opt.FailurePolicy == sweep.ContinueOnError }},
 		{"inject bogus", []string{"-inject", "panic:2"}, "bad probability", nil},
-		{"inject", []string{"-inject", "err:0.5"}, "", func(f *SweepFlags) bool { return f.Faults.Err == 0.5 }},
+		{"inject", []string{"-inject", "err:0.5"}, "", func(f *SweepFlags) bool { return f.Opt.Faults.Err == 0.5 }},
 		{"overwrite refused", []string{"-out", full}, "already exists", nil},
 		{"empty store accepted", []string{"-out", empty}, "", nil},
 		{"resume onto a store", []string{"-out", full, "-resume", "-salvage", "-sync", "2"}, "", func(f *SweepFlags) bool {
-			return f.Out == full && f.Resume && f.Salvage && f.Sync == 2
+			return f.Opt.Checkpoint == full && f.resume && f.Opt.Salvage && f.Opt.Sync == 2
 		}},
+		{"fullscale", []string{"-fullscale"}, "", func(f *SweepFlags) bool { return reflect.DeepEqual(f.Opt.Cfg, config.Scaled(50)) }},
 		{"bounds", []string{"-par", "3", "-reps", "4", "-retries", "5", "-backoff", "0s"}, "", func(f *SweepFlags) bool {
-			return f.Par == 3 && f.Reps == 4 && f.Retry == sweep.RetrySpec{Attempts: 5}
+			return f.Opt.Parallelism == 3 && f.Opt.Replicates == 4 && f.Opt.Retry == sweep.RetrySpec{Attempts: 5}
 		}},
 	}
 	for _, c := range cases {

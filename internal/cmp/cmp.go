@@ -192,10 +192,14 @@ func (s *System) result() RunResult {
 	return r
 }
 
-// WorkloadStreams builds one generator per core for the named benchmarks.
-// totalRefs is the per-generator phase-cycle length; each core gets a
-// distinct seed derived from cfg.Seed.
+// WorkloadStreams builds one generator per core for the named benchmarks,
+// on a system cfg.Validate accepts. totalRefs is the per-generator
+// phase-cycle length; each core gets a distinct seed derived from
+// cfg.Seed.
 func WorkloadStreams(cfg config.System, benchmarks []string, totalRefs int64) ([]isa.Stream, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(benchmarks) != cfg.Cores {
 		return nil, fmt.Errorf("cmp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
 	}

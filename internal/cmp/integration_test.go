@@ -151,11 +151,13 @@ func TestControllerFactory(t *testing.T) {
 }
 
 // TestNewSystemRefusesUnbuildableConfigs checks that each system the
-// constructors below cmp would panic on is refused by NewSystem with an
-// error, under every scheme family.
+// constructors below cmp would panic on, or the simulator would run wrong,
+// is refused by NewSystem and RunWorkload with an error, under every
+// scheme family.
 func TestNewSystemRefusesUnbuildableConfigs(t *testing.T) {
 	base := config.TestScale()
-	streams, err := WorkloadStreams(base, []string{"ammp", "parser", "swim", "mesa"}, 1000)
+	bench := []string{"ammp", "parser", "swim", "mesa"}
+	streams, err := WorkloadStreams(base, bench, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,21 +182,34 @@ func TestNewSystemRefusesUnbuildableConfigs(t *testing.T) {
 		{"Mem.BusSpeedRatio=0", func(s *config.System) { s.Mem.BusSpeedRatio = 0 }},
 		{"Mem.BusArbCycles=-1", func(s *config.System) { s.Mem.BusArbCycles = -1 }},
 		{"Mem.DRAMLat=0", func(s *config.System) { s.Mem.DRAMLat = 0 }},
+		{"L1D.BlockBytes=48", func(s *config.System) { s.Mem.L1D.BlockBytes, s.Mem.L1D.SizeBytes = 48, 48*16*4 }},
+		{"L2Slice.BlockBytes=96", func(s *config.System) { s.Mem.L2Slice.BlockBytes, s.Mem.L2Slice.SizeBytes = 96, 96*64*16 }},
+		{"Core.HistoryLength=-1", func(s *config.System) { s.Core.HistoryLength = -1 }},
+		{"Cores=3", func(s *config.System) { s.Cores = 3 }},
 	}
 	for _, b := range bad {
 		cfg := base
 		b.mut(&cfg)
+		n := min(cfg.Cores, len(streams))
 		for _, scheme := range []string{"L2P", "L2S", "CC(75%)", "DSR", "SNUG"} {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%s under %s: NewSystem panicked: %v", b.name, scheme, r)
+			for _, c := range []struct {
+				name  string
+				build func() error
+			}{
+				{"NewSystem", func() error { _, err := NewSystem(cfg, scheme, streams[:n]); return err }},
+				{"RunWorkload", func() error { _, err := RunWorkload(cfg, scheme, bench[:n], 1000); return err }},
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s under %s: %s panicked: %v", b.name, scheme, c.name, r)
+						}
+					}()
+					if err := c.build(); err == nil {
+						t.Errorf("%s under %s: %s accepted the system", b.name, scheme, c.name)
 					}
 				}()
-				if _, err := NewSystem(cfg, scheme, streams); err == nil {
-					t.Errorf("%s under %s: NewSystem accepted the system", b.name, scheme)
-				}
-			}()
+			}
 		}
 	}
 }

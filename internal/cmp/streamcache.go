@@ -85,10 +85,6 @@ func (sc *StreamCache) Run(cfg config.System, scheme string, benchmarks []string
 	e := sc.entries[cfg.Seed]
 	switch {
 	case e == nil:
-		if err := cfg.Validate(); err != nil {
-			sc.mu.Unlock()
-			return RunResult{}, err
-		}
 		live, err := WorkloadStreams(cfg, benchmarks, PhaseRefs(cycles))
 		if err != nil {
 			sc.mu.Unlock()

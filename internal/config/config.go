@@ -254,8 +254,10 @@ const maxWays = 16
 // Validate reports configuration errors: every system it accepts builds
 // under each scheme.
 func (s System) Validate() error {
-	if s.Cores <= 0 {
-		return fmt.Errorf("config: cores must be positive, got %d", s.Cores)
+	// L2S interleaves block numbers over the slices by masking with
+	// Cores-1, which reaches every slice only when Cores is a power of two.
+	if !pow2(s.Cores) {
+		return fmt.Errorf("config: core count %d must be a positive power of two", s.Cores)
 	}
 	c := s.Core
 	if c.RUUSize <= 0 || c.RASEntries <= 0 || c.BTBWays <= 0 {
@@ -263,6 +265,10 @@ func (s System) Validate() error {
 	}
 	if !pow2(c.PredictorSize) || !pow2(c.BTBSets) {
 		return fmt.Errorf("config: predictor size %d and BTB sets %d must be positive powers of two", c.PredictorSize, c.BTBSets)
+	}
+	// The global history is the low HistoryLength bits of a uint64.
+	if c.HistoryLength < 0 || c.HistoryLength > 64 {
+		return fmt.Errorf("config: branch history length %d out of range [0,64]", c.HistoryLength)
 	}
 	// The core places issue and commit by slot index, cycle<<log2(width)
 	// plus count, which needs a width that is a power of two.
@@ -296,6 +302,9 @@ func (s System) Validate() error {
 		}
 		if sets := g.g.Sets(); !pow2(sets) {
 			return fmt.Errorf("config: %s set count %d is not a power of two", g.name, sets)
+		}
+		if !pow2(g.g.BlockBytes) {
+			return fmt.Errorf("config: %s block size %d is not a power of two", g.name, g.g.BlockBytes)
 		}
 	}
 	if !pow2(s.Mem.L2Slice.Ways) {

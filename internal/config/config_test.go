@@ -222,6 +222,16 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(s *System) { s.Mem.L2Lat = -1 },
 		func(s *System) { s.Mem.RemoteLat = -1 },
 		func(s *System) { s.Mem.SNUGRemote = -1 },
+		// Each of these used to pass Validate and then panic or run wrong:
+		// a block size that is not a power of two panicked in
+		// addr.MustGeometry, a negative history length gave an all-ones
+		// history mask, and L2S never mapped a block to slice 1 of 3.
+		func(s *System) { s.Mem.L1D = CacheGeom{SizeBytes: 48 * 16 * 4, Ways: 4, BlockBytes: 48} },
+		func(s *System) { s.Mem.L2Slice = CacheGeom{SizeBytes: 96 * 1024 * 16, Ways: 16, BlockBytes: 96} },
+		func(s *System) { s.Core.HistoryLength = -1 },
+		func(s *System) { s.Core.HistoryLength = 65 },
+		func(s *System) { s.Cores = 3 },
+		func(s *System) { s.Cores = 6 },
 	}
 	for i, mut := range cases {
 		s := Default()
@@ -237,7 +247,8 @@ func TestValidateCatchesErrors(t *testing.T) {
 	s.Core.ALULat, s.Core.FPLat, s.Core.MultLat, s.Core.DivLat = 0, 0, 0, 0
 	s.Core.LoadLat, s.Core.BranchPenalty = 0, 0
 	s.Mem.L1Lat, s.Mem.L2Lat, s.Mem.RemoteLat, s.Mem.SNUGRemote = 0, 0, 0, 0
+	s.Cores, s.Core.HistoryLength = 1, 0
 	if err := s.Validate(); err != nil {
-		t.Errorf("zero latencies and widths 1 and 2 refused: %v", err)
+		t.Errorf("zero latencies, widths 1 and 2, one core and no history refused: %v", err)
 	}
 }

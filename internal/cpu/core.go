@@ -131,8 +131,7 @@ func (c *Core) instructions() (n int64) {
 const pendBatch = 256
 
 // Run advances the core until its dispatch clock reaches the until cycle,
-// drawing instructions from stream and resolving memory through mem. It
-// returns the number of instructions dispatched during this quantum.
+// drawing instructions from stream and resolving memory through mem.
 //
 // Run may be called in successive slices — Run(b1) then Run(b2) steps the
 // exact instruction sequence of Run(b2) — which is how internal/cmp drives
@@ -143,8 +142,7 @@ const pendBatch = 256
 // quantum left unread for the next call, so the consumed stream prefix is
 // the one the Next path consumes. Every instruction of either kind of
 // stream is stepped by step.
-func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
-	before := c.instructions()
+func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) {
 	bs, batched := stream.(isa.BatchStream)
 	if !batched {
 		in := &c.next
@@ -152,7 +150,7 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 			stream.Next(in)
 			c.step(in, mem)
 		}
-		return c.instructions() - before
+		return
 	}
 	if c.pend == nil {
 		// One-time decode-buffer warm-up, never per step.
@@ -170,7 +168,6 @@ func (c *Core) Run(until int64, stream isa.Stream, mem MemFunc) int64 {
 		c.step(&c.pend[c.pendHead], mem)
 		c.pendHead++
 	}
-	return c.instructions() - before
 }
 
 // step dispatches, executes and commits one instruction in model time.
@@ -218,8 +215,8 @@ func (c *Core) step(in *isa.Instr, mem MemFunc) {
 // call with the pipeline state in locals, and stops before the first op
 // that does; the outer one makes that op's call through tapeOp, or
 // Refill's at the end of the published bytes, and resumes the inner one.
-func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
-	instrs, memOps, misses := c.instructions(), c.memOps(), t.misses
+func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) {
+	memOps, misses := c.memOps(), t.misses
 	for {
 		c.runHits(until, &t.c, l1Lat)
 		if c.clock >= until {
@@ -232,7 +229,6 @@ func (c *Core) RunTape(until int64, t *TapeCursor, l2 L2, l1Lat int64) int64 {
 		c.tapeOp(t, l2, l1Lat)
 	}
 	t.hits += c.memOps() - memOps - (t.misses - misses)
-	return c.instructions() - instrs
 }
 
 // memOps returns how many loads and stores the core has dispatched.

@@ -27,8 +27,8 @@ func flatMem(lat int64) MemFunc {
 func runIPC(t *testing.T, pattern []isa.Instr, mem MemFunc, cycles int64) float64 {
 	t.Helper()
 	c := NewCore(config.Default().Core)
-	n := c.Run(cycles, &fixedStream{pattern: pattern}, mem)
-	return float64(n) / float64(cycles)
+	c.Run(cycles, &fixedStream{pattern: pattern}, mem)
+	return float64(c.Stats().Instructions) / float64(cycles)
 }
 
 func TestPureALUReachesIssueWidth(t *testing.T) {

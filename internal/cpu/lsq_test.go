@@ -105,9 +105,9 @@ func TestLSQStallAtFullOccupancy(t *testing.T) {
 	cfg.LSQSize = 2
 	c := NewCore(cfg)
 	const cycles = 10_000
-	n := c.Run(cycles, &fixedStream{pattern: []isa.Instr{{Kind: isa.KindLoad, Addr: 0x1000}}}, flatMem(10))
-	ipc := float64(n) / float64(cycles)
+	c.Run(cycles, &fixedStream{pattern: []isa.Instr{{Kind: isa.KindLoad, Addr: 0x1000}}}, flatMem(10))
 	st := c.Stats()
+	ipc := float64(st.Instructions) / float64(cycles)
 	t.Logf("LSQ=2 lat=10 loads: IPC=%.3f LSQStall=%d", ipc, st.LSQStall)
 	// Throughput bound: at most LSQSize in-flight loads per 10-cycle window.
 	if ipc < 0.15 || ipc > 0.25 {

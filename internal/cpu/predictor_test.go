@@ -97,8 +97,8 @@ func TestLSQBoundsOutstandingMisses(t *testing.T) {
 		cfg := testCoreConfig()
 		cfg.LSQSize = lsq
 		c := NewCore(cfg)
-		n := c.Run(50_000, &fixedStream{pattern: []isa.Instr{{Kind: isa.KindLoad, Addr: 0x40}}}, flatMem(100))
-		return float64(n) / 50_000
+		c.Run(50_000, &fixedStream{pattern: []isa.Instr{{Kind: isa.KindLoad, Addr: 0x40}}}, flatMem(100))
+		return float64(c.Stats().Instructions) / 50_000
 	}
 	small, big := run(4), run(64)
 	if big <= small {

@@ -37,6 +37,9 @@ func Characterize(opt CharacterizeOptions) (*stackdist.Characterization, error) 
 		return nil, fmt.Errorf("experiments: characterization needs a positive interval count and interval length, got %d intervals of %d accesses",
 			opt.Intervals, opt.AccessesPerInterval)
 	}
+	if err := opt.Cfg.Validate(); err != nil {
+		return nil, err
+	}
 	prof, err := trace.ByName(opt.Benchmark)
 	if err != nil {
 		return nil, err

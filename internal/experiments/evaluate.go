@@ -2,15 +2,17 @@
 // characterization of Figures 1–3, the scheme comparison of Figures 9–11
 // over the 21 workload combinations of Table 8, the overhead tables, the
 // ablation studies of SNUG's design choices, and the N-core scaling study
-// that extends the matrix beyond the paper's quad-core system. Evaluate and
-// ScalingStudy share one driver and one Options type; both run their
-// matrix as one sweep whose cells share instruction streams through
-// cmp.StreamCache. The package is the engine behind cmd/experiments, the
-// examples, and the repository's benchmark suite.
+// that extends the matrix beyond the paper's quad-core system. Sweep is
+// the one sweep driver: Evaluate, ScalingStudy, cmd/snugsim and the
+// ablation in cmd/experiments each hand it one Options and a list of
+// cells, groups of runs that share instruction streams through
+// cmp.StreamCache. The package is the engine behind cmd/experiments,
+// cmd/snugsim, the examples, and the repository's benchmark suite.
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -32,8 +34,10 @@ var CCPercents = config.CCSpillPercents
 // FigureSchemes are the scheme labels of Figures 9–11, in plot order.
 var FigureSchemes = []string{"L2S", "CC(Best)", "DSR", "SNUG"}
 
-// Options configures an evaluation (Evaluate) or a scaling study
-// (ScalingStudy).
+// Options configures an evaluation (Evaluate), a scaling study
+// (ScalingStudy) or any other sweep (Sweep, which reads every field but
+// Classes and Schemes). The sweep flags of both commands bind straight
+// into it (cli.SweepFlags).
 type Options struct {
 	// Cfg is the simulated system. For Evaluate its core count selects the
 	// evaluation width: 4 runs the paper's Table 8 matrix, 8/16/... run the
@@ -160,43 +164,17 @@ func specsFor(selected []string) []schemes.Spec {
 // "4xammp/CC(75%)".
 func jobKey(combo, label string) string { return combo + "/" + label }
 
-// comboJobs appends one combo's runs — the L2P baseline plus every spec —
-// to jobs. All of a combo's runs share its name as SeedKey, so every scheme
-// sees identical instruction streams (paired comparisons), which cache
-// records once per (combo, replicate) cell and replays to every scheme.
-func comboJobs(jobs []sweep.Job, cache *cmp.StreamCache, cfg config.System, combo workloads.Combo, specs []schemes.Spec, cycles int64) []sweep.Job {
-	all := append([]schemes.Spec{baselineSpec}, specs...)
-	for _, spec := range all {
-		label := spec.String()
-		jobs = append(jobs, sweep.Job{
-			Key:     jobKey(combo.Name, label),
-			SeedKey: combo.Name,
-			Run: func(seed uint64) (cmp.RunResult, error) {
-				c := cfg
-				c.Seed = seed
-				return cache.Run(c, label, combo.Cores, cycles, len(all))
-			},
-		})
-	}
-	return jobs
-}
-
-// collect fills the combo's runs from the sweep results and finalizes the
-// comparisons for the selected scheme families, once per replicate.
-// Replicate 0 also fills Runs and CCBestPct.
-func (cr *ComboResult) collect(results map[string]cmp.RunResult, selected []string, reps int) error {
+// collect fills the combo's runs from the sweep results, looking each of
+// cell's runs up by its key, and finalizes the comparisons for the selected
+// scheme families, once per replicate. Replicate 0 also fills Runs and
+// CCBestPct.
+func (cr *ComboResult) collect(results map[string]cmp.RunResult, cell *Cell, selected []string, reps int) error {
 	cr.RepComparisons = make([]map[string]metrics.Comparison, reps)
 	for r := 0; r < reps; r++ {
-		runs := make(map[string]cmp.RunResult)
-		// Map-to-map transfer: insertion order cannot change the resulting
-		// map, and finalize reads it through sorted scheme names.
-		for key, res := range results { //snug:allow maporder set-semantics transfer into another map
-			base, rep := sweep.SplitReplicateKey(key)
-			if rep != r {
-				continue
-			}
-			if combo, label, ok := strings.Cut(base, "/"); ok && combo == cr.Combo.Name {
-				runs[label] = res
+		runs := make(map[string]cmp.RunResult, len(cell.Runs)+1)
+		for _, run := range cell.Runs {
+			if res, ok := results[sweep.ReplicateKey(run.Key, r)]; ok {
+				runs[run.Scheme] = res
 			}
 		}
 		pct, comps, err := finalize(cr.Combo.Name, runs, selected)
@@ -233,24 +211,21 @@ func Evaluate(ctx context.Context, opt Options) (*Evaluation, error) {
 	return &Evaluation{Combos: points[0].Combos, Replicates: reps}, nil
 }
 
-// sweepPoints is the driver Evaluate and ScalingStudy share. On every
-// point's system it runs the L2P baseline and the selected schemes over
-// the selected combos, all as one sweep whose checkpoint fingerprint is
-// kind's over opt.Cfg, and fills the point's Combos. It returns the
-// effective replicate count.
+// sweepPoints is what Evaluate and ScalingStudy share. On every point's
+// system it makes one cell per selected combo, seeded by the combo's name,
+// of the L2P baseline and the selected schemes, sweeps them all at once,
+// and fills the point's Combos. It returns the effective replicate count.
 func sweepPoints(ctx context.Context, kind string, opt Options, points []ScalingPoint) (int, error) {
-	if opt.RunCycles <= 0 {
-		return 0, fmt.Errorf("experiments: RunCycles must be positive")
-	}
 	selected, err := selectSchemes(opt.Schemes)
 	if err != nil {
 		return 0, err
 	}
-	specs := specsFor(selected)
-	reps := max(opt.Replicates, 1)
+	labels := []string{baselineSpec.String()}
+	for _, spec := range specsFor(selected) {
+		labels = append(labels, spec.String())
+	}
 
-	cache := cmp.NewStreamCache()
-	var jobs []sweep.Job
+	var cells []Cell
 	for i := range points {
 		p := &points[i]
 		combos, err := selectCombos(opt.Classes, p.Cfg.Cores)
@@ -259,39 +234,102 @@ func sweepPoints(ctx context.Context, kind string, opt Options, points []Scaling
 		}
 		for _, combo := range combos {
 			p.Combos = append(p.Combos, ComboResult{Combo: combo})
-			jobs = comboJobs(jobs, cache, p.Cfg, combo, specs, opt.RunCycles)
+			cell := Cell{SeedKey: combo.Name, Cfg: p.Cfg, Benchmarks: combo.Cores, Runs: make([]Run, len(labels))}
+			for j, label := range labels {
+				cell.Runs[j] = Run{Key: jobKey(combo.Name, label), Scheme: label}
+			}
+			cells = append(cells, cell)
 		}
 	}
 
-	fp, err := sweep.Fingerprint(kind, opt.RunCycles, "", opt.Cfg)
+	results, err := Sweep(ctx, opt, kind, "", cells)
 	if err != nil {
-		return 0, fmt.Errorf("experiments: %w", err)
+		return 0, evalErr(err)
 	}
-	results, err := sweep.Run(ctx, sweep.Options{
+	reps, next := max(opt.Replicates, 1), 0
+	for i := range points {
+		for j := range points[i].Combos {
+			if err := points[i].Combos[j].collect(results, &cells[next], selected, reps); err != nil {
+				return 0, err
+			}
+			next++
+		}
+	}
+	return reps, nil
+}
+
+// A Cell is a group of runs that share one seed key, and so one set of
+// instruction streams, which cmp.StreamCache runs through the cores' front
+// ends once for all of them. Figures 9-11 normalize within a cell: a
+// combo's schemes against its L2P run.
+type Cell struct {
+	SeedKey    string        // the sweep.Job SeedKey of every run
+	Cfg        config.System // the system; the sweep sets its Seed
+	Benchmarks []string      // one per core
+	Runs       []Run
+}
+
+// A Run is one job of a cell.
+type Run struct {
+	Key    string // checkpoint key, unique in the sweep
+	Scheme string // scheme spec (schemes.Parse)
+	// Change, when set, alters the cell's system for this run. It may
+	// change only what lies below the cores' front ends, such as a scheme's
+	// parameters: the cell's runs share one set of op tapes, and the stream
+	// cache refuses a run whose front end differs.
+	Change func(config.System) config.System
+}
+
+// Sweep runs every run of cells as one sweep, the one sweep driver of
+// every front end, and returns the results by run key (replicate r > 0
+// under sweep.ReplicateKey). Each run's seed derives from opt.Cfg.Seed and
+// its cell's SeedKey, so results are bit-identical for any Parallelism;
+// the checkpoint fingerprint is sweep.Fingerprint(kind, opt.RunCycles,
+// workload, opt.Cfg). Errors come back without this package's prefix, so
+// each front end renders them in its own terms (see evalErr).
+func Sweep(ctx context.Context, opt Options, kind, workload string, cells []Cell) (map[string]cmp.RunResult, error) {
+	if opt.RunCycles <= 0 {
+		return nil, errors.New("RunCycles must be positive")
+	}
+	cache, cycles := cmp.NewStreamCache(), opt.RunCycles
+	var jobs []sweep.Job
+	for i := range cells {
+		for j, run := range cells[i].Runs {
+			// The closure captures the cell by index, not by copy, so a
+			// job costs one closure whatever the size of the system.
+			i, j := i, j
+			jobs = append(jobs, sweep.Job{
+				Key:     run.Key,
+				SeedKey: cells[i].SeedKey,
+				Run: func(seed uint64) (cmp.RunResult, error) {
+					c, run := &cells[i], &cells[i].Runs[j]
+					cfg := c.Cfg
+					cfg.Seed = seed
+					if run.Change != nil {
+						cfg = run.Change(cfg)
+					}
+					return cache.Run(cfg, run.Scheme, c.Benchmarks, cycles, len(c.Runs))
+				},
+			})
+		}
+	}
+	fp, err := sweep.Fingerprint(kind, cycles, workload, opt.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Run(ctx, sweep.Options{
 		Parallelism:   opt.Parallelism,
 		BaseSeed:      opt.Cfg.Seed,
 		Checkpoint:    opt.Checkpoint,
 		Salvage:       opt.Salvage,
 		Sync:          opt.Sync,
 		Fingerprint:   fp,
-		Replicates:    reps,
+		Replicates:    opt.Replicates,
 		FailurePolicy: opt.FailurePolicy,
 		Retry:         opt.Retry,
 		PutHook:       opt.Faults.PutHook(opt.Cfg.Seed),
 		OnProgress:    opt.Progress,
 	}, opt.Faults.Wrap(opt.Cfg.Seed, jobs))
-	if err != nil {
-		return 0, evalErr(err)
-	}
-
-	for i := range points {
-		for j := range points[i].Combos {
-			if err := points[i].Combos[j].collect(results, selected, reps); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return reps, nil
 }
 
 // evalErr renders a sweep failure with combo + run (+ replicate) context.
@@ -393,10 +431,12 @@ func selectCombos(classes []string, width int) ([]workloads.Combo, error) {
 
 // ClassSeries is one figure's dataset: per class (plus AVG), per scheme,
 // the geometric-mean metric value — averaged across replicates, with a
-// Student-t 95% confidence interval when the evaluation was replicated.
+// Student-t 95% confidence interval when the evaluation was replicated. A
+// scaling table (ScalingResult.Series) has the same shape with one row per
+// core count.
 type ClassSeries struct {
 	Schemes []string             // column labels present, in FigureSchemes order
-	Classes []string             // row labels: C1..C6, AVG
+	Classes []string             // row labels: C1..C6 and AVG, or core counts
 	Values  map[string][]float64 // scheme label -> mean value per row
 	// CI is each Values cell's 95% confidence half-width across replicates,
 	// keyed and indexed like Values. It is nil for single-replicate

@@ -163,7 +163,7 @@ func TestEvaluateReplicatesResume(t *testing.T) {
 // TestScalingReplicates: the scaling study accepts Replicates and reports
 // interval-qualified series, deterministic across worker counts.
 func TestScalingReplicates(t *testing.T) {
-	run := func(par int) experiments.ScalingSeries {
+	run := func(par int) experiments.ClassSeries {
 		opt := scalingOpts()
 		opt.Replicates = 2
 		opt.Parallelism = par
@@ -181,12 +181,12 @@ func TestScalingReplicates(t *testing.T) {
 	if s.Replicates != 2 || s.CI == nil {
 		t.Fatalf("series replicates=%d CI nil=%v, want 2 with intervals", s.Replicates, s.CI == nil)
 	}
-	if len(s.CI["SNUG"]) != len(s.Cores) {
-		t.Fatalf("CI rows %d, want one per core count (%d)", len(s.CI["SNUG"]), len(s.Cores))
+	if len(s.CI["SNUG"]) != len(s.Classes) {
+		t.Fatalf("CI rows %d, want one per core count (%d)", len(s.CI["SNUG"]), len(s.Classes))
 	}
 	for i, half := range s.CI["SNUG"] {
 		if half < 0 {
-			t.Errorf("negative half-width %v at %d cores", half, s.Cores[i])
+			t.Errorf("negative half-width %v at %s cores", half, s.Classes[i])
 		}
 	}
 	if !reflect.DeepEqual(s, run(4)) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"snug/internal/config"
 	"snug/internal/metrics"
@@ -59,45 +60,31 @@ func ScalingStudy(ctx context.Context, opt Options, coreCounts []int) (*ScalingR
 	return &ScalingResult{Points: points, Replicates: reps}, nil
 }
 
-// ScalingSeries is one metric's scaling table: per core count, per scheme,
-// the cross-class average (the figures' AVG row) at that width — averaged
-// across replicates, with 95% confidence half-widths when replicated.
-type ScalingSeries struct {
-	Schemes []string             // column labels present, in FigureSchemes order
-	Cores   []int                // row labels
-	Values  map[string][]float64 // scheme label -> mean value per core count
-	// CI mirrors Values with each cell's 95% confidence half-width; nil for
-	// single-replicate studies.
-	CI map[string][]float64
-	// Replicates is the replicate count behind every cell (1 when CI is nil).
-	Replicates int
-}
-
-// Series computes the scaling table for the chosen metric. Every point must
-// expose the same scheme set; ragged data across points is an error.
-func (r *ScalingResult) Series(metric metrics.MetricKind) (ScalingSeries, error) {
-	reps := r.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-	s := ScalingSeries{Values: make(map[string][]float64), Replicates: reps}
-	if reps > 1 {
+// Series computes the scaling table for the chosen metric: a figure
+// dataset with one row per core count, labelled by the count, whose cells
+// are the cross-class average (the figures' AVG row) at that width —
+// averaged across replicates, with 95% confidence half-widths when
+// replicated. Every point must expose the same scheme set; ragged data
+// across points is an error.
+func (r *ScalingResult) Series(metric metrics.MetricKind) (ClassSeries, error) {
+	s := ClassSeries{Values: make(map[string][]float64), Replicates: max(r.Replicates, 1)}
+	if s.Replicates > 1 {
 		s.CI = make(map[string][]float64)
 	}
 	for i, p := range r.Points {
-		ev := Evaluation{Combos: p.Combos, Replicates: reps}
+		ev := Evaluation{Combos: p.Combos, Replicates: s.Replicates}
 		cs, err := ev.Figure(metric)
 		if err != nil {
-			return ScalingSeries{}, fmt.Errorf("at %d cores: %w", p.Cores, err)
+			return ClassSeries{}, fmt.Errorf("at %d cores: %w", p.Cores, err)
 		}
 		if i == 0 {
 			s.Schemes = cs.Schemes
 		} else if !slices.Equal(s.Schemes, cs.Schemes) {
-			return ScalingSeries{}, fmt.Errorf(
+			return ClassSeries{}, fmt.Errorf(
 				"experiments: scheme sets differ across core counts (%v at %d cores vs %v at %d cores)",
 				s.Schemes, r.Points[0].Cores, cs.Schemes, p.Cores)
 		}
-		s.Cores = append(s.Cores, p.Cores)
+		s.Classes = append(s.Classes, strconv.Itoa(p.Cores))
 		avgRow := len(cs.Classes) - 1 // the AVG row
 		for _, scheme := range cs.Schemes {
 			s.Values[scheme] = append(s.Values[scheme], cs.Values[scheme][avgRow])

@@ -60,12 +60,12 @@ func TestScalingStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Cores, []int{4, 8}) || !reflect.DeepEqual(s.Schemes, []string{"SNUG"}) {
-		t.Fatalf("series cores %v schemes %v", s.Cores, s.Schemes)
+	if !reflect.DeepEqual(s.Classes, []string{"4", "8"}) || !reflect.DeepEqual(s.Schemes, []string{"SNUG"}) {
+		t.Fatalf("series rows %v schemes %v", s.Classes, s.Schemes)
 	}
-	for i := range s.Cores {
+	for i := range s.Classes {
 		if v := s.Values["SNUG"][i]; v <= 0 {
-			t.Errorf("normalized throughput %v at %d cores", v, s.Cores[i])
+			t.Errorf("normalized throughput %v at %s cores", v, s.Classes[i])
 		}
 	}
 }

@@ -160,6 +160,15 @@ func TestCharacterizeValidation(t *testing.T) {
 			t.Errorf("Characterize with %d intervals of %d accesses succeeded", opt.Intervals, opt.AccessesPerInterval)
 		}
 	}
+	// A system config.Validate refuses is refused, not handed to
+	// addr.MustGeometry, which panicked on a 48-byte L1 block.
+	cfg := config.TestScale()
+	cfg.Mem.L1D = config.CacheGeom{SizeBytes: 48 * 16 * 4, Ways: 4, BlockBytes: 48}
+	if _, err := experiments.Characterize(experiments.CharacterizeOptions{
+		Benchmark: "ammp", Cfg: cfg, Intervals: 2, AccessesPerInterval: 1000,
+	}); err == nil {
+		t.Error("Characterize accepted a 48-byte L1 block")
+	}
 }
 
 // TestFigure3AppluShape: the streaming benchmark keeps essentially all

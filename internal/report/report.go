@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 
@@ -105,27 +104,17 @@ func WriteCombos(w io.Writer, ev *experiments.Evaluation) error {
 	return writeAligned(w, rows)
 }
 
-// WriteScaling renders a scaling-study series as an aligned table: one row
-// per core count, one column per scheme, each cell the cross-class average
-// at that width (mean ±95% CI when replicated).
-func WriteScaling(w io.Writer, title string, s experiments.ScalingSeries) error {
-	return writeTable(w, title, "cores", byCores(s))
+// WriteScaling renders a scaling-study series (ScalingResult.Series) as an
+// aligned table: one row per core count, one column per scheme, each cell
+// the cross-class average at that width (mean ±95% CI when replicated).
+func WriteScaling(w io.Writer, title string, s experiments.ClassSeries) error {
+	return writeTable(w, title, "cores", s)
 }
 
 // WriteScalingCSV renders the same dataset as CSV; replicated series gain a
 // "<scheme>_ci95" half-width column per scheme.
-func WriteScalingCSV(w io.Writer, s experiments.ScalingSeries) error {
-	return writeCSV(w, "cores", byCores(s))
-}
-
-// byCores recasts a scaling series as a figure dataset whose row labels
-// are the core counts, so both render through writeTable and writeCSV.
-func byCores(s experiments.ScalingSeries) experiments.ClassSeries {
-	cs := experiments.ClassSeries{Schemes: s.Schemes, Values: s.Values, CI: s.CI, Replicates: s.Replicates}
-	for _, n := range s.Cores {
-		cs.Classes = append(cs.Classes, strconv.Itoa(n))
-	}
-	return cs
+func WriteScalingCSV(w io.Writer, s experiments.ClassSeries) error {
+	return writeCSV(w, "cores", s)
 }
 
 // WriteCharacterization renders a Figures 1–3 dataset: bucket shares

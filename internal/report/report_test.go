@@ -160,9 +160,9 @@ func TestWriteFigureCSVReplicated(t *testing.T) {
 // TestWriteScalingReplicated covers the interval rendering of the scaling
 // table and its CSV.
 func TestWriteScalingReplicated(t *testing.T) {
-	s := experiments.ScalingSeries{
+	s := experiments.ClassSeries{
 		Schemes:    []string{"SNUG"},
-		Cores:      []int{4, 8},
+		Classes:    []string{"4", "8"},
 		Values:     map[string][]float64{"SNUG": {1.05, 1.08}},
 		CI:         map[string][]float64{"SNUG": {0.01, 0.02}},
 		Replicates: 3,
