@@ -130,16 +130,70 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGIntnUniform(t *testing.T) {
-	r := NewRNG(11)
-	counts := make([]int, 8)
-	const n = 80000
-	for i := 0; i < n; i++ {
-		counts[r.Intn(8)]++
+// TestRNGPinnedDraws pins the first draws of two seeds, through Uint64
+// and through the value-form Step, to values the generator gave before its
+// state became named words, so a change to its seeding, its arithmetic or
+// its state layout shows.
+func TestRNGPinnedDraws(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want [5]uint64
+	}{
+		{0, [5]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c, 0xbba5ad4a1f842e59}},
+		{0x5eed_c0de, [5]uint64{0x4d2bd56e99bda4c1, 0x2bdf902c69401f38, 0xa5f45fe335f26805, 0xa78d867c5085375d, 0xe1408ff72221225b}},
+	} {
+		r, v := NewRNG(c.seed), *NewRNG(c.seed)
+		for i, want := range c.want {
+			var x uint64
+			v, x = v.Step()
+			if got := r.Uint64(); got != want || x != want {
+				t.Errorf("seed %#x draw %d: Uint64 %#016x, Step %#016x, want %#016x", c.seed, i, got, x, want)
+			}
+		}
 	}
-	for i, c := range counts {
-		if c < n/8-n/80 || c > n/8+n/80 {
-			t.Errorf("bucket %d count %d deviates >10%% from uniform", i, c)
+}
+
+// TestThresholdMatchesBool holds Threshold to Bool's float comparison:
+// Below(x, Threshold(p)) must equal Unit(x) < p for every draw x. Each p
+// is tried at the draws whose top 53 bits are ⌈p·2⁵³⌉-1 and ⌈p·2⁵³⌉, the
+// two sides of the threshold, and at random draws, where Bool on a copy of
+// the RNG must agree too. A p above 1 occurs: a generator's cumulative
+// unit threshold reaches 2 or more when L2Every and BranchEvery are 1.
+func TestThresholdMatchesBool(t *testing.T) {
+	r := NewRNG(0x7e57)
+	var ps []float64
+	for _, p := range []float64{0, 1, 0.5, 1.0 / 3, 1.5, 2, 2 + 1.0/90, 0x1p-60, math.NaN()} {
+		ps = append(ps, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+	}
+	for i := 0; i < 200; i++ {
+		ps = append(ps, r.Float64())
+	}
+	for _, p := range ps {
+		th := Threshold(p)
+		if math.IsNaN(p) {
+			if th != 0 {
+				t.Errorf("Threshold(NaN) = %d, want 0", th)
+			}
+			continue
+		}
+		ms := []uint64{th - 1, th}
+		for i := 0; i < 20; i++ {
+			ms = append(ms, r.Uint64()>>11)
+		}
+		for _, m := range ms {
+			if m >= 1<<53 { // th-1 wrapped at 0, or th is 2⁵³ for p ≥ 1
+				continue
+			}
+			x := m<<11 | r.Uint64()>>53
+			if got, want := Below(x, th), Unit(x) < p; got != want {
+				t.Errorf("p=%v (threshold %d), draw %#016x: Below %v, Unit(x) < p %v", p, th, x, got, want)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			c := *r
+			if got, want := Below(r.Uint64(), th), c.Bool(p); got != want {
+				t.Errorf("p=%v: Below %v, Bool %v on the same draw", p, got, want)
+			}
 		}
 	}
 }

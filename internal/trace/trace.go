@@ -191,11 +191,15 @@ func (p Profile) Validate() error {
 // unitRange reports whether v is a probability: in [0, 1] and not NaN.
 func unitRange(v float64) bool { return v >= 0 && v <= 1 }
 
-// branchSite is one static branch with its outcome bias.
+// branchSite is one static branch: its PC and the threshold (see
+// Generator) of its taken probability.
 type branchSite struct {
-	pc   uint64
-	bias float64
+	pc    uint64
+	taken uint64
 }
+
+// numSites is how many static branch sites a generator draws from.
+const numSites = 64
 
 // Generator produces the dynamic stream for one benchmark instance. It
 // implements isa.Stream deterministically for a fixed seed.
@@ -207,14 +211,16 @@ type branchSite struct {
 // because they have the same capacity demand at both application and set
 // level (§4.2), so two instances of one benchmark must agree on which sets
 // are hot.
+//
+// Synthesis runs ahead of Next: refill synthesizes whole units into buf,
+// in stream order, and Next pops them. A generator takes no feedback from
+// its reader, so when an instruction is synthesized cannot change it.
 type Generator struct {
 	prof       Profile
 	geom       addr.Geometry
-	rng        *stats.RNG
-	seed       uint64
+	rng        stats.RNG
 	demandSeed uint64
 
-	totalRefs   int64 // distinct touches per full phase rotation
 	phaseIdx    int
 	refsInPhase int64
 	phaseLen    []int64
@@ -226,32 +232,46 @@ type Generator struct {
 	// recency holds each set's pool slots ordered MRU-first; touches sample
 	// a stack distance and move the touched slot to the front.
 	recency [][]uint8
+	// poolSpan[d] is 1-ρ^d, the mass of the stack-distance distribution a
+	// depth-d set truncates, and logRho is log ρ; both are set only for a
+	// StackDecay ρ in (0,1).
+	poolSpan []float64
+	logRho   float64
 
 	freshCtr []uint32
 
-	queue []isa.Instr
-	head  int
+	branches [numSites]branchSite
+	pc       uint64 // the PC of the last filler, access or call
 
-	branches []branchSite
-	pcTick   uint64
+	// Each probability a draw is compared with, as its threshold: draw x
+	// passes probability p when stats.Below(x, stats.Threshold(p)), which
+	// is exactly stats.Unit(x) < p. Cumulative ones take one draw for a
+	// choice among several outcomes.
+	tMem, tBr, tCall uint64 // unit: touch, branch, call, else filler
+	tDiv, tMult, tFP uint64 // filler kind: divide, multiply, FP, else ALU
+	tDep, tDepLoad   uint64 // DepFrac, DepLoadFrac
+	tStore, tBurst   uint64 // StoreFrac, a burst's continuation
+	tFresh           uint64 // the current phase's Compulsory
 
-	// Cached per-instruction decision thresholds (plan/fill run once per
-	// emitted instruction — the simulator's hottest path — so the divisions
-	// behind them are hoisted out of it). Cumulative: a single uniform draw
-	// is compared against each in order.
-	cumMem, cumBr, cumCall float64 // unit-type thresholds (touch/branch/call)
-	cumDiv, cumMult, cumFP float64 // filler-kind thresholds
-	burstCont              float64 // same-block burst continuation probability
+	// Next pops buf[head:n].
+	head, n int
+	buf     [bufLen]isa.Instr
 }
 
 // maxBurst caps same-block repeats so bursts stay within L1 residency.
 const maxBurst = 24
 
-// queueCap is the longest unit the generator queues: a touch's access plus
-// maxBurst filler/repeat pairs.
-const queueCap = 1 + 2*maxBurst
+// maxUnit is the longest unit: a touch's access plus maxBurst
+// filler/repeat pairs.
+const maxUnit = 1 + 2*maxBurst
 
-// poolTagBase separates pool tags from fresh (streaming) tags.
+// bufLen is the length of a generator's buffer, in instructions. A refill
+// synthesizes units while a longest one still fits, so it makes at least
+// bufLen-maxUnit+1 = 16. A longer buffer measured no faster and raised
+// live4's peak RSS.
+const bufLen = 64
+
+// freshTagBase separates fresh (streaming) tags from pool tags.
 const freshTagBase = 1 << 20
 
 // NewGenerator builds a generator for prof over the given L2 geometry.
@@ -268,15 +288,12 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 	g := &Generator{
 		prof:       prof,
 		geom:       geom,
-		rng:        stats.NewRNG(seed ^ stats.Mix64(uint64(len(prof.Name)))),
-		seed:       seed,
+		rng:        *stats.NewRNG(seed ^ stats.Mix64(uint64(len(prof.Name)))),
 		demandSeed: nameSeed(prof.Name),
-		totalRefs:  totalRefs,
 		depths:     make([]int32, geom.Sets()),
 		cum:        make([]float64, geom.Sets()),
 		recency:    make([][]uint8, geom.Sets()),
 		freshCtr:   make([]uint32, geom.Sets()),
-		queue:      make([]isa.Instr, 0, queueCap),
 	}
 	g.phaseLen = make([]int64, len(prof.Phases))
 	for i, ph := range prof.Phases {
@@ -285,24 +302,31 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 			g.phaseLen[i] = 1
 		}
 	}
-	g.cumMem = 1 / float64(prof.L2Every)
-	g.cumBr = g.cumMem + 1/float64(prof.BranchEvery)
-	g.cumCall = g.cumBr
+	cumMem := 1 / float64(prof.L2Every)
+	cumBr := cumMem + 1/float64(prof.BranchEvery)
+	cumCall := cumBr
 	if prof.CallEvery > 0 {
-		g.cumCall += 1 / float64(prof.CallEvery)
+		cumCall += 1 / float64(prof.CallEvery)
 	}
-	g.cumDiv = prof.DivFrac
-	g.cumMult = g.cumDiv + prof.MultFrac
-	g.cumFP = g.cumMult + prof.FPFrac
-	g.burstCont = prof.Burst / (1 + prof.Burst)
-	nb := 64
-	g.branches = make([]branchSite, nb)
+	g.tMem, g.tBr, g.tCall = stats.Threshold(cumMem), stats.Threshold(cumBr), stats.Threshold(cumCall)
+	cumDiv := prof.DivFrac
+	cumMult := cumDiv + prof.MultFrac
+	g.tDiv, g.tMult, g.tFP = stats.Threshold(cumDiv), stats.Threshold(cumMult), stats.Threshold(cumMult+prof.FPFrac)
+	g.tDep, g.tDepLoad = stats.Threshold(prof.DepFrac), stats.Threshold(prof.DepLoadFrac)
+	g.tStore, g.tBurst = stats.Threshold(prof.StoreFrac), stats.Threshold(prof.Burst/(1+prof.Burst))
+	if rho := prof.StackDecay; rho > 0 && rho < 1 {
+		g.poolSpan = make([]float64, maxDepth+1)
+		for d := range g.poolSpan {
+			g.poolSpan[d] = 1 - math.Pow(rho, float64(d))
+		}
+		g.logRho = math.Log(rho)
+	}
 	for i := range g.branches {
 		bias := prof.BranchBias
-		if float64(i) < prof.HardBranchFrac*float64(nb) {
+		if float64(i) < prof.HardBranchFrac*numSites {
 			bias = 0.5
 		}
-		g.branches[i] = branchSite{pc: seed<<8 ^ uint64(0x4000+i*16), bias: bias}
+		g.branches[i] = branchSite{pc: seed<<8 ^ uint64(0x4000+i*16), taken: stats.Threshold(bias)}
 	}
 	g.enterPhase(0)
 	return g, nil
@@ -317,7 +341,14 @@ func NewGenerator(prof Profile, geom addr.Geometry, seed uint64, totalRefs int64
 // instances (the paper's stress-test premise) while the concrete hot-set
 // indexes differ per instance. Salt 0 leaves instances perfectly aligned
 // (an ablation knob: it disables all same-distribution complementarity).
+//
+// The salt must be set before the first Next: synthesis runs ahead of
+// Next, so a later salt would re-map demand under instructions already
+// synthesized. A later call panics.
 func (g *Generator) WithDemandSalt(salt uint64) *Generator {
+	if g.n != 0 {
+		panic("trace: WithDemandSalt after the first Next: the generator has synthesized ahead under the old demand map")
+	}
 	g.demandSeed = nameSeed(g.prof.Name) ^ stats.Mix64(salt)
 	g.enterPhase(g.phaseIdx)
 	return g
@@ -342,26 +373,17 @@ func (g *Generator) enterPhase(idx int) {
 	g.refsInPhase = 0
 	base := nameSeed(g.prof.Name)
 	ph := &g.prof.Phases[idx]
+	g.tFresh = stats.Threshold(ph.Compulsory)
 	w := 0.0
 	for s := range g.depths {
 		seed := g.demandSeed
 		// A stable per-set coin (independent of salt) anchors a fraction of
 		// sets to the shared base map.
-		if anchor := stats.Mix64(base ^ uint64(s)*0x517cc1b727220a95); float64(anchor>>11)/(1<<53) < demandCorrelation {
+		if anchor := stats.Mix64(base ^ uint64(s)*0x517cc1b727220a95); stats.Unit(anchor) < demandCorrelation {
 			seed = base
 		}
 		h := stats.Mix64(seed ^ uint64(s)*0x9E3779B97F4A7C15 ^ uint64(idx)<<32)
-		f := float64(h>>11) / (1 << 53)
-		d := 1
-		acc := 0.0
-		for _, b := range ph.Bands {
-			acc += b.Frac
-			if f < acc || &b == &ph.Bands[len(ph.Bands)-1] {
-				span := b.MaxDepth - b.MinDepth + 1
-				d = b.MinDepth + int(stats.Mix64(h)%uint64(span))
-				break
-			}
-		}
+		d := bandDepth(ph.Bands, stats.Unit(h), h)
 		g.depths[s] = int32(d)
 		// Resize the recency permutation: keep surviving slots (< d) in
 		// recency order so working sets overlap across phase transitions,
@@ -393,9 +415,141 @@ func (g *Generator) enterPhase(idx int) {
 	g.wSum = w
 }
 
-// pickSet samples a set index from the phase's weight distribution.
-func (g *Generator) pickSet() uint32 {
-	target := g.rng.Float64() * g.wSum
+// bandDepth returns the demand depth of a set whose uniform draw is f and
+// whose hash is h: a depth in the first band whose cumulative fraction
+// exceeds f, drawn by h. Rounding can leave the fractions' float sum just
+// below 1 (apsi's sum to 1-2⁻⁵³), so an f at or past the sum takes the
+// last band.
+func bandDepth(bands []DemandBand, f float64, h uint64) int {
+	b, acc := &bands[len(bands)-1], 0.0
+	for i := range bands {
+		if acc += bands[i].Frac; f < acc {
+			b = &bands[i]
+			break
+		}
+	}
+	span := b.MaxDepth - b.MinDepth + 1
+	return b.MinDepth + int(stats.Mix64(h)%uint64(span))
+}
+
+// Next implements isa.Stream: it pops the next synthesized instruction,
+// refilling the buffer when it is empty.
+func (g *Generator) Next(in *isa.Instr) {
+	if g.head == g.n {
+		g.refill()
+	}
+	*in = g.buf[g.head]
+	g.head++
+}
+
+// refill synthesizes whole units into buf, in stream order, while a
+// longest unit still fits, and rewinds Next to its start. A unit is a
+// data touch with its L1-hit burst, a branch, a call/return pair, or one
+// filler instruction; one draw picks which.
+//
+// The RNG state and the PC stay in locals, stored back once at the end.
+// Filler units and a touch's burst make no call, so the state stays in
+// registers on the filler path; touch, the one call, takes and returns the
+// state by value. Each per-instruction rule is one inlined helper (filler,
+// access, control) that takes its draws as arguments, so the order of the
+// draws is written here, and TestStreamDigests pins it.
+func (g *Generator) refill() {
+	r, pc, n := g.rng, g.pc, 0
+	buf := &g.buf
+	for n <= bufLen-maxUnit {
+		var u, x, y uint64
+		r, u = r.Step()
+		switch {
+		case !stats.Below(u, g.tCall):
+			r, x = r.Step()
+			r, y = r.Step()
+			pc += 4
+			g.filler(&buf[n], pc, x, y)
+			n++
+		case stats.Below(u, g.tMem):
+			var a addr.Addr
+			r, a = g.touch(r)
+			// The store decision is per touch, not per access: at most the
+			// first access of a touch writes. Rolling an independent store
+			// probability on every burst repeat would leave essentially
+			// every resident block dirty (P ≈ 1-(1-storeFrac)^burst), which
+			// would starve cooperative caching — only clean victims may
+			// spill (§3.3).
+			r, x = r.Step()
+			pc += 4
+			if stats.Below(x, g.tStore) {
+				access(&buf[n], pc, a, isa.KindStore, false)
+			} else {
+				r, y = r.Step()
+				access(&buf[n], pc, a, isa.KindLoad, stats.Below(y, g.tDepLoad))
+			}
+			n++
+			// Same-block repeats: captured by L1, sustaining a realistic L1
+			// hit rate without disturbing the L2-level reuse structure.
+			for i := 0; i < maxBurst; i++ {
+				if r, x = r.Step(); !stats.Below(x, g.tBurst) {
+					break
+				}
+				r, x = r.Step()
+				r, y = r.Step()
+				g.filler(&buf[n], pc+4, x, y)
+				r, x = r.Step()
+				pc += 8
+				access(&buf[n+1], pc, a, isa.KindLoad, stats.Below(x, g.tDepLoad))
+				n += 2
+			}
+		case stats.Below(u, g.tBr):
+			r, x = r.Step()
+			r, y = r.Step()
+			site := &g.branches[x%numSites]
+			control(&buf[n], isa.KindBranch, site.pc, stats.Below(y, site.taken), 0)
+			n++
+		default:
+			// A call, a two-instruction body and the return, which
+			// exercise the RAS.
+			call := pc + 4
+			control(&buf[n], isa.KindCall, call, false, 0)
+			r, x = r.Step()
+			r, y = r.Step()
+			g.filler(&buf[n+1], call+4, x, y)
+			r, x = r.Step()
+			r, y = r.Step()
+			g.filler(&buf[n+2], call+8, x, y)
+			control(&buf[n+3], isa.KindReturn, call+0x100, false, call+4)
+			pc = call + 8
+			n += 4
+		}
+	}
+	g.rng, g.pc, g.head, g.n = r, pc, 0, n
+}
+
+// touch picks the block a data touch targets, drawing from r, and returns
+// the advanced state and the block's address. It counts the touch toward
+// the phase, and enters the next phase when this one is done.
+func (g *Generator) touch(r stats.RNG) (stats.RNG, addr.Addr) {
+	var x uint64
+	r, x = r.Step()
+	s := g.pickSet(x)
+	var tag uint64
+	if r, x = r.Step(); stats.Below(x, g.tFresh) {
+		g.freshCtr[s]++
+		tag = freshTagBase + uint64(g.freshCtr[s])
+	} else {
+		var slot int
+		r, slot = g.touchPool(r, s)
+		tag = 1 + uint64(slot)
+	}
+	g.refsInPhase++
+	if g.refsInPhase >= g.phaseLen[g.phaseIdx] {
+		g.enterPhase((g.phaseIdx + 1) % len(g.prof.Phases))
+	}
+	return r, g.geom.Rebuild(tag, s)
+}
+
+// pickSet samples a set index from the phase's weight distribution by
+// draw x.
+func (g *Generator) pickSet(x uint64) uint32 {
+	target := stats.Unit(x) * g.wSum
 	lo, hi := 0, len(g.cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -408,86 +562,25 @@ func (g *Generator) pickSet() uint32 {
 	return uint32(lo)
 }
 
-// Next implements isa.Stream. It plans the next unit in place: a data-touch
-// burst, a branch, a call/return pair, or filler compute. Filler — the vast
-// majority of the stream — is filled straight into in, skipping the queue
-// round trip; multi-instruction units go through the queue. The RNG draw
-// order is identical either way, so streams are unchanged by the fast path.
-func (g *Generator) Next(in *isa.Instr) {
-	if g.head < len(g.queue) {
-		*in = g.queue[g.head]
-		g.head++
-		return
-	}
-	g.queue = g.queue[:0]
-	g.head = 0
-	r := g.rng.Float64()
-	switch {
-	case r < g.cumMem:
-		g.planTouch()
-	case r < g.cumBr:
-		g.planBranch()
-	case r < g.cumCall:
-		g.planCall()
-	default:
-		g.fill(in)
-		return
-	}
-	*in = g.queue[0]
-	g.head = 1
-}
-
-// planTouch emits one distinct-block access followed by its L1-hit burst.
-func (g *Generator) planTouch() {
-	ph := &g.prof.Phases[g.phaseIdx]
-	s := g.pickSet()
-	var tag uint64
-	if g.rng.Bool(ph.Compulsory) {
-		g.freshCtr[s]++
-		tag = freshTagBase + uint64(g.freshCtr[s])
-	} else {
-		tag = 1 + uint64(g.touchPool(s))
-	}
-	a := g.geom.Rebuild(tag, s)
-	// The store decision is per touch, not per access: at most the first
-	// access of a touch writes. Rolling an independent store probability on
-	// every burst repeat would leave essentially every resident block dirty
-	// (P ≈ 1-(1-storeFrac)^burst), which would starve cooperative caching —
-	// only clean victims may spill (§3.3).
-	g.emitAccess(a, g.rng.Bool(g.prof.StoreFrac))
-
-	// Same-block repeats: captured by L1, sustaining a realistic L1 hit
-	// rate without disturbing the L2-level reuse structure.
-	n := 0
-	for n < maxBurst && g.rng.Bool(g.burstCont) {
-		g.fill(g.push())
-		g.emitAccess(a, false)
-		n++
-	}
-
-	g.refsInPhase++
-	if g.refsInPhase >= g.phaseLen[g.phaseIdx] {
-		g.enterPhase((g.phaseIdx + 1) % len(g.prof.Phases))
-	}
-}
-
-// touchPool samples a stack distance for set s and returns the touched pool
+// touchPool samples a stack distance for set s, drawing from r unless the
+// set holds one block, and returns the advanced state and the touched pool
 // slot, rotating it to MRU. With decay ρ ∈ (0,1), P(distance k) ∝ ρ^(k-1)
 // truncated at d(S); otherwise distances are uniform over [1, d(S)].
-func (g *Generator) touchPool(s uint32) int {
+func (g *Generator) touchPool(r stats.RNG, s uint32) (stats.RNG, int) {
 	rec := g.recency[s]
 	d := len(rec)
 	if d == 1 {
-		return int(rec[0])
+		return r, int(rec[0])
 	}
+	var x uint64
+	r, x = r.Step()
 	var k int
-	rho := g.prof.StackDecay
-	if rho > 0 && rho < 1 {
+	if g.poolSpan != nil {
 		// Inverse CDF of the truncated geometric.
-		u := g.rng.Float64() * (1 - math.Pow(rho, float64(d)))
-		k = 1 + int(math.Log(1-u)/math.Log(rho))
+		u := stats.Unit(x) * g.poolSpan[d]
+		k = 1 + int(math.Log(1-u)/g.logRho)
 	} else {
-		k = 1 + g.rng.Intn(d)
+		k = 1 + int(x%uint64(d))
 	}
 	if k < 1 {
 		k = 1
@@ -498,87 +591,56 @@ func (g *Generator) touchPool(s uint32) int {
 	slot := rec[k-1]
 	copy(rec[1:k], rec[0:k-1])
 	rec[0] = slot
-	return int(slot)
-}
-
-// emitAccess queues one load/store of address a.
-func (g *Generator) emitAccess(a addr.Addr, store bool) {
-	g.pcTick += 4
-	in := g.push()
-	in.PC = g.pcTick
-	in.Addr = a
-	in.Taken = false
-	in.Target = 0
-	if store {
-		in.Kind = isa.KindStore
-		in.DepPrev = false
-	} else {
-		in.Kind = isa.KindLoad
-		in.DepPrev = g.rng.Bool(g.prof.DepLoadFrac)
-	}
-}
-
-// planBranch emits one conditional branch from the benchmark's site pool.
-func (g *Generator) planBranch() {
-	site := &g.branches[g.rng.Intn(len(g.branches))]
-	g.control(isa.KindBranch, site.pc, g.rng.Bool(site.bias), 0)
-}
-
-// planCall emits a call / body / return triple exercising the RAS.
-func (g *Generator) planCall() {
-	g.pcTick += 4
-	callPC := g.pcTick
-	g.control(isa.KindCall, callPC, false, 0)
-	g.fill(g.push())
-	g.fill(g.push())
-	g.control(isa.KindReturn, callPC+0x100, false, callPC+4)
-}
-
-// control queues one branch, call or return.
-func (g *Generator) control(kind isa.Kind, pc uint64, taken bool, target uint64) {
-	in := g.push()
-	in.Kind = kind
-	in.PC = pc
-	in.Addr = 0
-	in.Taken = taken
-	in.Target = target
-	in.DepPrev = false
-}
-
-// push extends the queue by one slot and returns it for the caller to fill
-// field by field. The slot may hold a stale instruction, so the caller sets
-// every field. The queue is allocated at queueCap, the longest unit, so
-// push never reallocates.
-func (g *Generator) push() *isa.Instr {
-	n := len(g.queue)
-	g.queue = g.queue[:n+1]
-	return &g.queue[n]
+	return r, int(slot)
 }
 
 // nameSeed hashes a benchmark name into the demand seed shared by all
 // instances of that benchmark.
 func nameSeed(name string) uint64 { return stats.HashString(name) }
 
-// fill writes one compute instruction per the profile's mix into in. It
-// sets every field, since callers hand it reused storage, and writes each
-// one in place: an isa.Instr built on the stack and returned by value is
-// copied with wide loads that cannot forward from its narrow field stores,
-// so every copy stalls.
+// filler writes one compute instruction at pc into in: it depends on its
+// predecessor when draw dep passes DepFrac, and draw kind picks its kind
+// per the profile's mix. Like access and control, it sets every field,
+// since buf's slots hold stale instructions, and writes each one in place:
+// an isa.Instr built on the stack and stored by value is copied with wide
+// loads that cannot forward from its narrow field stores, so every copy
+// stalls.
 //
 // The kind is a sum of three 0/1 threshold tests rather than a switch,
 // whose branches are a coin flip on the floating-point profiles. The sum
-// counts how many of cumFP >= cumMult >= cumDiv lie above r, which equals
+// counts how many of tFP >= tMult >= tDiv lie above the draw, which equals
 // the switch's KindALU (0) … KindDiv (3) because those kinds are numbered
-// 0…3 and Validate keeps the thresholds non-decreasing.
-func (g *Generator) fill(in *isa.Instr) {
-	g.pcTick += 4
-	in.PC = g.pcTick
-	in.DepPrev = g.rng.Bool(g.prof.DepFrac)
-	r := g.rng.Float64()
-	in.Kind = isa.Kind(b2u(r < g.cumFP) + b2u(r < g.cumMult) + b2u(r < g.cumDiv))
+// 0…3 and Validate keeps the thresholds non-decreasing. The tests compare
+// the draw's top 53 bits, m, as stats.Below does; shifting once keeps
+// filler within the inliner's budget.
+func (g *Generator) filler(in *isa.Instr, pc, dep, kind uint64) {
+	in.PC = pc
+	in.DepPrev = stats.Below(dep, g.tDep)
+	m := kind >> 11
+	in.Kind = isa.Kind(b2u(m < g.tFP) + b2u(m < g.tMult) + b2u(m < g.tDiv))
 	in.Addr = 0
 	in.Taken = false
 	in.Target = 0
+}
+
+// access writes one load or store of address a at pc into in.
+func access(in *isa.Instr, pc uint64, a addr.Addr, kind isa.Kind, dep bool) {
+	in.Kind = kind
+	in.PC = pc
+	in.Addr = a
+	in.Taken = false
+	in.Target = 0
+	in.DepPrev = dep
+}
+
+// control writes one branch, call or return into in.
+func control(in *isa.Instr, kind isa.Kind, pc uint64, taken bool, target uint64) {
+	in.Kind = kind
+	in.PC = pc
+	in.Addr = 0
+	in.Taken = taken
+	in.Target = target
+	in.DepPrev = false
 }
 
 // b2u converts a bool to 0 or 1; the compiler lowers it without a branch.

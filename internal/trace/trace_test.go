@@ -114,6 +114,46 @@ func TestDemandMapSharedAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestWithDemandSaltAfterNextPanics: a generator synthesizes ahead of
+// Next, so a salt set after the first Next would re-map demand under
+// instructions already synthesized; the call must panic instead.
+func TestWithDemandSaltAfterNextPanics(t *testing.T) {
+	g := MustGenerator(MustByName("ammp"), testGeom, 1, 10_000).WithDemandSalt(3)
+	var in isa.Instr
+	g.Next(&in)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WithDemandSalt after the first Next did not panic")
+		}
+	}()
+	g.WithDemandSalt(4)
+}
+
+// TestBandDepthPastTheBandSum: apsi's phase-0 band fractions sum to
+// 1-2⁻⁵³ in float64, which is also the largest set draw f, so at that f no
+// cumulative fraction exceeds the draw. The set must take a depth from the
+// last band, not a depth of 1.
+func TestBandDepthPastTheBandSum(t *testing.T) {
+	bands := MustByName("apsi").Phases[0].Bands
+	const f = 1 - 0x1p-53
+	sum := 0.0
+	for _, b := range bands {
+		sum += b.Frac
+	}
+	if sum != f {
+		t.Fatalf("apsi's phase-0 band fractions sum to %v, want 1-2⁻⁵³", sum)
+	}
+	first, last := bands[0], bands[len(bands)-1]
+	for h := uint64(0); h < 64; h++ {
+		if d := bandDepth(bands, f, h); d < last.MinDepth || d > last.MaxDepth {
+			t.Errorf("f=1-2⁻⁵³, h=%d: depth %d, want one of the last band's [%d,%d]", h, d, last.MinDepth, last.MaxDepth)
+		}
+		if d := bandDepth(bands, 0, h); d < first.MinDepth || d > first.MaxDepth {
+			t.Errorf("f=0, h=%d: depth %d, want one of the first band's [%d,%d]", h, d, first.MinDepth, first.MaxDepth)
+		}
+	}
+}
+
 func TestAmmpDemandDistributionMatchesFigure1(t *testing.T) {
 	// Figure 1: ~40% of ammp's sets demand 1-4 blocks; ~half are deep
 	// takers. Check the assigned map against the profile's bands.
@@ -197,7 +237,9 @@ func TestTouchPoolStackDistances(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 20_000; i++ {
-		seen[g.touchPool(0)] = true
+		var slot int
+		g.rng, slot = g.touchPool(g.rng, 0)
+		seen[slot] = true
 	}
 	if len(seen) < d*3/4 {
 		t.Errorf("only %d/%d pool slots touched; tail never exercised", len(seen), d)
